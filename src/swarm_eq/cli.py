@@ -205,6 +205,10 @@ def _write_snapshot(rows, state, t):
 
 
 def cmd_simulate(ns) -> None:
+    if not (0.0 < ns.t_end < math.inf and ns.snapshot_every > 0.0):
+        raise ValueError(
+            f"--t-end must be finite and > 0 and --snapshot-every > 0, got {ns.t_end} and {ns.snapshot_every}"
+        )
     p = resolve_params(ns)
     if ns.init == "equilibrium":
         cfg = build_equilibrium(_kind(ns), p)
@@ -215,10 +219,11 @@ def cmd_simulate(ns) -> None:
     controls = RunControls(record_interval=ns.record_interval)
     snapshot_rows: list = []
     _write_snapshot(snapshot_rows, state, 0.0)
-    times = np.arange(ns.snapshot_every, ns.t_end + 1e-9, ns.snapshot_every)
+    # every k * snapshot_every below t_end (a product, so no rounding piles up), then t_end
+    every = [k * ns.snapshot_every for k in range(1, math.ceil(ns.t_end / ns.snapshot_every))]
     diag_all = None
-    for t_target in times:
-        state, diag = run(state, float(t_target), controls)
+    for t_target in [t for t in every if t < ns.t_end] + [ns.t_end]:
+        state, diag = run(state, t_target, controls)
         _write_snapshot(snapshot_rows, state, state.t)
         if diag_all is None:
             diag_all = diag.as_arrays()

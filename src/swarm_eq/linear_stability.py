@@ -153,42 +153,48 @@ def build_Q(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
     return _q_light_raw(p.a_s, p.ac_eff, p.b_s, p.bc_eff, p.M2, p.M1, m)
 
 
+def reduced_coefficients(kind: EquilibriumKind, A, B, M, m: int):
+    """Monic reduced polynomial of mode m, over floats or broadcastable arrays A, B.
+
+    Mode 1: (c1, c0) of mu^2 + c1 mu + c0; modes m >= 2: (c2, c1, c0) of
+    mu^3 + c2 mu^2 + c1 mu + c0.  Its roots times ``rate_unit`` are the
+    nontrivial rates; the heavy-inside cubic is the light-inside one under M -> 1/M.
+    """
+    light = EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN
+    if m == 1:
+        if light:
+            return M + 2.0 * B + M * B, -M * (M + 1.0) * (A - B) * (M + B) / (M + A)
+        return 1.0 + B + 2.0 * M * B, -(M + 1.0) * (A - B) * (1.0 + M * B) / (1.0 + M * A)
+    M_eff = M if light else 1.0 / M
+    C = (M_eff + B) / (1.0 + M_eff * B)
+    ratio = (A / (M_eff + A)) ** m
+    c2 = 2.0 + 1.0 / C
+    c1 = 2.0 / C + (1.0 - A * (C / A) ** (m - 1)) * (1.0 - ratio)
+    c0 = (1.0 / C) * (1.0 - A * A * (C / A) ** m) * (1.0 - ratio)
+    return c2, c1, c0
+
+
 def mode1_quadratic(kind: EquilibriumKind, q: PhasePoint, scale: float) -> tuple[tuple[float, float, float], np.ndarray]:
     """Coefficients (1, c1, c0) and roots of the mode-1 reduced quadratic.
 
     ``scale`` is b_s * M2 in physical units; both roots are real, one always
     negative, the other negative exactly when B > A.
     """
-    kind = EquilibriumKind(kind)
-    A, B, M = q.A, q.B, q.M
-    if kind is EquilibriumKind.TARGET_LIGHT_IN:
-        lin = scale * (M + 2.0 * B + M * B)
-        const = -(scale**2) * M * (M + 1.0) * (A - B) * (M + B) / (M + A)
-    else:
-        lin = scale * (1.0 + B + 2.0 * M * B)
-        const = -(scale**2) * (M + 1.0) * (A - B) * (1.0 + M * B) / (1.0 + M * A)
+    lin, const = reduced_coefficients(kind, q.A, q.B, q.M, 1)
+    lin, const = scale * lin, scale**2 * const
     disc = math.sqrt(lin * lin - 4.0 * const)
     roots = np.array([(-lin - disc) / 2.0, (-lin + disc) / 2.0])
     return (1.0, lin, const), roots
 
 
 def char_poly_cubic(kind: EquilibriumKind, q: PhasePoint, m: int):
-    """Normalized cubic (in mu = lambda/scale) whose roots are the nontrivial rates.
+    """Reduced cubic of mode m >= 2 as ((c2, c1, c0), P), with P its evaluator.
 
-    Returns ((c2, c1, c0), P) with P a polynomial evaluator; multiply roots
-    by ``cubic_scale`` to recover physical rates.  The heavy-inside cubic is
-    the light-inside one under M -> 1/M.
+    Its roots are the nontrivial rates in units of ``cubic_scale``.
     """
-    kind = EquilibriumKind(kind)
     if m < 2:
         raise ValueError("the cubic covers modes m >= 2")
-    A, B = q.A, q.B
-    M_eff = q.M if kind is EquilibriumKind.TARGET_LIGHT_IN else 1.0 / q.M
-    C = (M_eff + B) / (1.0 + M_eff * B)
-    ratio = (A / (M_eff + A)) ** m
-    c2 = 2.0 + 1.0 / C
-    c1 = 2.0 / C + (1.0 - A * (C / A) ** (m - 1)) * (1.0 - ratio)
-    c0 = (1.0 / C) * (1.0 - A * A * (C / A) ** m) * (1.0 - ratio)
+    c2, c1, c0 = reduced_coefficients(kind, q.A, q.B, q.M, m)
 
     def P(mu):
         return ((mu + c2) * mu + c1) * mu + c0
@@ -198,23 +204,20 @@ def char_poly_cubic(kind: EquilibriumKind, q: PhasePoint, m: int):
 
 def cubic_scale(kind: EquilibriumKind, p: InteractionParams) -> float:
     """lambda = scale * mu conversion factor: pi a_s times the annulus density."""
-    kind = EquilibriumKind(kind)
-    rho_annulus = (
-        (p.b_s * p.M1 + p.bc_eff * p.M2)
-        if kind is EquilibriumKind.TARGET_LIGHT_IN
-        else (p.bc_eff * p.M1 + p.b_s * p.M2)
-    ) / (math.pi * p.a_s)
-    return math.pi * p.a_s * rho_annulus
+    if EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN:
+        return p.b_s * p.M1 + p.bc_eff * p.M2
+    return p.bc_eff * p.M1 + p.b_s * p.M2
+
+
+def rate_unit(kind: EquilibriumKind, p: InteractionParams, m: int) -> float:
+    """Physical rate per unit root of the mode-m reduced polynomial."""
+    return p.b_s * p.M2 if m == 1 else cubic_scale(kind, p)
 
 
 def closed_form_rates(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
     """Nontrivial eigenvalues from the reduced quadratic/cubic closed forms."""
     q = to_phase_point(p)
-    if m == 1:
-        _, roots = mode1_quadratic(kind, q, p.b_s * p.M2)
-        return roots.astype(complex)
-    (c2, c1, c0), _ = char_poly_cubic(kind, q, m)
-    return np.roots([1.0, c2, c1, c0]) * cubic_scale(kind, p)
+    return np.roots([1.0, *reduced_coefficients(kind, q.A, q.B, q.M, m)]) * rate_unit(kind, p, m)
 
 
 def P_minus_one_identity(q: PhasePoint, m: int) -> float:
@@ -229,20 +232,15 @@ def P_minus_inv_C_identity(q: PhasePoint, m: int) -> float:
     return (1.0 - C) * (C / q.A) ** (m - 2) * (1.0 - (q.A / (q.M + q.A)) ** m)
 
 
-def _match_roots(eigs: np.ndarray, roots: np.ndarray) -> float:
-    """Greedy max pairwise distance between two equally sized complex sets."""
-    eigs = sorted(eigs, key=lambda z: (z.real, z.imag))
-    roots = sorted(roots, key=lambda z: (z.real, z.imag))
-    return max(abs(e - r) for e, r in zip(eigs, roots))
-
-
 def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m: int) -> ModeSpectrum:
     """Assemble Q, compute its spectrum, and classify the mode.
 
     The n largest-magnitude eigenvalues (2 for m = 1, 3 otherwise) are the
-    nontrivial ones; they are verified against the closed-form polynomial
-    roots and any discrepancy beyond 1e-8 relative raises SpectrumMismatch.
-    Rates within the marginal band around zero give a "marginal" verdict.
+    nontrivial ones; their signed elementary symmetric sums in reduced units
+    must match the closed-form coefficients within 1e-8 of 1 + sum |c_k|, or
+    SpectrumMismatch is raised.  Coefficients are compared, not roots, since
+    a near-double root is only determined to about sqrt(eps).  Rates within
+    the marginal band around zero give a "marginal" verdict.
     """
     kind = EquilibriumKind(kind)
     Q = build_Q(kind, p, m)
@@ -258,12 +256,15 @@ def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m: int) -> ModeSp
             f"expected {6 - n_nontrivial} structurally zero eigenvalues at mode {m}"
         )
 
-    reference = closed_form_rates(kind, p, m)
-    scale = max(np.max(np.abs(reference)), norm_q * 1e-3)
-    if _match_roots(nontrivial, reference) > CROSSCHECK_RTOL * scale:
+    q = to_phase_point(p)
+    coeffs = reduced_coefficients(kind, q.A, q.B, q.M, m)
+    vieta = [1.0]  # expands prod (mu - r) over the nontrivial roots r, in reduced units
+    for r in nontrivial / rate_unit(kind, p, m):
+        vieta = [a - r * b for a, b in zip(vieta + [0.0], [0.0] + vieta)]
+    residual = max(abs(v - c) for v, c in zip(vieta[1:], coeffs)) / (1.0 + sum(map(abs, coeffs)))
+    if residual > CROSSCHECK_RTOL:
         raise SpectrumMismatch(
-            f"eigensolver and closed-form roots disagree at mode {m}: "
-            f"{np.sort_complex(nontrivial)} vs {np.sort_complex(reference)}"
+            f"eigensolver and closed-form coefficients disagree at mode {m}: relative residual {residual:.2e}"
         )
 
     re = nontrivial.real
@@ -348,10 +349,8 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
     if overall != "marginal":
         region = classify_region(to_phase_point(p))
         if not region.is_boundary:
-            if kind is EquilibriumKind.TARGET_LIGHT_IN:
-                expected = "stable" if region in (RegionId.D4, RegionId.D5) else "unstable"
-            else:
-                expected = "unstable"
+            light = kind is EquilibriumKind.TARGET_LIGHT_IN
+            expected = "stable" if light and region in (RegionId.D4, RegionId.D5) else "unstable"
             if overall != expected:
                 raise SpectrumMismatch(
                     f"eigenvalue verdict {overall} contradicts the analytic region result "

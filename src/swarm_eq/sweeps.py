@@ -2,23 +2,21 @@
 
 These mirror the per-point operations for whole-grid work (phase diagrams,
 acceptance sweeps).  Stability verdicts come from the nontrivial rates, i.e.
-the closed-form quadratic (mode 1) and the roots of the reduced cubic
-(modes >= 2, via stacked companion matrices); the per-point 6x6 route in
-``linear_stability`` cross-checks the same numbers on every call, so the two
-paths cannot drift apart silently.
-
-The environment variable SWARM_EQ_THREADS caps the worker threads used to
-chunk the mode loop (default: serial).
+the closed-form quadratic (mode 1) and the reduced cubic (modes >= 2), whose
+coefficients both routes take from ``linear_stability.reduced_coefficients``.
+A cubic mode is decided by the Routh-Hurwitz conditions on its coefficients
+wherever they certify the answer, and by a stacked companion-matrix
+eigensolve only inside the certified band (see ``cubic_mode_verdict``); the
+per-point 6x6 route in ``linear_stability`` cross-checks the same numbers on
+every call, so the two paths cannot drift apart silently.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .equilibria import EquilibriumKind
+from .linear_stability import reduced_coefficients
 from .model import TAU_REGION
 
 #: Region codes: 0 marks the boundary band, 1..6 the open regions D1..D6.
@@ -28,14 +26,6 @@ _VERDICT_STABLE = 1
 _VERDICT_UNSTABLE = -1
 _VERDICT_MARGINAL = 0
 _VERDICT_MISSING = -2
-
-
-def max_workers() -> int:
-    raw = os.environ.get("SWARM_EQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def region_code_grid(A, B, M: float, tau_region: float = TAU_REGION) -> np.ndarray:
@@ -83,6 +73,40 @@ def _cubic_max_real(c2, c1, c0):
     return roots.real.max(axis=1)
 
 
+def _band_verdict(w, band):
+    """1, 0 or -1 as the largest scaled real part w lies below, inside or above the band."""
+    return np.where(w > band, _VERDICT_UNSTABLE, np.where(w < -band, _VERDICT_STABLE, _VERDICT_MARGINAL))
+
+
+def cubic_mode_verdict(c2, c1, c0, band: float = 1e-9) -> np.ndarray:
+    """Verdict per point for the rates mu^3 + c2 mu^2 + c1 mu + c0 = 0, c2 > 0.
+
+    Returns 1 (stable: every root has Re < -band*s), -1 (unstable: some root
+    has Re > band*s) or 0 (marginal: neither), with s = 1 + |c2| + |c1| + |c0|
+    the natural scale of the cubic.  By Routh-Hurwitz, with c2 > 0 every
+    root has Re < 0 iff c0 > 0 and H = c2*c1 - c0 > 0.  The sign test can
+    only go wrong for a root with |Re| <= band*s, and such a root leaves a
+    trace in the coefficients: by the Cauchy bound every root has |r| <= s,
+    so a real root r with |r| <= band*s gives |c0| = |r1 r2 r3| <= band*s^3,
+    and a complex pair x +- iy with |x| <= band*s gives
+    |H| = |(r1+r2)(r1+r3)(r2+r3)| = 2|x| |r1+r2|^2 <= 8*band*s^3.  Points
+    with |c0| and |H| both above 16*band*s^3 (twice that, so a root's real
+    part clears the band by at least a factor of two) therefore get the
+    eigensolver's answer from the sign test; the rest, and any non-finite
+    coefficients, fall back to the companion-matrix eigensolve.
+    """
+    c2, c1, c0 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c2, c1, c0)))
+    s = 1.0 + np.abs(c2) + np.abs(c1) + np.abs(c0)
+    H = c2 * c1 - c0
+    verdict = np.where((c0 > 0.0) & (H > 0.0), _VERDICT_STABLE, _VERDICT_UNSTABLE).astype(np.int8)
+    tol = 16.0 * band * s**3
+    unsure = ~((np.abs(c0) > tol) & (np.abs(H) > tol))
+    if np.any(unsure):
+        w = _cubic_max_real(c2[unsure], c1[unsure], c0[unsure]) / s[unsure]
+        verdict[unsure] = _band_verdict(w, band)
+    return verdict
+
+
 def target_verdict_grid(
     kind: EquilibriumKind, A, B, M: float, m_max: int = 32, band: float = 1e-9
 ) -> np.ndarray:
@@ -90,7 +114,8 @@ def target_verdict_grid(
 
     Returns 1 (stable), -1 (unstable), 0 (marginal: some rate inside the band
     and none above it), -2 (state does not exist there).  Rates are in units
-    of the natural matrix scale, so ``band`` is relative.
+    of the natural matrix scale, so ``band`` is relative.  The overall
+    verdict is the worst per-mode verdict (unstable < marginal < stable).
     """
     kind = EquilibriumKind(kind)
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
@@ -105,58 +130,21 @@ def target_verdict_grid(
         return verdict.reshape(shape)
     Ae, Be = A[exists], B[exists]
 
-    # mode 1: reduced quadratic, unit b_s M2 scale
-    if kind is EquilibriumKind.TARGET_LIGHT_IN:
-        lin = M + 2.0 * Be + M * Be
-        const = -M * (M + 1.0) * (Ae - Be) * (M + Be) / (M + Ae)
-    else:
-        lin = 1.0 + Be + 2.0 * M * Be
-        const = -(M + 1.0) * (Ae - Be) * (1.0 + M * Be) / (1.0 + M * Ae)
-    disc = np.sqrt(lin * lin - 4.0 * const)
-    max_re = 0.5 * (-lin + disc)
-    scale = np.maximum(1.0, np.abs(lin))
-    any_marginal = np.abs(max_re) <= band * scale
-    worst = max_re / scale
-
-    M_eff = M if kind is EquilibriumKind.TARGET_LIGHT_IN else 1.0 / M
-    C = (M_eff + Be) / (1.0 + M_eff * Be)
-
-    def mode_worst(m):
-        ratio = (Ae / (M_eff + Ae)) ** m
-        c2 = 2.0 + 1.0 / C
-        c1 = 2.0 / C + (1.0 - Ae * (C / Ae) ** (m - 1)) * (1.0 - ratio)
-        c0 = (1.0 / C) * (1.0 - Ae * Ae * (C / Ae) ** m) * (1.0 - ratio)
-        scale_m = 1.0 + np.abs(c2) + np.abs(c1) + np.abs(c0)
-        return _cubic_max_real(c2, c1, c0) / scale_m
-
-    modes = range(2, m_max + 1)
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(mode_worst, modes))
-    else:
-        results = [mode_worst(m) for m in modes]
-    for w in results:
-        any_marginal |= np.abs(w) <= band
-        worst = np.maximum(worst, w)
-
-    v = np.where(worst > band, _VERDICT_UNSTABLE, _VERDICT_STABLE)
-    v = np.where((worst <= band) & any_marginal, _VERDICT_MARGINAL, v)
+    # mode 1: reduced quadratic, unit b_s M2 scale; both roots are real
+    lin, const = reduced_coefficients(kind, Ae, Be, M, 1)
+    max_re = 0.5 * (-lin + np.sqrt(lin * lin - 4.0 * const))
+    v = _band_verdict(max_re / np.maximum(1.0, np.abs(lin)), band)
+    for m in range(2, m_max + 1):
+        v = np.minimum(v, cubic_mode_verdict(*reduced_coefficients(kind, Ae, Be, M, m), band))
     verdict[exists] = v
     return verdict.reshape(shape)
 
 
 def heavy_mode2_unstable_grid(A, B, M: float, band: float = 1e-9) -> np.ndarray:
     """Mask where boundary mode 2 of the heavy-inside target is unstable."""
-    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-    M_eff = 1.0 / M
-    C = (M_eff + B) / (1.0 + M_eff * B)
-    ratio = (A / (M_eff + A)) ** 2
-    c2 = 2.0 + 1.0 / C
-    c1 = 2.0 / C + (1.0 - A * (C / A)) * (1.0 - ratio)
-    c0 = (1.0 / C) * (1.0 - A * A * (C / A) ** 2) * (1.0 - ratio)
-    worst = _cubic_max_real(c2.ravel(), c1.ravel(), c0.ravel()).reshape(A.shape)
-    return worst > band * (1.0 + np.abs(c2) + np.abs(c1) + np.abs(c0))
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    coeffs = reduced_coefficients(EquilibriumKind.TARGET_HEAVY_IN, A, B, M, 2)
+    return cubic_mode_verdict(*coeffs, band) == _VERDICT_UNSTABLE
 
 
 def um_member_grid(m: int, M: float, A, B) -> np.ndarray:

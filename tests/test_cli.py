@@ -112,6 +112,36 @@ def test_simulate_determinism(tmp_path, capsys):
         assert fmt_value(float(y)) == y
 
 
+def _snapshot_times(path):
+    return sorted({float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]})
+
+
+@pytest.mark.parametrize(
+    "t_end, every, expected",
+    [("5", "2", [0.0, 2.0, 4.0, 5.0]), ("5", "7", [0.0, 5.0])],
+)
+def test_simulate_snapshot_schedule_ends_at_t_end(tmp_path, capsys, t_end, every, expected):
+    code, out, _ = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10",
+        "--seed", "1", "--t-end", t_end, "--snapshot-every", every, "--out", str(tmp_path / "s"),
+    )
+    assert code == 0
+    assert last_json(out)["t_end"] == pytest.approx(5.0, abs=1e-12)
+    times = _snapshot_times(tmp_path / "s_snapshots.csv")
+    np.testing.assert_allclose(times, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_end, every", [("5", "0"), ("0", "1"), ("inf", "1")])
+def test_simulate_rejects_bad_schedule(tmp_path, capsys, t_end, every):
+    code, _, err = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10",
+        "--t-end", t_end, "--snapshot-every", every, "--out", str(tmp_path / "s"),
+    )
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not (tmp_path / "s_snapshots.csv").exists()
+
+
 def test_phase_diagram_outputs(tmp_path, capsys):
     csv = tmp_path / "pd.csv"
     svg = tmp_path / "pd.svg"

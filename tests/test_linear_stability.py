@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import swarm_eq.linear_stability as linear_stability
 from conftest import draw_phase_in_regions, params_from_phase
 from swarm_eq.equilibria import EquilibriumKind, build_equilibrium
-from swarm_eq.errors import EquilibriumMissing
+from swarm_eq.errors import EquilibriumMissing, SpectrumMismatch
 from swarm_eq.linear_stability import (
     P_minus_inv_C_identity,
     P_minus_one_identity,
@@ -19,7 +22,7 @@ from swarm_eq.linear_stability import (
     region_Um,
     stability_report,
 )
-from swarm_eq.model import InteractionParams, PhasePoint, to_phase_point
+from swarm_eq.model import InteractionParams, PhasePoint, RegionId, classify_region, to_phase_point
 from swarm_eq.sweeps import um_member_grid
 
 LIGHT = EquilibriumKind.TARGET_LIGHT_IN
@@ -225,3 +228,33 @@ def test_cubic_scale_units(rng):
         np.sort(mu_roots.real) * cubic_scale(LIGHT, p),
         rtol=1e-8,
     )
+
+
+def test_cross_check_holds_at_near_double_root():
+    # the mode-30 cubic at this D5 point has a near-double root, which root
+    # matching split by about sqrt(eps); the coefficients agree to rounding
+    rep = stability_report(LIGHT, params_from_phase(1.3, 2.5, 3.0), 32)
+    assert rep.overall == "stable"
+
+
+def test_cross_check_catches_perturbed_closed_form(monkeypatch):
+    exact = linear_stability.reduced_coefficients
+
+    def perturbed(kind, A, B, M, m):
+        c2, c1, c0 = exact(kind, A, B, M, m)
+        return c2, c1 + 1e-6, c0
+
+    monkeypatch.setattr(linear_stability, "reduced_coefficients", perturbed)
+    for point in ((3.0, 3.5, 2.0), (1.3, 2.5, 3.0)):
+        with pytest.raises(SpectrumMismatch, match="coefficients disagree at mode 2"):
+            mode_spectrum(LIGHT, params_from_phase(*point), 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(A=st.floats(0.05, 5.0), B=st.floats(0.05, 5.0), M=st.floats(1.0, 4.0))
+def test_cross_check_never_raises_in_target_regions(A, B, M):
+    region = classify_region(PhasePoint(A, B, M))
+    assume(region in (RegionId.D3, RegionId.D4, RegionId.D5))
+    rep = stability_report(LIGHT, params_from_phase(A, B, M), 32)
+    expected = "stable" if region in (RegionId.D4, RegionId.D5) else "unstable"
+    assert rep.overall in (expected, "marginal")

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_phase_in_regions, params_from_phase
 from swarm_eq.equilibria import EXISTENCE_REGIONS, EquilibriumKind
-from swarm_eq.linear_stability import stability_report
+from swarm_eq.linear_stability import reduced_coefficients, stability_report
 from swarm_eq.model import PhasePoint, RegionId, classify_region
 from swarm_eq.sweeps import (
     cell_centered_axis,
+    cubic_mode_verdict,
     existence_region_mask,
-    max_workers,
     region_code_grid,
     target_verdict_grid,
 )
@@ -55,14 +57,74 @@ def test_grid_verdicts_match_full_spectra(rng):
             assert v == expected, (kind, a, b)
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    ax = cell_centered_axis(40)
+def _eigvals_max_real(c2, c1, c0):
+    """Largest real root part of each cubic, from a stacked companion eigensolve."""
+    comp = np.zeros((len(c2), 3, 3))
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    comp[:, :, 2] = -np.column_stack([c0, c1, c2])
+    return np.linalg.eigvals(comp).real.max(axis=1)
+
+
+def _eigvals_verdict_grid(kind, A, B, M, m_max, band=1e-9):
+    """Reference sweep: every cubic mode at every point decided by the eigensolver."""
+    codes = region_code_grid(A, B, M)
+    exists = existence_region_mask(kind, codes) & (codes != 0)
+    Ae, Be = A[exists], B[exists]
+    lin, const = reduced_coefficients(kind, Ae, Be, M, 1)
+    max_re = 0.5 * (-lin + np.sqrt(lin * lin - 4.0 * const))
+    scale = np.maximum(1.0, np.abs(lin))
+    any_marginal = np.abs(max_re) <= band * scale
+    worst = max_re / scale
+    for m in range(2, m_max + 1):
+        c2, c1, c0 = reduced_coefficients(kind, Ae, Be, M, m)
+        w = _eigvals_max_real(c2, c1, c0) / (1.0 + np.abs(c2) + np.abs(c1) + np.abs(c0))
+        any_marginal |= np.abs(w) <= band
+        worst = np.maximum(worst, w)
+    v = np.where(worst > band, -1, 1)
+    v = np.where((worst <= band) & any_marginal, 0, v)
+    out = np.full(A.shape, -2, dtype=np.int8)
+    out[exists] = v
+    return out
+
+
+@pytest.mark.parametrize("M", [1.5, 2.0, 3.0])
+def test_sign_test_sweep_matches_eigensolver_sweep(M):
+    ax = cell_centered_axis(60)
     A, B = np.meshgrid(ax, ax, indexing="ij")
-    monkeypatch.delenv("SWARM_EQ_THREADS", raising=False)
-    serial = target_verdict_grid(LIGHT, A, B, 2.0, m_max=8)
-    monkeypatch.setenv("SWARM_EQ_THREADS", "3")
-    assert max_workers() == 3
-    threaded = target_verdict_grid(LIGHT, A, B, 2.0, m_max=8)
-    np.testing.assert_array_equal(serial, threaded)
-    monkeypatch.setenv("SWARM_EQ_THREADS", "not-a-number")
-    assert max_workers() == 1
+    for kind in (LIGHT, HEAVY):
+        np.testing.assert_array_equal(
+            target_verdict_grid(kind, A, B, M, m_max=32), _eigvals_verdict_grid(kind, A, B, M, 32)
+        )
+
+
+_rest = st.floats(-5.0, -0.05)
+_imag = st.floats(0.01, 5.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from(["real", "pair"]),
+    delta=st.floats(1e-13, 1e-5),
+    sign=st.sampled_from([-1.0, 1.0]),
+    r1=_rest,
+    r2=_rest,
+    y=_imag,
+    other_pair=st.booleans(),
+)
+def test_cubic_verdict_matches_eigensolver_near_the_band(shape, delta, sign, r1, r2, y, other_pair):
+    # one real root, or the real part of a complex pair, at +-delta * s
+    if shape == "real":
+        rest = [complex(r1, y), complex(r1, -y)] if other_pair else [r1, r2]
+        roots = lambda x: [x, *rest]
+    else:
+        roots = lambda x: [complex(x, y), complex(x, -y), r1]
+    _, c2, c1, c0 = np.poly(roots(0.0)).real
+    s = 1.0 + abs(c2) + abs(c1) + abs(c0)
+    _, c2, c1, c0 = np.poly(roots(sign * delta * s)).real
+    assert c2 > 0.0
+    c = np.array([[c2], [c1], [c0]])
+    s = 1.0 + np.abs(c).sum()
+    w = _eigvals_max_real(*c) / s
+    band = 1e-9
+    expected = np.where(w > band, -1, np.where(w < -band, 1, 0))
+    np.testing.assert_array_equal(cubic_mode_verdict(*c, band), expected)
