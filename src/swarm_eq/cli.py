@@ -23,11 +23,21 @@ from . import __version__
 from .equilibria import EquilibriumKind, build_equilibrium
 from .errors import SwarmEqError
 from .linear_stability import stability_report
-from .model import InteractionParams, PhasePoint, classify_region, to_phase_point
+from .model import (
+    BOUNDARY,
+    InteractionParams,
+    PhasePoint,
+    RegionId,
+    classify_region,
+    curve_c1,
+    curve_c2,
+    to_phase_point,
+)
 from .output import SvgPlot, config_hash, json_canonical, write_csv
 from .particles import (
     Morphology,
     RunControls,
+    check_morphology_counts,
     init_from_equilibrium,
     init_random_disk,
     morphology,
@@ -42,15 +52,7 @@ from .sweeps import (
 from .variational import lambda_profile
 from .weak_cross import curve_sample, d_of_ab_ratio
 
-_REGION_NAMES = {
-    0: "Boundary",
-    1: "D1",
-    2: "D2",
-    3: "D3",
-    4: "D4",
-    5: "D5",
-    6: "D6",
-}
+_REGION_NAMES = {BOUNDARY: "Boundary", **{r.code: r.value for r in RegionId if not r.is_boundary}}
 
 _REGION_COLORS = {
     0: "#222222",
@@ -76,6 +78,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        if not isinstance(data, dict) or not isinstance(data.get("command"), str):
+            raise ValueError('a config file must be a JSON object with a "command" string')
         command = data.pop("command")
         return cls(command=command, values=data)
 
@@ -215,6 +219,8 @@ def cmd_simulate(ns) -> None:
         state = init_from_equilibrium(cfg, ns.N1, ns.N2, ns.seed)
     else:
         state = init_random_disk(p, ns.N1, ns.N2, ns.radius, ns.seed)
+    # the final morphology needs enough particles; fail before any file is written
+    check_morphology_counts(state)
 
     controls = RunControls(record_interval=ns.record_interval)
     snapshot_rows: list = []
@@ -330,10 +336,7 @@ def cmd_phase_diagram(ns) -> None:
     verdict_heavy = target_verdict_grid(
         EquilibriumKind.TARGET_HEAVY_IN, A, B, ns.M, ns.m_max
     )
-    masks = {
-        kind: existence_region_mask(kind, codes) & (codes != 0)
-        for kind in EquilibriumKind
-    }
+    masks = {kind: existence_region_mask(kind, codes) for kind in EquilibriumKind}
     rows = []
     for i in range(ns.grid):
         for j in range(ns.grid):
@@ -378,10 +381,8 @@ def _phase_svg(ns, ax, codes):
         for j, b in enumerate(ax):
             plot.cell(a, b, d, d, _REGION_COLORS[int(codes[i, j])])
     bs = np.linspace(1e-3, ns.extent, 400)
-    c1 = (1.0 + ns.M * bs) / (bs + ns.M)
-    c2 = (bs + ns.M) / (1.0 + ns.M * bs)
-    plot.polyline(c1, bs, color="#000000", width=2.0)
-    plot.polyline(c2, bs, color="#000000", width=2.0)
+    plot.polyline(curve_c1(bs, ns.M), bs, color="#000000", width=2.0)
+    plot.polyline(curve_c2(bs, ns.M), bs, color="#000000", width=2.0)
     plot.polyline([0.0, ns.extent], [0.0, ns.extent], color="#000000", width=2.0)
     plot.axes("A", "B")
     plot.save(ns.out_svg)
@@ -473,6 +474,8 @@ def _apply_config_file(parser, argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a path")
     path = argv[idx + 1]
     with open(path) as fh:
         cfg = RunConfig.from_json(fh.read())

@@ -22,6 +22,7 @@ from .model import (
     RegionId,
     _density_quadruple,
     classify_region,
+    target_geometry,
     to_phase_point,
 )
 
@@ -43,6 +44,13 @@ EXISTENCE_REGIONS = {
     EquilibriumKind.OVERLAP_LIGHT_IN: (RegionId.D3, RegionId.D6),
     EquilibriumKind.OVERLAP_HEAVY_IN: (RegionId.D1, RegionId.D4),
 }
+
+
+def existence_region_mask(kind: EquilibriumKind, region_codes: np.ndarray) -> np.ndarray:
+    """Mask of ``region_code_grid`` codes that lie in the kind's existence union."""
+    in_union = np.zeros(7, dtype=bool)  # indexed by code; 0 is the boundary band
+    in_union[[r.code for r in EXISTENCE_REGIONS[EquilibriumKind(kind)]]] = True
+    return in_union[region_codes]
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,8 @@ class EquilibriumConfig:
 
     ``radii`` is ordered inner to outer (three radii for targets, two for
     overlaps).  ``shells`` lists only subdomains with nonzero density, inner
-    to outer; it is empty when ``exists`` is False.
+    to outer; it is empty when ``exists`` is False, and ``failed_check`` then
+    names the radius or density condition that failed.
     """
 
     kind: EquilibriumKind
@@ -80,8 +89,17 @@ class EquilibriumConfig:
     shells: tuple[Shell, ...]
     params: InteractionParams
     exists: bool
-    reason: str
+    failed_check: str
     boundary_degenerate: bool = False
+
+    @property
+    def reason(self) -> str:
+        """Why the state does not exist, with the point's phase-plane region; "" if it exists."""
+        if self.exists:
+            return ""
+        region = classify_region(to_phase_point(self.params))
+        required = " or ".join(r.value for r in EXISTENCE_REGIONS[self.kind])
+        return f"{self.failed_check} (point is in {region.value}; existence requires {required})"
 
     @property
     def densities(self) -> tuple[tuple[float, float], ...]:
@@ -105,83 +123,49 @@ def build_equilibrium(kind: EquilibriumKind, p: InteractionParams) -> Equilibriu
     """Construct the equilibrium of the given kind, with existence verdict.
 
     The verdict comes from the radius ordering and density positivity; the
-    ``reason`` string names the phase-plane region when the state does not
-    exist.  Radii touching within 1e-12 relative are kept as existing but
-    flagged boundary-degenerate.
+    ``reason`` property names the failed check and the phase-plane region
+    when the state does not exist.  Radii touching within 1e-12 relative are
+    kept as existing but flagged boundary-degenerate.  Each heavy-inside kind
+    is its light-inside counterpart with the species masses and roles swapped.
     """
     kind = EquilibriumKind(kind)
     a_s, a_c = p.a_s, p.ac_eff
     b_s, b_c = p.b_s, p.bc_eff
-    M1, M2 = p.M1, p.M2
-    region = classify_region(to_phase_point(p))
-    required = EXISTENCE_REGIONS[kind]
-    region_note = f"point is in {region.value}; existence requires " + " or ".join(
-        r.value for r in required
-    )
+    light = kind in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.OVERLAP_LIGHT_IN)
+    # mass of the species on the outer annulus, then of the one at the core
+    M_ann, M_core = (p.M1, p.M2) if light else (p.M2, p.M1)
 
-    # single-species densities; the coexistence pair (which is singular at
-    # a_s = eta*a_c) is only needed for the overlap kinds below
-    rho1_t = (b_s * M1 + b_c * M2) / (math.pi * a_s)
-    rho2_t = (b_c * M1 + b_s * M2) / (math.pi * a_s)
+    def shell(r_in, r_out, rho_ann, rho_core):
+        return Shell(r_in, r_out, rho_ann, rho_core) if light else Shell(r_in, r_out, rho_core, rho_ann)
 
-    if kind is EquilibriumKind.TARGET_LIGHT_IN:
-        r2 = math.sqrt(a_s * M2 / (b_c * M1 + b_s * M2))
-        r1 = math.sqrt(a_c * M2 / (b_s * M1 + b_c * M2))
-        r0 = math.sqrt((a_s * M1 + a_c * M2) / (b_s * M1 + b_c * M2))
-        radii = (r2, r1, r0)
-        degenerate = _touching(r2, r1)
-        if r2 <= r1 or degenerate:
-            shells = (Shell(0.0, r2, 0.0, rho2_t), Shell(r1, r0, rho1_t, 0.0))
-            return EquilibriumConfig(kind, radii, shells, p, True, "", degenerate)
-        return EquilibriumConfig(kind, radii, (), p, False, f"inner disk exceeds annulus ({region_note})")
+    def config(radii, shells, failed_check="", degenerate=False):
+        return EquilibriumConfig(kind, radii, shells, p, not failed_check, failed_check, degenerate)
 
-    if kind is EquilibriumKind.TARGET_HEAVY_IN:
-        r1 = math.sqrt(a_s * M1 / (b_s * M1 + b_c * M2))
-        r2 = math.sqrt(a_c * M1 / (b_c * M1 + b_s * M2))
-        r0 = math.sqrt((a_c * M1 + a_s * M2) / (b_c * M1 + b_s * M2))
-        radii = (r1, r2, r0)
-        degenerate = _touching(r1, r2)
-        if r1 <= r2 or degenerate:
-            shells = (Shell(0.0, r1, rho1_t, 0.0), Shell(r2, r0, 0.0, rho2_t))
-            return EquilibriumConfig(kind, radii, shells, p, True, "", degenerate)
-        return EquilibriumConfig(kind, radii, (), p, False, f"inner disk exceeds annulus ({region_note})")
+    r_core_sq, r_in_sq, r_out_sq, rho_ann, rho_core = target_geometry(a_s, a_c, b_s, b_c, M_ann, M_core)
+    r_out = math.sqrt(r_out_sq)
 
-    quad = _density_quadruple(a_s, a_c, b_s, b_c, M1, M2)
-    rho1_c, rho2_c = quad.coexist
+    if kind in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.TARGET_HEAVY_IN):
+        r_core, r_in = math.sqrt(r_core_sq), math.sqrt(r_in_sq)
+        radii = (r_core, r_in, r_out)
+        degenerate = _touching(r_core, r_in)
+        if r_core <= r_in or degenerate:
+            shells = (shell(0.0, r_core, 0.0, rho_core), shell(r_in, r_out, rho_ann, 0.0))
+            return config(radii, shells, degenerate=degenerate)
+        return config(radii, (), "inner disk exceeds annulus")
 
-    if kind is EquilibriumKind.OVERLAP_LIGHT_IN:
-        r1 = math.sqrt((a_s * M1 + a_c * M2) / (b_s * M1 + b_c * M2))
-        denom = (a_s * b_c - a_c * b_s) * M1 + (a_s * b_s - a_c * b_c) * M2
-        r2sq = (a_s * a_s - a_c * a_c) * M2 / denom if denom != 0.0 else math.nan
-        r2 = math.sqrt(r2sq) if r2sq > 0.0 else math.nan
-        radii = (r2, r1)
-        if not (rho1_c > 0.0 and rho2_c > 0.0):
-            return EquilibriumConfig(
-                kind, radii, (), p, False, f"coexistence density nonpositive ({region_note})"
-            )
-        degenerate = _touching(r2, r1)
-        if r2 <= r1 or degenerate:
-            shells = (Shell(0.0, r2, rho1_c, rho2_c), Shell(r2, r1, quad.only1[0], 0.0))
-            return EquilibriumConfig(kind, radii, shells, p, True, "", degenerate)
-        return EquilibriumConfig(kind, radii, (), p, False, f"coexistence disk exceeds outer disk ({region_note})")
-
-    if kind is EquilibriumKind.OVERLAP_HEAVY_IN:
-        denom = (a_s * b_s - a_c * b_c) * M1 + (a_s * b_c - a_c * b_s) * M2
-        r1sq = (a_s * a_s - a_c * a_c) * M1 / denom if denom != 0.0 else math.nan
-        r1 = math.sqrt(r1sq) if r1sq > 0.0 else math.nan
-        r2 = math.sqrt((a_c * M1 + a_s * M2) / (b_c * M1 + b_s * M2))
-        radii = (r1, r2)
-        if not (rho1_c > 0.0 and rho2_c > 0.0):
-            return EquilibriumConfig(
-                kind, radii, (), p, False, f"coexistence density nonpositive ({region_note})"
-            )
-        degenerate = _touching(r1, r2)
-        if r1 <= r2 or degenerate:
-            shells = (Shell(0.0, r1, rho1_c, rho2_c), Shell(r1, r2, 0.0, quad.only2[1]))
-            return EquilibriumConfig(kind, radii, shells, p, True, "", degenerate)
-        return EquilibriumConfig(kind, radii, (), p, False, f"coexistence disk exceeds outer disk ({region_note})")
-
-    raise AssertionError(f"unhandled kind {kind}")
+    # overlap: both species on the coexistence disk, the annulus species alone outside it
+    rho_ann_c, rho_core_c = _density_quadruple(a_s, a_c, b_s, b_c, M_ann, M_core).coexist
+    denom = (a_s * b_c - a_c * b_s) * M_ann + (a_s * b_s - a_c * b_c) * M_core
+    r_mix_sq = (a_s * a_s - a_c * a_c) * M_core / denom if denom != 0.0 else math.nan
+    r_mix = math.sqrt(r_mix_sq) if r_mix_sq > 0.0 else math.nan
+    radii = (r_mix, r_out)
+    if not (rho_ann_c > 0.0 and rho_core_c > 0.0):
+        return config(radii, (), "coexistence density nonpositive")
+    degenerate = _touching(r_mix, r_out)
+    if r_mix <= r_out or degenerate:
+        shells = (shell(0.0, r_mix, rho_ann_c, rho_core_c), shell(r_mix, r_out, rho_ann, 0.0))
+        return config(radii, shells, degenerate=degenerate)
+    return config(radii, (), "coexistence disk exceeds outer disk")
 
 
 def mass_integrals(cfg: EquilibriumConfig) -> tuple[float, float]:

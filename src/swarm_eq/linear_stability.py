@@ -17,13 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_integrals import PerturbedDisk, attraction_integral, repulsion_integral
-from .equilibria import EquilibriumKind, build_equilibrium
+from .equilibria import EquilibriumKind, build_equilibrium, existence_region_mask
 from .errors import EquilibriumMissing, SpectrumMismatch
 from .model import (
     InteractionParams,
     PhasePoint,
     RegionId,
     classify_region,
+    curve_c2,
+    region_code_grid,
+    target_geometry,
     to_phase_point,
 )
 
@@ -68,18 +71,9 @@ class StabilityReport:
         return self.modes[m - 1].verdict
 
 
-def _target_geometry(a_s, a_c, b_s, b_c, M1, M2):
-    """Radii and densities of the light-inside target for raw coefficients."""
-    r2 = math.sqrt(a_s * M2 / (b_c * M1 + b_s * M2))
-    r1 = math.sqrt(a_c * M2 / (b_s * M1 + b_c * M2))
-    r0 = math.sqrt((a_s * M1 + a_c * M2) / (b_s * M1 + b_c * M2))
-    rho1 = (b_s * M1 + b_c * M2) / (math.pi * a_s)
-    rho2 = (b_c * M1 + b_s * M2) / (math.pi * a_s)
-    return r2, r1, r0, rho1, rho2
-
-
 def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
-    r2, r1, r0, rho1, rho2 = _target_geometry(a_s, a_c, b_s, b_c, M1, M2)
+    r2sq, r1sq, r0sq, rho1, rho2 = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
+    r2, r1, r0 = math.sqrt(r2sq), math.sqrt(r1sq), math.sqrt(r0sq)
     pi = math.pi
     Q = np.zeros((6, 6))
     if m == 1:
@@ -166,7 +160,7 @@ def reduced_coefficients(kind: EquilibriumKind, A, B, M, m: int):
             return M + 2.0 * B + M * B, -M * (M + 1.0) * (A - B) * (M + B) / (M + A)
         return 1.0 + B + 2.0 * M * B, -(M + 1.0) * (A - B) * (1.0 + M * B) / (1.0 + M * A)
     M_eff = M if light else 1.0 / M
-    C = (M_eff + B) / (1.0 + M_eff * B)
+    C = curve_c2(B, M_eff)
     ratio = (A / (M_eff + A)) ** m
     c2 = 2.0 + 1.0 / C
     c1 = 2.0 / C + (1.0 - A * (C / A) ** (m - 1)) * (1.0 - ratio)
@@ -222,13 +216,13 @@ def closed_form_rates(kind: EquilibriumKind, p: InteractionParams, m: int) -> np
 
 def P_minus_one_identity(q: PhasePoint, m: int) -> float:
     """Closed value of the light-inside cubic at mu = -1."""
-    C = (q.M + q.B) / (1.0 + q.M * q.B)
+    C = curve_c2(q.B, q.M)
     return (1.0 - 1.0 / C) * (q.A / (q.M + q.A)) ** m
 
 
 def P_minus_inv_C_identity(q: PhasePoint, m: int) -> float:
     """Closed value of the light-inside cubic at mu = -1/C."""
-    C = (q.M + q.B) / (1.0 + q.M * q.B)
+    C = curve_c2(q.B, q.M)
     return (1.0 - C) * (C / q.A) ** (m - 2) * (1.0 - (q.A / (q.M + q.A)) ** m)
 
 
@@ -303,15 +297,21 @@ class UmRegion:
         den = self.M * A - A ** (2.0 / self.m)
         return num / den
 
-    def contains(self, A: float, B: float) -> bool:
-        region = classify_region(PhasePoint(A=A, B=B, M=self.M))
-        if region not in (RegionId.D3, RegionId.D4, RegionId.D5):
-            return False
+    def contains(self, A, B):
+        """Membership of (A, B): a bool for scalars, a mask for broadcastable arrays.
+
+        U_1 is D3; for m >= 2 the region is the part of the light-inside
+        existence union with 1 < A < a_max and 0 < B < threshold_B(A).
+        """
+        codes = region_code_grid(A, B, self.M)
         if self.m == 1:
-            return region is RegionId.D3
-        if not (1.0 < A < self.a_max):
-            return False
-        return 0.0 < B < float(self.threshold_B(A))
+            inside = codes == RegionId.D3.code
+        else:
+            A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+            inside = existence_region_mask(EquilibriumKind.TARGET_LIGHT_IN, codes)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inside = inside & (A > 1.0) & (A < self.a_max) & (B > 0.0) & (B < self.threshold_B(A))
+        return bool(inside) if np.ndim(inside) == 0 else inside
 
 
 def region_Um(m: int, M: float) -> UmRegion:

@@ -11,6 +11,12 @@ Everything downstream is controlled by the dimensionless ratios
 A = eta*a_c/a_s, B = eta*b_c/b_s and M = M1/M2, which partition the (A, B)
 plane into six open regions D1..D6 separated by the diagonal B = A and the
 reciprocal curves A = c1(B) and A = c2(B) = 1/c1(B).
+
+``region_tag_grid`` is the one implementation of that partition, over numpy
+arrays: ``classify_region`` reads the tag of one point from it and
+``region_code_grid`` folds its four boundary tags into one code for sweeps.
+``target_geometry`` likewise holds the only copy of the target radii and the
+single-species densities.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from .errors import CoexistenceSingular, SingularEvaluation
 
 #: Default relative tolerance of the region-boundary band.
 TAU_REGION = 1e-9
+
+#: Region code of every boundary tag in ``region_code_grid``; the open region D_k has code k.
+BOUNDARY = 0
 
 #: Pairwise distances below this (absolute, in length units) are treated as singular.
 DELTA_MIN = 1e-12
@@ -115,6 +124,18 @@ class RegionId(str, Enum):
             RegionId.TRIPLE_POINT,
         )
 
+    @property
+    def code(self) -> int:
+        """Code in ``region_code_grid``: k for D_k, ``BOUNDARY`` for every boundary tag."""
+        return BOUNDARY if self.is_boundary else int(self.value[1:])
+
+
+#: Every region tag; ``region_tag_grid`` returns positions in this tuple.
+REGION_TAGS = tuple(RegionId)
+_D1, _D2, _D3, _D4, _D5, _D6, _DIAG, _C1, _C2, _TRIPLE = range(len(REGION_TAGS))
+
+_TAG_CODES = np.array([t.code for t in REGION_TAGS], dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class DensityQuadruple:
@@ -146,53 +167,68 @@ def to_phase_point(p: InteractionParams) -> PhasePoint:
     return PhasePoint(A=p.ac_eff / p.a_s, B=p.bc_eff / p.b_s, M=p.M1 / p.M2)
 
 
-def classify_region(q: PhasePoint, tau_region: float = TAU_REGION) -> RegionId:
-    """Classify a phase point into D1..D6 or a boundary tag.
+def region_tag_grid(A, B, M, tau_region: float = TAU_REGION) -> np.ndarray:
+    """Region tag of each (A, B), for floats or broadcastable arrays, as positions in ``REGION_TAGS``.
 
-    A point within ``tau_region`` (relative) of a boundary curve is reported
-    as that boundary, never silently assigned to a neighboring open region;
-    near (1, 1), where all three curves intersect, it is the triple point.
-    For M = 1 the curves c1 and c2 coincide on the line A = 1 and matches are
+    This is the one implementation of the phase-plane partition.  A point
+    within ``tau_region`` (relative) of a boundary curve is reported as that
+    boundary, never silently assigned to a neighboring open region; near
+    (1, 1), where all three curves intersect, it is the triple point.  For
+    M = 1 the curves c1 and c2 coincide on the line A = 1 and matches are
     reported as BoundaryC1.
     """
-    A, B, M = q.A, q.B, q.M
-    scale = max(1.0, abs(A), abs(B))
-    band = tau_region * scale
-
     c1 = curve_c1(B, M)
     c2 = curve_c2(B, M)
+    # builtin abs and operators, so scalar inputs stay cheap numpy scalars
+    band = tau_region * np.maximum(1.0, np.maximum(abs(A), abs(B)))
     near_diag = abs(A - B) <= band
     near_c1 = abs(A - c1) <= band
     near_c2 = abs(A - c2) <= band
+    # distinct curves only cross at (1, 1)
+    triple = (near_c1 & near_c2 & (M - 1.0 > band)) | (near_diag & (near_c1 | near_c2))
 
-    if near_c1 and near_c2 and M - 1.0 > band:
-        # distinct curves only cross at (1, 1)
-        return RegionId.TRIPLE_POINT
-    if near_diag and (near_c1 or near_c2):
-        return RegionId.TRIPLE_POINT
-    if near_diag:
-        return RegionId.BOUNDARY_DIAGONAL
-    if near_c1:
-        return RegionId.BOUNDARY_C1
-    if near_c2:
-        return RegionId.BOUNDARY_C2
+    tag = np.where(
+        B < A,
+        np.where(A < c1, _D1, np.where(A < c2, _D2, _D3)),
+        np.where(A > c1, _D4, np.where(A > c2, _D5, _D6)),
+    )
+    tag = np.where(near_c2, _C2, tag)
+    tag = np.where(near_c1, _C1, tag)
+    tag = np.where(near_diag, _DIAG, tag)
+    return np.where(triple, _TRIPLE, tag).astype(np.int8)
 
-    if B < A:
-        if A < c1:
-            return RegionId.D1
-        if A < c2:
-            return RegionId.D2
-        return RegionId.D3
-    if A > c1:
-        return RegionId.D4
-    if A > c2:
-        return RegionId.D5
-    return RegionId.D6
+
+def classify_region(q: PhasePoint, tau_region: float = TAU_REGION) -> RegionId:
+    """Classify a phase point into D1..D6 or a boundary tag (see ``region_tag_grid``)."""
+    return REGION_TAGS[int(region_tag_grid(q.A, q.B, q.M, tau_region))]
+
+
+def region_code_grid(A, B, M: float, tau_region: float = TAU_REGION) -> np.ndarray:
+    """Region codes of each (A, B): k in D_k and ``BOUNDARY`` for all four boundary tags."""
+    return _TAG_CODES[region_tag_grid(A, B, M, tau_region)]
+
+
+def target_geometry(a_s, a_c, b_s, b_c, M1, M2):
+    """Squared radii (r2^2, r1^2, r0^2) and densities (rho1, rho2) of the light-inside target.
+
+    Species 2 fills the disk of radius r2 at density rho2 and species 1 the
+    annulus r1 <= |x| <= r0 at density rho1; these are also the densities of
+    either species where it is alone.  Cross coefficients enter eta-scaled.
+    Plain arithmetic, so floats or broadcastable arrays work alike; the
+    heavy-inside target is the same call with M1 and M2 swapped.
+    """
+    r2sq = a_s * M2 / (b_c * M1 + b_s * M2)
+    r1sq = a_c * M2 / (b_s * M1 + b_c * M2)
+    r0sq = (a_s * M1 + a_c * M2) / (b_s * M1 + b_c * M2)
+    rho1 = (b_s * M1 + b_c * M2) / (math.pi * a_s)
+    rho2 = (b_c * M1 + b_s * M2) / (math.pi * a_s)
+    return r2sq, r1sq, r0sq, rho1, rho2
 
 
 def _density_quadruple(a_s, a_c, b_s, b_c, M1, M2) -> DensityQuadruple:
-    only2 = (0.0, (b_c * M1 + b_s * M2) / (math.pi * a_s))
-    only1 = ((b_s * M1 + b_c * M2) / (math.pi * a_s), 0.0)
+    *_, rho1, rho2 = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
+    only2 = (0.0, rho2)
+    only1 = (rho1, 0.0)
     denom = a_s * a_s - a_c * a_c
     if abs(denom) < COEXIST_SINGULAR_RTOL * max(a_s * a_s, a_c * a_c):
         raise CoexistenceSingular(

@@ -224,7 +224,7 @@ def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool):
 
 
 def run(state: ParticleState, t_end: float, controls: RunControls | None = None):
-    """Integrate to t = t_end with displacement-based adaptive RK4 steps.
+    """Integrate to t = t_end, landing on it exactly, with displacement-based adaptive RK4 steps.
 
     Returns (final state, diagnostics).  Raises StepUnderflow if repeated
     halving pushes dt below 1e-12 and ParticleCollision if particles meet.
@@ -242,9 +242,14 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None)
     _record(diag, state, controls.record_energy)
     next_record = state.t + record_interval
 
-    while state.t < t_end - 1e-12 * max(1.0, t_end):
-        dt_try = min(dt, t_end - state.t)
+    while state.t < t_end:
+        # a step that would stop within rounding of t_end is stretched to land on it,
+        # and the last step sets t to t_end itself, not to state.t + (t_end - state.t)
+        last = dt >= t_end - state.t - 1e-12 * max(1.0, t_end)
+        dt_try = t_end - state.t if last else dt
         new_state = step(state, dt_try)
+        if last:
+            new_state = replace(new_state, t=t_end)
         disp = max(
             float(np.max(np.hypot(*(new_state.pos1 - state.pos1).T))),
             float(np.max(np.hypot(*(new_state.pos2 - state.pos2).T))),
@@ -344,6 +349,12 @@ def edge_radius(positions, inner: bool = False) -> float:
     return float(dist.max()) + 0.5 * spacing
 
 
+def check_morphology_counts(state: ParticleState) -> None:
+    """Raise TooFewParticles unless each species has enough particles for ``morphology``."""
+    if min(state.n1, state.n2) < 10:
+        raise TooFewParticles("need at least 10 particles per species")
+
+
 @dataclass(frozen=True)
 class Morphology:
     d_over_R: float
@@ -359,8 +370,7 @@ def morphology(state: ParticleState) -> Morphology:
     partial-overlap, and for d/R < 0.1 either target-like (annular gap
     between the species) or mixed.
     """
-    if min(state.n1, state.n2) < 10:
-        raise TooFewParticles("need at least 10 particles per species")
+    check_morphology_counts(state)
     p = state.params
     R = math.sqrt(p.a_s / p.b_s)
     c1 = state.pos1.mean(axis=0)

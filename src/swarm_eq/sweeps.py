@@ -1,8 +1,11 @@
-"""Vectorized (A, B) grid sweeps: region codes, existence masks, stability verdicts.
+"""Whole-grid (A, B) sweeps: stability verdicts of the target states.
 
-These mirror the per-point operations for whole-grid work (phase diagrams,
-acceptance sweeps).  Stability verdicts come from the nontrivial rates, i.e.
-the closed-form quadratic (mode 1) and the reduced cubic (modes >= 2), whose
+Region codes, existence masks and U_m membership are not written here: the
+sweeps call the same array-valued functions as the per-point APIs
+(``model.region_code_grid``, ``equilibria.existence_region_mask`` and
+``linear_stability.UmRegion.contains``), so a grid and a single point cannot
+disagree.  Stability verdicts come from the nontrivial rates, i.e. the
+closed-form quadratic (mode 1) and the reduced cubic (modes >= 2), whose
 coefficients both routes take from ``linear_stability.reduced_coefficients``.
 A cubic mode is decided by the Routh-Hurwitz conditions on its coefficients
 wherever they certify the answer, and by a stacked companion-matrix
@@ -15,49 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equilibria import EquilibriumKind
-from .linear_stability import reduced_coefficients
-from .model import TAU_REGION
-
-#: Region codes: 0 marks the boundary band, 1..6 the open regions D1..D6.
-BOUNDARY = 0
+from .equilibria import EquilibriumKind, existence_region_mask
+from .linear_stability import UmRegion, reduced_coefficients
+from .model import region_code_grid
 
 _VERDICT_STABLE = 1
 _VERDICT_UNSTABLE = -1
 _VERDICT_MARGINAL = 0
 _VERDICT_MISSING = -2
-
-
-def region_code_grid(A, B, M: float, tau_region: float = TAU_REGION) -> np.ndarray:
-    """Region codes (0..6) for broadcastable arrays of A and B."""
-    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-    c1 = (1.0 + M * B) / (B + M)
-    c2 = (B + M) / (1.0 + M * B)
-    scale = np.maximum(1.0, np.maximum(np.abs(A), np.abs(B)))
-    band = tau_region * scale
-    near = (np.abs(A - B) <= band) | (np.abs(A - c1) <= band) | (np.abs(A - c2) <= band)
-
-    below = B < A
-    code = np.where(
-        below,
-        np.where(A < c1, 1, np.where(A < c2, 2, 3)),
-        np.where(A > c1, 4, np.where(A > c2, 5, 6)),
-    )
-    return np.where(near, BOUNDARY, code).astype(np.int8)
-
-
-_EXISTENCE_CODES = {
-    EquilibriumKind.TARGET_LIGHT_IN: (3, 4, 5),
-    EquilibriumKind.TARGET_HEAVY_IN: (2, 3, 4),
-    EquilibriumKind.OVERLAP_LIGHT_IN: (3, 6),
-    EquilibriumKind.OVERLAP_HEAVY_IN: (1, 4),
-}
-
-
-def existence_region_mask(kind: EquilibriumKind, region_codes: np.ndarray) -> np.ndarray:
-    """Mask of grid points whose region lies in the kind's existence union."""
-    codes = _EXISTENCE_CODES[EquilibriumKind(kind)]
-    return np.isin(region_codes, codes)
 
 
 def _cubic_max_real(c2, c1, c0):
@@ -123,7 +91,7 @@ def target_verdict_grid(
     A = A.ravel()
     B = B.ravel()
     codes = region_code_grid(A, B, M).ravel()
-    exists = existence_region_mask(kind, codes) & (codes != BOUNDARY)
+    exists = existence_region_mask(kind, codes)
 
     verdict = np.full(A.shape, _VERDICT_MISSING, dtype=np.int8)
     if not np.any(exists):
@@ -149,17 +117,7 @@ def heavy_mode2_unstable_grid(A, B, M: float, band: float = 1e-9) -> np.ndarray:
 
 def um_member_grid(m: int, M: float, A, B) -> np.ndarray:
     """Vectorized membership in the mode-m instability region."""
-    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-    codes = region_code_grid(A, B, M)
-    in_existence = np.isin(codes, (3, 4, 5))
-    if m == 1:
-        return in_existence & (codes == 3)
-    if m == 2:
-        return in_existence & (A > 1.0) & (B < 1.0)
-    a_max = M ** (m / (m - 2.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        threshold = (M * A ** (2.0 / m) - A) / (M * A - A ** (2.0 / m))
-    return in_existence & (A > 1.0) & (A < a_max) & (B > 0.0) & (B < threshold)
+    return UmRegion(m, M).contains(A, B)
 
 
 def cell_centered_axis(n: int, lo: float = 0.0, hi: float = 5.0) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (
     QuadratureNonConvergence,
     UnsupportedKind,
 )
-from .model import InteractionParams
+from .model import InteractionParams, target_geometry
 from .quadrature import disk_kernel_integral
 
 #: Mean of ln|y - center| over a square cell of side h, minus ln h.
@@ -252,11 +252,7 @@ def target_lambda_pair(p: InteractionParams) -> tuple[float, float]:
     a_s, a_c = p.a_s, p.ac_eff
     b_s, b_c = p.b_s, p.bc_eff
     M1, M2 = p.M1, p.M2
-    r2sq = a_s * M2 / (b_c * M1 + b_s * M2)
-    r1sq = a_c * M2 / (b_s * M1 + b_c * M2)
-    r0sq = (a_s * M1 + a_c * M2) / (b_s * M1 + b_c * M2)
-    rho1 = (b_s * M1 + b_c * M2) / (math.pi * a_s)
-    rho2 = (b_c * M1 + b_s * M2) / (math.pi * a_s)
+    r2sq, r1sq, r0sq, rho1, rho2 = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
     shared = 0.5 * (a_c * M1 + a_s * M2) + 0.25 * (
         b_c * M1 * (r0sq + r1sq) + b_s * M2 * r2sq
     )

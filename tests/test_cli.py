@@ -131,6 +131,27 @@ def test_simulate_snapshot_schedule_ends_at_t_end(tmp_path, capsys, t_end, every
     np.testing.assert_allclose(times, expected, rtol=0.0, atol=1e-12)
 
 
+def test_simulate_snapshots_land_exactly_on_targets(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10",
+        "--seed", "1", "--t-end", "5", "--snapshot-every", "2", "--out", str(tmp_path / "s"),
+    )
+    assert code == 0
+    assert last_json(out)["t_end"] == 5.0
+    assert _snapshot_times(tmp_path / "s_snapshots.csv") == [0.0, 2.0, 4.0, 5.0]
+
+
+def test_simulate_too_few_particles_writes_nothing(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "5", "--N2", "5",
+        "--t-end", "1", "--out", str(tmp_path / "s"),
+    )
+    assert code == 3
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "TooFewParticles"
+    assert not (tmp_path / "s_snapshots.csv").exists()
+    assert not (tmp_path / "s_diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize("t_end, every", [("5", "0"), ("0", "1"), ("inf", "1")])
 def test_simulate_rejects_bad_schedule(tmp_path, capsys, t_end, every):
     code, _, err = run_cli(
@@ -190,6 +211,27 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     payload = last_json(out)
     assert payload["B"] == 0.4
     assert payload["region"] == "D3"
+
+
+@pytest.mark.parametrize("values", [{"A": 3.0, "B": 3.5, "M": 2.0}, {"command": 5, "A": 3.0}])
+def test_config_file_without_command_is_a_config_error(tmp_path, capsys, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "command" in record["message"]
+
+
+def test_config_flag_without_path_is_a_config_error(capsys):
+    code, out, err = run_cli(capsys, "region", "--config")
+    assert code == 2
+    assert out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert "--config" in record["message"]
 
 
 def test_console_script_entry():

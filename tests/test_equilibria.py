@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_phase_in_regions, params_from_phase
 from swarm_eq.equilibria import (
@@ -13,7 +15,7 @@ from swarm_eq.equilibria import (
     velocity_residual,
 )
 from swarm_eq.errors import SampleOutsideSupport
-from swarm_eq.model import InteractionParams, PhasePoint, classify_region
+from swarm_eq.model import InteractionParams, PhasePoint, classify_region, to_phase_point
 
 ALL_KINDS = list(EquilibriumKind)
 
@@ -138,3 +140,51 @@ def test_densities_match_quadruple():
     heavy = build_equilibrium(EquilibriumKind.TARGET_HEAVY_IN, pt)
     assert heavy.shells[0].rho1 == pytest.approx(quad_t.only1[0])
     assert heavy.shells[1].rho2 == pytest.approx(quad_t.only2[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(A=st.floats(0.05, 5.0), B=st.floats(0.05, 5.0), M=st.floats(1.0, 4.0))
+def test_existence_iff_region_union(A, B, M):
+    region = classify_region(PhasePoint(A, B, M))
+    assume(not region.is_boundary)
+    assume(abs(A - 1.0) > 1e-12)  # the coexistence pair is singular at A = 1
+    p = params_from_phase(A, B, M)
+    for kind in ALL_KINDS:
+        cfg = build_equilibrium(kind, p)
+        if cfg.boundary_degenerate:
+            # touching radii count as existing; at M = 1, B = 1 the overlap radii
+            # touch for every A, a line the region union leaves out
+            continue
+        assert cfg.exists == (region in EXISTENCE_REGIONS[kind]), kind
+
+
+_POINT_IN = {
+    "D1": (0.5, 0.4), "D2": (1.2, 0.35), "D3": (2.1, 1.0), "D4": (3.0, 3.5), "D5": (1.05, 2.6), "D6": (0.5, 1.0),
+}
+
+_REASONS = {
+    ("D1", "target-light"): "inner disk exceeds annulus (point is in D1; existence requires D3 or D4 or D5)",
+    ("D1", "target-heavy"): "inner disk exceeds annulus (point is in D1; existence requires D2 or D3 or D4)",
+    ("D1", "overlap-light"): "coexistence disk exceeds outer disk (point is in D1; existence requires D3 or D6)",
+    ("D2", "target-light"): "inner disk exceeds annulus (point is in D2; existence requires D3 or D4 or D5)",
+    ("D2", "overlap-light"): "coexistence density nonpositive (point is in D2; existence requires D3 or D6)",
+    ("D2", "overlap-heavy"): "coexistence density nonpositive (point is in D2; existence requires D1 or D4)",
+    ("D3", "overlap-heavy"): "coexistence disk exceeds outer disk (point is in D3; existence requires D1 or D4)",
+    ("D4", "overlap-light"): "coexistence disk exceeds outer disk (point is in D4; existence requires D3 or D6)",
+    ("D5", "target-heavy"): "inner disk exceeds annulus (point is in D5; existence requires D2 or D3 or D4)",
+    ("D5", "overlap-light"): "coexistence density nonpositive (point is in D5; existence requires D3 or D6)",
+    ("D5", "overlap-heavy"): "coexistence density nonpositive (point is in D5; existence requires D1 or D4)",
+    ("D6", "target-light"): "inner disk exceeds annulus (point is in D6; existence requires D3 or D4 or D5)",
+    ("D6", "target-heavy"): "inner disk exceeds annulus (point is in D6; existence requires D2 or D3 or D4)",
+    ("D6", "overlap-heavy"): "coexistence disk exceeds outer disk (point is in D6; existence requires D1 or D4)",
+}
+
+
+@pytest.mark.parametrize("region", sorted(_POINT_IN))
+def test_reason_text_names_failed_check_and_region(region):
+    p = params_from_phase(*_POINT_IN[region])
+    assert classify_region(to_phase_point(p)).value == region
+    for kind in ALL_KINDS:
+        cfg = build_equilibrium(kind, p)
+        assert cfg.reason == _REASONS.get((region, kind.value), "")
+        assert cfg.exists == ((region, kind.value) not in _REASONS)

@@ -133,6 +133,16 @@ def test_um_nesting_grid():
         assert not np.any(inner & ~outer)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_um_contains_grid_matches_scalar_calls(m):
+    ax = np.linspace(0.02, 5.0, 100)
+    A, B = np.meshgrid(ax, ax, indexing="ij")
+    um = region_Um(m, 2.0)
+    scalar = [[um.contains(float(a), float(b)) for a, b in zip(row_a, row_b)] for row_a, row_b in zip(A, B)]
+    assert all(type(v) is bool for row in scalar for v in row)
+    np.testing.assert_array_equal(um.contains(A, B), np.array(scalar))
+
+
 def _draw_in_um(rng, um, n):
     out = []
     a_hi = min(um.a_max, 5.0)

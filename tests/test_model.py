@@ -5,6 +5,8 @@ import pytest
 
 from swarm_eq.errors import CoexistenceSingular, SingularEvaluation
 from swarm_eq.model import (
+    BOUNDARY,
+    REGION_TAGS,
     InteractionParams,
     PhasePoint,
     RegionId,
@@ -15,6 +17,8 @@ from swarm_eq.model import (
     equilibrium_densities,
     kernel_grad_cross,
     kernel_grad_self,
+    region_code_grid,
+    region_tag_grid,
     to_phase_point,
 )
 
@@ -145,3 +149,18 @@ def test_coexistence_singular():
         equilibrium_densities(InteractionParams(1, 1, 1, 2, 2, 1))
     with pytest.raises(CoexistenceSingular):
         equilibrium_densities(InteractionParams(0.5, 1, 1, 2, 2, 1, eta=0.5))
+
+
+@pytest.mark.parametrize("M", [1.0, 2.0, 3.0])
+def test_region_tag_grid_on_every_boundary(M):
+    B = np.array([0.3, 1.7, 3.2])
+    A = np.concatenate([B, curve_c1(B, M), curve_c2(B, M), [1.0]])
+    B = np.concatenate([B, B, B, [1.0]])
+    # at M = 1 the curves c1 and c2 coincide and are reported as c1
+    on_c2 = RegionId.BOUNDARY_C1 if M == 1.0 else RegionId.BOUNDARY_C2
+    expected = (
+        [RegionId.BOUNDARY_DIAGONAL] * 3 + [RegionId.BOUNDARY_C1] * 3 + [on_c2] * 3 + [RegionId.TRIPLE_POINT]
+    )
+    assert [REGION_TAGS[t] for t in region_tag_grid(A, B, M)] == expected
+    assert [classify_region(PhasePoint(a, b, M)) for a, b in zip(A, B)] == expected
+    assert np.all(region_code_grid(A, B, M) == BOUNDARY)
