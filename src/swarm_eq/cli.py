@@ -3,9 +3,9 @@
 Every subcommand accepts parameters through flags or a JSON config file
 (flags override the file).  Results go to stdout as JSON; bulk numeric output
 goes to CSV files; plots to dependency-free SVG.  A metadata record (config
-hash, version, wall time) is printed to stderr for every run.  Exit code 2
-flags configuration errors, 3 numerical failures (with the error name in a
-JSON record on stderr).
+hash, version, wall time; for ``simulate`` also the run counters) is printed
+to stderr for every run.  Exit code 2 flags configuration errors, 3 numerical
+failures (with the error name in a JSON record on stderr).
 """
 
 from __future__ import annotations
@@ -208,7 +208,21 @@ def _write_snapshot(rows, state, t):
         rows.append((float(t), 2, i, float(x), float(y)))
 
 
-def cmd_simulate(ns) -> None:
+def _run_counters(diags) -> dict:
+    """Counters of consecutive runs: totals, the accepted dt range and the closest pair."""
+    dt_min = [d.dt_min for d in diags if d.dt_min is not None]
+    dt_max = [d.dt_max for d in diags if d.dt_max is not None]
+    return {
+        "force_evals": sum(d.force_evals for d in diags),
+        "accepted_steps": sum(d.accepted_steps for d in diags),
+        "rejected_steps": sum(d.rejected_steps for d in diags),
+        "dt_min": min(dt_min, default=None),
+        "dt_max": max(dt_max, default=None),
+        "closest_pair_ratio": min(d.closest_pair_ratio for d in diags),
+    }
+
+
+def cmd_simulate(ns) -> dict:
     if not (0.0 < ns.t_end < math.inf and ns.snapshot_every > 0.0):
         raise ValueError(
             f"--t-end must be finite and > 0 and --snapshot-every > 0, got {ns.t_end} and {ns.snapshot_every}"
@@ -228,8 +242,10 @@ def cmd_simulate(ns) -> None:
     # every k * snapshot_every below t_end (a product, so no rounding piles up), then t_end
     every = [k * ns.snapshot_every for k in range(1, math.ceil(ns.t_end / ns.snapshot_every))]
     diag_all = None
+    diags = []
     for t_target in [t for t in every if t < ns.t_end] + [ns.t_end]:
         state, diag = run(state, t_target, controls)
+        diags.append(diag)
         _write_snapshot(snapshot_rows, state, state.t)
         if diag_all is None:
             diag_all = diag.as_arrays()
@@ -268,6 +284,7 @@ def cmd_simulate(ns) -> None:
             "diagnostics": f"{ns.out}_diagnostics.csv",
         }
     )
+    return {"run": _run_counters(diags)}
 
 
 def _overlay_point(ratio, mass_ratio, eta, n_total, t_end, seed):
@@ -508,7 +525,8 @@ def main(argv=None) -> int:
             for k, v in vars(ns).items()
             if k not in ("func", "config") and v is not None
         }
-        ns.func(ns)
+        # a subcommand may return extra fields for the metadata record
+        extra = ns.func(ns) or {}
     except SwarmEqError as exc:
         sys.stderr.write(
             json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n"
@@ -523,6 +541,7 @@ def main(argv=None) -> int:
         "config_hash": config_hash(config),
         "version": __version__,
         "wall_time_s": round(time.time() - start, 6),
+        **extra,
     }
     sys.stderr.write(json_canonical(meta) + "\n")
     return 0

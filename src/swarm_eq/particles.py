@@ -68,97 +68,155 @@ def collision_threshold(p: InteractionParams) -> float:
     return 1e-12 * math.sqrt(p.a_s / p.b_s)
 
 
-def _pair_dist_sq(X, Y, same):
-    """Pairwise squared distances via matrix products, exact for near pairs.
+#: Doubles in one row block of the pair pass (rows x N).  Blocks of about
+#: 0.5 MB stay in cache while the block's few elementwise passes run over it,
+#: and bound the pass's memory; the row count depends only on N, so results
+#: do not depend on the machine.
+BLOCK_ELEMENTS = 1 << 16
 
-    The expanded form |x|^2 + |y|^2 - 2 x.y runs on BLAS but loses precision
-    once |x - y|^2 approaches rounding of the position magnitudes, so any
-    entry below 1e-12 is recomputed from the explicit differences before the
-    collision test sees it.
+
+def _row_blocks(*counts):
+    """Row ranges (group, lo, hi) of the pair pass; each lies within one group (species)."""
+    rows = max(1, BLOCK_ELEMENTS // sum(counts))
+    blocks, start = [], 0
+    for group, count in enumerate(counts):
+        blocks += [(group, lo, min(lo + rows, start + count)) for lo in range(start, start + count, rows)]
+        start += count
+    return blocks
+
+
+class _PairPass:
+    """Blocked squared distances between the rows of one (N, 2) position array."""
+
+    def __init__(self, X):
+        self.X = X
+        self.x2 = np.einsum("ij,ij->i", X, X)
+        self.m2X = -2.0 * X
+
+    def dist_sq(self, lo, hi, c0=0):
+        """Squared distances of rows lo:hi to rows c0: and their minimum; self pairs are inf.
+
+        The expanded form |x|^2 + |y|^2 - 2 x.y runs on BLAS but loses precision
+        once |x - y|^2 approaches rounding of the position magnitudes, so
+        entries below 1e-12, negative ones included, are recomputed from the
+        explicit differences.
+        """
+        X = self.X
+        r2 = X[lo:hi] @ self.m2X[c0:].T
+        r2 += self.x2[lo:hi, None]
+        r2 += self.x2[None, c0:]
+        r2.reshape(-1)[lo - c0 :: r2.shape[1] + 1] = np.inf  # entries (k, lo + k - c0)
+        low = float(r2.min())
+        if low < 1e-12:
+            ii, jj = np.nonzero(r2 < 1e-12)
+            diff = X[lo + ii] - X[c0 + jj]
+            r2[ii, jj] = np.einsum("ij,ij->i", diff, diff)
+            low = float(r2.min())
+        return r2, low
+
+
+def _repulsion_weights(state: ParticleState):
+    """Column weights a_ij * w_j over all N particles, one vector per row species i."""
+    p, counts = state.params, [state.n1, state.n2]
+    return (
+        np.repeat([p.a_s * state.w1, p.ac_eff * state.w2], counts),
+        np.repeat([p.ac_eff * state.w1, p.a_s * state.w2], counts),
+    )
+
+
+def forces(state: ParticleState, diag: RunDiagnostics | None = None):
+    """Velocities of all particles (right-hand side of the particle system).
+
+    v_i = sum_j w_j [a_ij (x_i - x_j) / |x_i - x_j|^2 - b_ij (x_i - x_j)].  The
+    repulsion runs as one blocked pass over all pairs, one matrix product per
+    block against [c_j, c_j x_j, c_j y_j] with c_j = a_ij w_j.  The attraction
+    is linear in positions: sum_j b_ij w_j (x_i - x_j) = x_i sb_i - tb_i from
+    each species' mass and first moment (the j = i term is 0).  With
+    ``diag``, the evaluation and its closest pair are counted.
     """
-    x2 = np.einsum("ij,ij->i", X, X)
-    y2 = np.einsum("ij,ij->i", Y, Y)
-    r2 = x2[:, None] + y2[None, :] - 2.0 * (X @ Y.T)
-    np.maximum(r2, 0.0, out=r2)
-    if same:
-        np.fill_diagonal(r2, np.inf)
-    suspect = r2 < 1e-12
-    if np.any(suspect):
-        ii, jj = np.nonzero(suspect)
-        diff = X[ii] - Y[jj]
-        r2[ii, jj] = np.einsum("ij,ij->i", diff, diff)
-        if same:
-            np.fill_diagonal(r2, np.inf)
-    return r2
-
-
-def _pair_sum(X, Y, a, b, delta_min, same):
-    """Sum over y in Y of a*(x-y)/|x-y|^2 - b*(x-y), for every x in X."""
-    r2 = _pair_dist_sq(X, Y, same)
-    if np.min(r2) < delta_min * delta_min:
-        raise ParticleCollision(
-            f"minimum pairwise distance {math.sqrt(float(np.min(r2))):.3e} below {delta_min:.3e}"
-        )
-    kernel = a / r2 - b
-    if same:
-        np.fill_diagonal(kernel, 0.0)
-    # sum_j k_ij (x_i - y_j) = (sum_j k_ij) x_i - k @ Y
-    return kernel.sum(axis=1)[:, None] * X - kernel @ Y
-
-
-def forces(state: ParticleState):
-    """Velocities of all particles (right-hand side of the particle system)."""
     p = state.params
-    d = collision_threshold(p)
-    v1 = state.w1 * _pair_sum(state.pos1, state.pos1, p.a_s, p.b_s, d, True) + state.w2 * _pair_sum(
-        state.pos1, state.pos2, p.ac_eff, p.bc_eff, d, False
-    )
-    v2 = state.w1 * _pair_sum(state.pos2, state.pos1, p.ac_eff, p.bc_eff, d, False) + state.w2 * _pair_sum(
-        state.pos2, state.pos2, p.a_s, p.b_s, d, True
-    )
-    return v1, v2
+    X = np.concatenate([state.pos1, state.pos2])
+    pairs = _PairPass(X)
+    d2 = collision_threshold(p) ** 2
+    ones_X = np.column_stack([np.ones(len(X)), X])
+    repulsion = [c[:, None] * ones_X for c in _repulsion_weights(state)]
+    mass = (state.w1 * state.n1, state.w2 * state.n2)
+    first = (state.w1 * state.pos1.sum(axis=0), state.w2 * state.pos2.sum(axis=0))
+    sb = [p.b_s * mass[s] + p.bc_eff * mass[1 - s] for s in (0, 1)]
+    tb = [p.b_s * first[s] + p.bc_eff * first[1 - s] for s in (0, 1)]
+    v = np.empty_like(X)
+    closest = math.inf
+    for s, lo, hi in _row_blocks(state.n1, state.n2):
+        r2, low = pairs.dist_sq(lo, hi)
+        if low < d2:
+            raise ParticleCollision(f"minimum pairwise distance {math.sqrt(low):.3e} below {math.sqrt(d2):.3e}")
+        closest = min(closest, low)
+        S = np.reciprocal(r2, out=r2) @ repulsion[s]
+        v[lo:hi] = X[lo:hi] * (S[:, :1] - sb[s]) - (S[:, 1:] - tb[s])
+    if diag is not None:
+        diag.force_evals += 1
+        diag.closest_pair_ratio = min(diag.closest_pair_ratio, math.sqrt(closest / d2))
+    return v[: state.n1], v[state.n1 :]
 
 
 def particle_energy(state: ParticleState) -> float:
-    """Sampled interaction energy (the Lyapunov function of the flow)."""
+    """Sampled interaction energy (the Lyapunov function of the flow).
+
+    E = sum_{i<j} w_i w_j [-a_ij/2 log|x_i - x_j|^2 + b_ij/2 |x_i - x_j|^2].
+    The log term runs as a blocked pass over the pairs j > i; the quadratic
+    term comes from each species' spread about its own mean.
+    """
     p = state.params
+    X = np.concatenate([state.pos1, state.pos2])
+    pairs = _PairPass(X)
+    w = np.repeat([state.w1, state.w2], [state.n1, state.n2])
+    weights = _repulsion_weights(state)
+    log_sum = 0.0
+    for s, lo, hi in _row_blocks(state.n1, state.n2):
+        # pairs j > i: the columns from lo on, with the block's own square
+        # (symmetric, one species) at half weight and its diagonal at log 1 = 0
+        r2, _ = pairs.dist_sq(lo, hi, c0=lo)
+        r2.reshape(-1)[:: r2.shape[1] + 1] = 1.0
+        c = weights[s][lo:].copy()
+        c[: hi - lo] *= 0.5
+        log_sum += float(w[lo:hi] @ (np.log(r2, out=r2) @ c))
 
-    def kernel_sum(X, Y, a, b, same):
-        r2 = _pair_dist_sq(X, Y, same)
-        if same:
-            np.fill_diagonal(r2, 1.0)  # excluded below
-        k = -0.5 * a * np.log(r2) + 0.5 * b * r2
-        if same:
-            np.fill_diagonal(k, 0.0)
-        return float(np.sum(k))
-
-    e = 0.5 * state.w1**2 * kernel_sum(state.pos1, state.pos1, p.a_s, p.b_s, True)
-    e += 0.5 * state.w2**2 * kernel_sum(state.pos2, state.pos2, p.a_s, p.b_s, True)
-    e += state.w1 * state.w2 * kernel_sum(state.pos1, state.pos2, p.ac_eff, p.bc_eff, False)
-    return e
+    # sum over pairs of |x_i - x_j|^2 within a species of n: n * spread; across: by the means
+    spread = [float(np.sum((pos - pos.mean(axis=0)) ** 2)) for pos in (state.pos1, state.pos2)]
+    gap2 = float(np.sum((state.pos1.mean(axis=0) - state.pos2.mean(axis=0)) ** 2))
+    quad_self = state.w1**2 * state.n1 * spread[0] + state.w2**2 * state.n2 * spread[1]
+    quad_cross = state.w1 * state.w2 * (
+        state.n2 * spread[0] + state.n1 * spread[1] + state.n1 * state.n2 * gap2
+    )
+    return -0.5 * log_sum + 0.5 * (p.b_s * quad_self + p.bc_eff * quad_cross)
 
 
-def max_speed(state: ParticleState) -> float:
-    v1, v2 = forces(state)
+def max_speed(state: ParticleState, v=None) -> float:
+    """Largest particle speed; ``v`` gives the state's velocities if already computed."""
+    v1, v2 = forces(state) if v is None else v
     return float(max(np.max(np.hypot(v1[:, 0], v1[:, 1])), np.max(np.hypot(v2[:, 0], v2[:, 1]))))
 
 
-def step(state: ParticleState, dt: float) -> ParticleState:
-    """One classical RK4 step of the particle ODE system."""
+def step(state: ParticleState, dt: float, k1=None, diag: RunDiagnostics | None = None) -> ParticleState:
+    """One classical RK4 step of the particle ODE system.
+
+    ``k1`` gives the velocities at ``state`` when already computed; ``diag``
+    counts the stage evaluations.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    x1, x2 = state.pos1, state.pos2
+    n1 = state.n1
+    x = np.concatenate([state.pos1, state.pos2])
 
-    def rhs(y1, y2):
-        return forces(replace(state, pos1=y1, pos2=y2))
+    def rhs(y):
+        return np.concatenate(forces(replace(state, pos1=y[:n1], pos2=y[n1:]), diag))
 
-    k1 = rhs(x1, x2)
-    k2 = rhs(x1 + 0.5 * dt * k1[0], x2 + 0.5 * dt * k1[1])
-    k3 = rhs(x1 + 0.5 * dt * k2[0], x2 + 0.5 * dt * k2[1])
-    k4 = rhs(x1 + dt * k3[0], x2 + dt * k3[1])
-    d1 = (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    d2 = (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return replace(state, pos1=x1 + d1, pos2=x2 + d2, t=state.t + dt)
+    k1 = np.concatenate(forces(state, diag) if k1 is None else k1)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return replace(state, pos1=y[:n1], pos2=y[n1:], t=state.t + dt)
 
 
 @dataclass(frozen=True)
@@ -186,7 +244,13 @@ class RunControls:
 
 @dataclass
 class RunDiagnostics:
-    """Traces recorded along a run, plus final support-radius estimates."""
+    """Traces recorded along a run, final support-radius estimates and run counters.
+
+    ``force_evals`` counts velocity evaluations, ``dt_min``/``dt_max`` span the
+    accepted step sizes (None before the first), and ``closest_pair_ratio``
+    is the smallest pair distance any evaluation saw over
+    ``collision_threshold``.
+    """
 
     t: list = field(default_factory=list)
     energy: list = field(default_factory=list)
@@ -196,6 +260,12 @@ class RunDiagnostics:
     d_over_R: list = field(default_factory=list)
     max_speed: list = field(default_factory=list)
     support_radii: tuple[float, float] | None = None
+    force_evals: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
+    closest_pair_ratio: float = math.inf
 
     def as_arrays(self):
         return {
@@ -209,7 +279,7 @@ class RunDiagnostics:
         }
 
 
-def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool):
+def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool, v):
     p = state.params
     c1 = state.pos1.mean(axis=0)
     c2 = state.pos2.mean(axis=0)
@@ -220,7 +290,7 @@ def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool):
     diag.com1.append(c1)
     diag.com2.append(c2)
     diag.d_over_R.append(float(np.hypot(*(c1 - c2))) / R)
-    diag.max_speed.append(max_speed(state))
+    diag.max_speed.append(max_speed(state, v))
 
 
 def run(state: ParticleState, t_end: float, controls: RunControls | None = None):
@@ -238,8 +308,11 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None)
         controls.record_interval if controls.record_interval is not None else max(t_end / 200.0, dt_max)
     )
 
+    # every accepted state's velocities are computed once: by its record or by the
+    # next step's first stage; a rejected step retries with the same k1
     diag = RunDiagnostics()
-    _record(diag, state, controls.record_energy)
+    v = forces(state, diag)
+    _record(diag, state, controls.record_energy, v)
     next_record = state.t + record_interval
 
     while state.t < t_end:
@@ -247,7 +320,9 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None)
         # and the last step sets t to t_end itself, not to state.t + (t_end - state.t)
         last = dt >= t_end - state.t - 1e-12 * max(1.0, t_end)
         dt_try = t_end - state.t if last else dt
-        new_state = step(state, dt_try)
+        if v is None:
+            v = forces(state, diag)
+        new_state = step(state, dt_try, k1=v, diag=diag)
         if last:
             new_state = replace(new_state, t=t_end)
         disp = max(
@@ -255,19 +330,24 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None)
             float(np.max(np.hypot(*(new_state.pos2 - state.pos2).T))),
         )
         if disp > disp_limit:
+            diag.rejected_steps += 1
             dt = 0.5 * dt_try
             if dt < DT_MIN:
                 raise StepUnderflow(f"time step underflow at t={state.t}")
             continue
-        state = new_state
+        state, v = new_state, None
+        diag.accepted_steps += 1
+        diag.dt_min = dt_try if diag.dt_min is None else min(diag.dt_min, dt_try)
+        diag.dt_max = dt_try if diag.dt_max is None else max(diag.dt_max, dt_try)
         if disp < 0.25 * disp_limit:
             dt = min(dt * 1.5, dt_max)
         if state.t >= next_record - 1e-12:
-            _record(diag, state, controls.record_energy)
+            v = forces(state, diag)
+            _record(diag, state, controls.record_energy, v)
             next_record += record_interval
 
     if diag.t[-1] < state.t:
-        _record(diag, state, controls.record_energy)
+        _record(diag, state, controls.record_energy, forces(state, diag))
     diag.support_radii = support_radii(state)
     return state, diag
 
@@ -342,8 +422,9 @@ def edge_radius(positions, inner: bool = False) -> float:
     positions = np.asarray(positions, dtype=float)
     c = positions.mean(axis=0)
     dist = np.hypot(*(positions - c).T)
-    r2 = _pair_dist_sq(positions, positions, same=True)
-    spacing = float(np.median(np.sqrt(r2.min(axis=1))))
+    pairs = _PairPass(positions)
+    nearest2 = np.concatenate([pairs.dist_sq(lo, hi)[0].min(axis=1) for _, lo, hi in _row_blocks(len(positions))])
+    spacing = float(np.median(np.sqrt(nearest2)))
     if inner:
         return float(dist.min()) - 0.5 * spacing
     return float(dist.max()) + 0.5 * spacing

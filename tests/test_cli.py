@@ -141,6 +141,20 @@ def test_simulate_snapshots_land_exactly_on_targets(tmp_path, capsys):
     assert _snapshot_times(tmp_path / "s_snapshots.csv") == [0.0, 2.0, 4.0, 5.0]
 
 
+def test_simulate_reports_run_counters(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10",
+        "--seed", "1", "--t-end", "5", "--snapshot-every", "2", "--out", str(tmp_path / "s"),
+    )
+    assert code == 0
+    counters = json.loads(err.strip().splitlines()[-1])["run"]
+    # three snapshot segments (to 2, 4 and 5), each starting with one evaluation
+    steps = 4 * counters["accepted_steps"] + 3 * counters["rejected_steps"]
+    assert counters["force_evals"] == steps + 3
+    assert 0.0 < counters["dt_min"] <= counters["dt_max"]
+    assert counters["closest_pair_ratio"] > 1.0
+
+
 def test_simulate_too_few_particles_writes_nothing(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "5", "--N2", "5",

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from conftest import params_from_phase
+from swarm_eq import particles
 from swarm_eq.equilibria import EquilibriumKind, build_equilibrium
 from swarm_eq.errors import (
     EquilibriumMissing,
@@ -13,10 +17,13 @@ from swarm_eq.errors import (
 )
 from swarm_eq.model import InteractionParams
 from swarm_eq.particles import (
+    BLOCK_ELEMENTS,
     ParticleState,
     RunControls,
+    collision_threshold,
     core_anisotropy,
     core_displacement,
+    edge_radius,
     forces,
     init_from_equilibrium,
     init_random_disk,
@@ -219,3 +226,140 @@ def test_two_timescale_structure():
     assert early[1] == pytest.approx(late[1], rel=0.05)
     # ... while the separation is still far from its asymptotic value
     assert d_early < 0.5 * math.sqrt(6.0)
+
+
+def _direct_pair_terms(state):
+    """Velocities and energy as explicit double sums over all pairs.
+
+    Also returns each particle's rounding scale for the blocked pass: the
+    magnitudes of the terms of its factored sum x_i sum_j k_ij - sum_j k_ij x_j,
+    each inflated by the relative error (|x_i|^2 + |x_j|^2) / r^2 of the
+    expanded squared distance, except where r^2 < 1e-12 is recomputed exactly.
+    """
+    p = state.params
+    X = np.concatenate([state.pos1, state.pos2])
+    species = np.repeat([0, 1], [state.n1, state.n2])
+    w = np.where(species == 0, state.w1, state.w2)
+    same = species[:, None] == species[None, :]
+    a = np.where(same, p.a_s, p.ac_eff)
+    b = np.where(same, p.b_s, p.bc_eff)
+    dx = np.subtract.outer(X[:, 0], X[:, 0])
+    dy = np.subtract.outer(X[:, 1], X[:, 1])
+    r2 = dx**2 + dy**2
+    off = ~np.eye(len(X), dtype=bool)
+    r2_off = np.where(off, r2, np.inf)
+    k = w[None, :] * (a / r2_off - b * off)
+    v = np.column_stack([np.sum(k * dx, axis=1), np.sum(k * dy, axis=1)])
+    norm2 = np.sum(X**2, axis=1)
+    expanded = np.where(r2_off >= 1e-12, np.add.outer(norm2, norm2) / r2_off, 0.0)
+    norm = np.sqrt(norm2)
+    scale = np.sum(w * (a / r2_off + b * off) * np.add.outer(norm, norm) * (1.0 + expanded), axis=1)
+    e_pairs = np.where(off, np.outer(w, w) * (-0.5 * a * np.log(np.where(off, r2, 1.0)) + 0.5 * b * r2), 0.0)
+    return v, scale, 0.5 * float(np.sum(e_pairs)), float(np.sum(np.abs(e_pairs)))
+
+
+def _blocked_state(seed=4):
+    # 300 particles per species at N = 600: at least three row blocks each
+    p = InteractionParams(1.2, 0.8, 0.9, 1.7, 3, 2, eta=0.7)
+    st = init_random_disk(p, 300, 300, 1.0, seed=seed)
+    assert math.ceil(300 / (BLOCK_ELEMENTS // 600)) >= 3
+    return st
+
+
+def test_pair_pass_matches_direct_double_sum():
+    st = _blocked_state()
+    pos1, pos2 = st.pos1.copy(), st.pos2.copy()
+    # a cross pair 1e-7 apart in a late block: its expanded r^2 is recomputed exactly
+    pos2[280] = pos1[250] + [1e-7, 0.0]
+    st = ParticleState(pos1=pos1, pos2=pos2, params=st.params)
+    v_ref, scale, e_ref, e_scale = _direct_pair_terms(st)
+    v = np.concatenate(forces(st))
+    assert np.all(np.abs(v - v_ref) <= 1e-14 * scale[:, None])
+    assert particle_energy(st) == pytest.approx(e_ref, abs=1e-13 * e_scale)
+    dist = np.hypot(np.subtract.outer(pos1[:, 0], pos1[:, 0]), np.subtract.outer(pos1[:, 1], pos1[:, 1]))
+    spacing = float(np.median(np.min(dist + np.diag(np.full(len(pos1), np.inf)), axis=1)))
+    edge = np.hypot(*(pos1 - pos1.mean(axis=0)).T).max() + 0.5 * spacing
+    assert edge_radius(pos1) == pytest.approx(edge, rel=1e-12)
+
+
+def test_collision_in_a_late_block_raises():
+    st = _blocked_state()
+    pos2 = st.pos2.copy()
+    pos2[290] = pos2[150] + [0.1 * collision_threshold(st.params), 0.0]
+    with pytest.raises(ParticleCollision):
+        forces(ParticleState(pos1=st.pos1, pos2=pos2, params=st.params))
+
+
+def test_pair_pass_memory_is_bounded():
+    p = params_from_phase(3.0, 3.5)
+    st = init_from_equilibrium(build_equilibrium(EquilibriumKind.TARGET_LIGHT_IN, p), 4000, 2000, seed=1)
+    for pass_ in (forces, particle_energy):
+        tracemalloc.start()
+        try:
+            pass_(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (pass_.__name__, peak)
+
+
+def test_run_computes_each_state_velocity_once(monkeypatch):
+    # a close pair forces rejected steps at the start
+    p = params_from_phase(2.0, 1.5)
+    st = init_random_disk(p, 40, 20, 1.0, seed=2)
+    pos1 = st.pos1.copy()
+    pos1[1] = pos1[0] + [1e-3, 0.0]
+    st = ParticleState(pos1=pos1, pos2=st.pos2, params=p)
+    calls = []
+    original = particles.forces
+    monkeypatch.setattr(particles, "forces", lambda *a, **k: calls.append(1) or original(*a, **k))
+    controls = RunControls()
+    _, diag = run(st, 1.0, RunControls(record_interval=controls.resolved_dt_max(p)))
+    assert diag.rejected_steps > 0 and diag.accepted_steps > 0
+    assert diag.force_evals == 4 * diag.accepted_steps + 3 * diag.rejected_steps + 1
+    assert diag.force_evals == len(calls)
+    assert 0.0 < diag.dt_min < diag.dt_max <= controls.resolved_dt_max(p)
+    assert 1.0 < diag.closest_pair_ratio <= 1e-3 / collision_threshold(p)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    A=hst.floats(0.3, 3.0),
+    B=hst.floats(0.3, 3.0),
+    M=hst.floats(1.0, 3.0),
+    seed=hst.integers(0, 2**31 - 1),
+)
+def test_run_energy_decreases_and_com_stays(A, B, M, seed):
+    t_end = 2.0
+    st = init_random_disk(params_from_phase(A, B, M), 20, 10, 1.0, seed=seed)
+    _, diag = run(st, t_end)
+    arr = diag.as_arrays()
+    e = arr["energy"]
+    assert np.all(np.diff(e) <= 1e-6 * abs(e[0]) + 1e-12)
+    drift = np.hypot(*(arr["com_total"] - arr["com_total"][0]).T)
+    assert np.all(drift < 1e-8 * t_end)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    A=hst.floats(0.05, 5.0),
+    B=hst.floats(0.05, 5.0),
+    M=hst.floats(1.0, 4.0),
+    kind=hst.sampled_from(list(EquilibriumKind)),
+    seed=hst.integers(0, 2**31 - 1),
+)
+def test_init_from_equilibrium_shell_masses(A, B, M, kind, seed):
+    assume(abs(A - 1.0) > 1e-12)  # the coexistence pair is singular at A = 1
+    cfg = build_equilibrium(kind, params_from_phase(A, B, M))
+    assume(cfg.exists)
+    p = cfg.params
+    assert sum(s.mass1 for s in cfg.shells) == pytest.approx(p.M1, rel=1e-10)
+    assert sum(s.mass2 for s in cfg.shells) == pytest.approx(p.M2, rel=1e-10)
+    st = init_from_equilibrium(cfg, 60, 40, seed=seed)
+    for species, pos, w in ((1, st.pos1, st.w1), (2, st.pos2, st.w2)):
+        r = np.hypot(*pos.T)
+        shells = [s for s in cfg.shells if s.density(species) > 0.0]
+        sampled = [w * np.sum((r >= s.r_in) & (r <= s.r_out)) for s in shells]
+        assert sum(sampled) == pytest.approx(p.M1 if species == 1 else p.M2, rel=1e-12)
+        for s, m in zip(shells, sampled):
+            assert abs(m - (s.mass1 if species == 1 else s.mass2)) <= w
