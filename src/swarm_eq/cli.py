@@ -152,6 +152,8 @@ def cmd_lambda(ns) -> None:
     prof1 = lambda_profile(cfg, 1)
     prof2 = lambda_profile(cfg, 2)
     r_max = ns.r_max if ns.r_max is not None else 3.0 * cfg.outermost_radius
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"--r-max must be finite and > 0, got {r_max}")
     rs = np.linspace(0.0, r_max, ns.n_samples)
     rows = [(float(r), float(prof1.value(r)), float(prof2.value(r))) for r in rs]
     if ns.out_csv:
@@ -201,32 +203,27 @@ def cmd_stability(ns) -> None:
     )
 
 
-def _write_snapshot(rows, state, t):
+#: Snapshots ``simulate`` accepts; every one is held in memory until the CSV is written.
+MAX_SNAPSHOTS = 10_000
+
+#: ``RunDiagnostics`` counters in ``simulate``'s stderr metadata record.
+_RUN_COUNTERS = ("force_evals", "accepted_steps", "rejected_steps", "dt_min", "dt_max", "closest_pair_ratio")
+
+
+def _write_snapshot(rows, state):
     for i, (x, y) in enumerate(state.pos1):
-        rows.append((float(t), 1, i, float(x), float(y)))
+        rows.append((state.t, 1, i, float(x), float(y)))
     for i, (x, y) in enumerate(state.pos2):
-        rows.append((float(t), 2, i, float(x), float(y)))
-
-
-def _run_counters(diags) -> dict:
-    """Counters of consecutive runs: totals, the accepted dt range and the closest pair."""
-    dt_min = [d.dt_min for d in diags if d.dt_min is not None]
-    dt_max = [d.dt_max for d in diags if d.dt_max is not None]
-    return {
-        "force_evals": sum(d.force_evals for d in diags),
-        "accepted_steps": sum(d.accepted_steps for d in diags),
-        "rejected_steps": sum(d.rejected_steps for d in diags),
-        "dt_min": min(dt_min, default=None),
-        "dt_max": max(dt_max, default=None),
-        "closest_pair_ratio": min(d.closest_pair_ratio for d in diags),
-    }
+        rows.append((state.t, 2, i, float(x), float(y)))
 
 
 def cmd_simulate(ns) -> dict:
-    if not (0.0 < ns.t_end < math.inf and ns.snapshot_every > 0.0):
+    if not (0.0 < ns.t_end < math.inf and 0.0 < ns.snapshot_every and ns.t_end <= MAX_SNAPSHOTS * ns.snapshot_every):
         raise ValueError(
-            f"--t-end must be finite and > 0 and --snapshot-every > 0, got {ns.t_end} and {ns.snapshot_every}"
+            f"--t-end must be finite and > 0 and --snapshot-every > 0 with at most {MAX_SNAPSHOTS} snapshots, "
+            f"got {ns.t_end} and {ns.snapshot_every}"
         )
+    clock = time.perf_counter()
     p = resolve_params(ns)
     if ns.init == "equilibrium":
         cfg = build_equilibrium(_kind(ns), p)
@@ -235,40 +232,29 @@ def cmd_simulate(ns) -> dict:
         state = init_random_disk(p, ns.N1, ns.N2, ns.radius, ns.seed)
     # the final morphology needs enough particles; fail before any file is written
     check_morphology_counts(state)
+    stages = {"init": time.perf_counter() - clock}
 
-    controls = RunControls(record_interval=ns.record_interval)
-    snapshot_rows: list = []
-    _write_snapshot(snapshot_rows, state, 0.0)
-    # every k * snapshot_every below t_end (a product, so no rounding piles up), then t_end
+    # snapshots at every k * snapshot_every below t_end (a product, so no rounding
+    # piles up), then at t_end, all from one integration
+    clock = time.perf_counter()
     every = [k * ns.snapshot_every for k in range(1, math.ceil(ns.t_end / ns.snapshot_every))]
-    diag_all = None
-    diags = []
-    for t_target in [t for t in every if t < ns.t_end] + [ns.t_end]:
-        state, diag = run(state, t_target, controls)
-        diags.append(diag)
-        _write_snapshot(snapshot_rows, state, state.t)
-        if diag_all is None:
-            diag_all = diag.as_arrays()
-        else:
-            new = diag.as_arrays()
-            diag_all = {k: np.concatenate([diag_all[k], new[k][1:]]) for k in diag_all}
+    stops = [t for t in every if t < ns.t_end] + [ns.t_end]
+    start = state
+    state, diag = run(state, ns.t_end, RunControls(record_interval=ns.record_interval), stops=stops)
+    stages["run"] = time.perf_counter() - clock
 
+    clock = time.perf_counter()
+    snapshot_rows: list = []
+    for snap in [start, *diag.stop_states]:
+        _write_snapshot(snapshot_rows, snap)
     write_csv(
         f"{ns.out}_snapshots.csv",
         ("t", "species", "particle_id", "x", "y"),
         snapshot_rows,
     )
-    d = diag_all
     diag_rows = [
-        (
-            float(d["t"][i]),
-            float(d["energy"][i]),
-            float(d["com_total"][i][0]),
-            float(d["com_total"][i][1]),
-            float(d["d_over_R"][i]),
-            float(d["max_speed"][i]),
-        )
-        for i in range(len(d["t"]))
+        (t, e, c[0], c[1], d_over_R, speed)
+        for t, e, c, d_over_R, speed in zip(diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed)
     ]
     write_csv(
         f"{ns.out}_diagnostics.csv",
@@ -276,6 +262,7 @@ def cmd_simulate(ns) -> dict:
         diag_rows,
     )
     m: Morphology = morphology(state)
+    stages["write"] = time.perf_counter() - clock
     emit(
         {
             "t_end": state.t,
@@ -284,7 +271,10 @@ def cmd_simulate(ns) -> dict:
             "diagnostics": f"{ns.out}_diagnostics.csv",
         }
     )
-    return {"run": _run_counters(diags)}
+    return {
+        "run": {key: getattr(diag, key) for key in _RUN_COUNTERS},
+        "stages_s": {key: round(seconds, 6) for key, seconds in stages.items()},
+    }
 
 
 def _overlay_point(ratio, mass_ratio, eta, n_total, t_end, seed):
@@ -295,12 +285,8 @@ def _overlay_point(ratio, mass_ratio, eta, n_total, t_end, seed):
         a_s=1.0, a_c=ratio, b_s=1.0, b_c=1.0, M1=mass_ratio, M2=1.0, eta=eta
     )
     state = init_random_disk(p, n1, n2, 1.0, seed=seed)
-    state, _ = run(
-        state, t_end, RunControls(record_energy=False, record_interval=t_end / 10.0)
-    )
-    c1 = state.pos1.mean(axis=0)
-    c2 = state.pos2.mean(axis=0)
-    return float(np.hypot(*(c1 - c2))) / math.sqrt(p.a_s / p.b_s)
+    _, diag = run(state, t_end, RunControls(record_energy=False, record_interval=t_end / 10.0))
+    return diag.d_over_R[-1]  # the last record is the final state's
 
 
 def cmd_weakcross(ns) -> None:
@@ -344,6 +330,8 @@ def cmd_weakcross(ns) -> None:
 
 
 def cmd_phase_diagram(ns) -> None:
+    if not (1.0 <= ns.M < math.inf and 0.0 < ns.extent < math.inf):
+        raise ValueError(f"-M must be finite and >= 1 and --extent finite and > 0, got {ns.M} and {ns.extent}")
     ax = cell_centered_axis(ns.grid, 0.0, ns.extent)
     A, B = np.meshgrid(ax, ax, indexing="ij")
     codes = region_code_grid(A, B, ns.M)
@@ -353,23 +341,10 @@ def cmd_phase_diagram(ns) -> None:
     verdict_heavy = target_verdict_grid(
         EquilibriumKind.TARGET_HEAVY_IN, A, B, ns.M, ns.m_max
     )
-    masks = {kind: existence_region_mask(kind, codes) for kind in EquilibriumKind}
-    rows = []
-    for i in range(ns.grid):
-        for j in range(ns.grid):
-            rows.append(
-                (
-                    float(A[i, j]),
-                    float(B[i, j]),
-                    _REGION_NAMES[int(codes[i, j])],
-                    bool(masks[EquilibriumKind.TARGET_LIGHT_IN][i, j]),
-                    bool(masks[EquilibriumKind.TARGET_HEAVY_IN][i, j]),
-                    bool(masks[EquilibriumKind.OVERLAP_LIGHT_IN][i, j]),
-                    bool(masks[EquilibriumKind.OVERLAP_HEAVY_IN][i, j]),
-                    int(verdict_light[i, j]),
-                    int(verdict_heavy[i, j]),
-                )
-            )
+    # one row per grid point, row-major; the existence columns follow EquilibriumKind's order
+    masks = [existence_region_mask(kind, codes) for kind in EquilibriumKind]
+    a, b, *rest = (x.ravel().tolist() for x in (A, B, *masks, verdict_light, verdict_heavy))
+    rows = list(zip(a, b, [_REGION_NAMES[code] for code in codes.ravel().tolist()], *rest))
     if ns.out_csv:
         write_csv(
             ns.out_csv,
@@ -405,8 +380,15 @@ def _phase_svg(ns, ax, codes):
     plot.save(ns.out_svg)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ValueError (exit 2 with the JSON record), not SystemExit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="swarm-eq",
         description="Two-species swarm equilibria: existence, stability, dynamics.",
     )
@@ -502,8 +484,6 @@ def _apply_config_file(parser, argv):
     extra = []
     for key, value in sorted(cfg.values.items()):
         flag = "--" + key.replace("_", "-") if len(key) > 1 else "-" + key
-        if key in ("A", "B", "M", "M1", "M2"):
-            flag = "-" + key if len(key) == 1 else "--" + key
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
@@ -527,16 +507,9 @@ def main(argv=None) -> int:
         }
         # a subcommand may return extra fields for the metadata record
         extra = ns.func(ns) or {}
-    except SwarmEqError as exc:
-        sys.stderr.write(
-            json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(
-            json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 2
+    except (SwarmEqError, ValueError, OSError) as exc:
+        sys.stderr.write(json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 3 if isinstance(exc, SwarmEqError) else 2
     meta = {
         "config_hash": config_hash(config),
         "version": __version__,

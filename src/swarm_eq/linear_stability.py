@@ -54,6 +54,8 @@ class ModeSpectrum:
     eigenvalues: np.ndarray
     nontrivial: np.ndarray
     verdict: str
+    #: coefficient cross-check residual as a fraction of CROSSCHECK_RTOL (above 1 raises)
+    crosscheck_margin: float
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,11 @@ class StabilityReport:
 
     def verdict_of(self, m: int) -> str:
         return self.modes[m - 1].verdict
+
+    @property
+    def worst_crosscheck_margin(self) -> float:
+        """Largest ``crosscheck_margin`` over the modes."""
+        return max(s.crosscheck_margin for s in self.modes)
 
 
 def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
@@ -268,7 +275,7 @@ def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m: int) -> ModeSp
         verdict = "unstable"
     else:
         verdict = "marginal"
-    return ModeSpectrum(kind, m, Q, eigs, nontrivial, verdict)
+    return ModeSpectrum(kind, m, Q, eigs, nontrivial, verdict, residual / CROSSCHECK_RTOL)
 
 
 class UmRegion:

@@ -5,6 +5,11 @@ induced by all other particles through the self/cross kernels (no self term).
 The flow is a gradient flow of the sampled interaction energy, which the RK4
 stepper preserves as a diagnostic: energy decreases and the weighted centre
 of mass is conserved up to rounding.
+
+``run`` makes one adaptive integration to ``t_end`` that lands exactly on
+each of a sorted list of stop times, hands back the state at each and keeps
+its step-size controller across them; records lie on one grid over the
+whole run, and a stop costs no extra velocity evaluation.
 """
 
 from __future__ import annotations
@@ -226,10 +231,11 @@ class RunControls:
     The step is halved whenever the largest particle displacement exceeds
     ``displacement_factor`` times sqrt(a_s/b_s) and grown gently when far
     below it, capped at ``dt_max`` (default: a conservative fraction of the
-    fastest linear relaxation rate).
+    fastest linear relaxation rate).  Records are taken at the first
+    accepted state at or past each t0 + k * ``record_interval`` (default:
+    1/200 of the run's length, at least ``dt_max``).
     """
 
-    dt_init: float | None = None
     dt_max: float | None = None
     displacement_factor: float = 0.1
     record_interval: float | None = None
@@ -244,22 +250,21 @@ class RunControls:
 
 @dataclass
 class RunDiagnostics:
-    """Traces recorded along a run, final support-radius estimates and run counters.
+    """Traces recorded along a run, the states reached at its stops and run counters.
 
-    ``force_evals`` counts velocity evaluations, ``dt_min``/``dt_max`` span the
-    accepted step sizes (None before the first), and ``closest_pair_ratio``
-    is the smallest pair distance any evaluation saw over
-    ``collision_threshold``.
+    ``stop_states`` holds the state at each of ``run``'s stop times, in
+    order.  ``force_evals`` counts velocity evaluations, ``dt_min``/``dt_max``
+    span the accepted step sizes (None before the first), and
+    ``closest_pair_ratio`` is the smallest pair distance any evaluation saw
+    over ``collision_threshold``.
     """
 
     t: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     com_total: list = field(default_factory=list)
-    com1: list = field(default_factory=list)
-    com2: list = field(default_factory=list)
     d_over_R: list = field(default_factory=list)
     max_speed: list = field(default_factory=list)
-    support_radii: tuple[float, float] | None = None
+    stop_states: list = field(default_factory=list)
     force_evals: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
@@ -272,8 +277,6 @@ class RunDiagnostics:
             "t": np.asarray(self.t),
             "energy": np.asarray(self.energy),
             "com_total": np.asarray(self.com_total),
-            "com1": np.asarray(self.com1),
-            "com2": np.asarray(self.com2),
             "d_over_R": np.asarray(self.d_over_R),
             "max_speed": np.asarray(self.max_speed),
         }
@@ -287,68 +290,75 @@ def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool, v):
     diag.t.append(state.t)
     diag.energy.append(particle_energy(state) if with_energy else math.nan)
     diag.com_total.append(state.com())
-    diag.com1.append(c1)
-    diag.com2.append(c2)
     diag.d_over_R.append(float(np.hypot(*(c1 - c2))) / R)
     diag.max_speed.append(max_speed(state, v))
 
 
-def run(state: ParticleState, t_end: float, controls: RunControls | None = None):
-    """Integrate to t = t_end, landing on it exactly, with displacement-based adaptive RK4 steps.
+def run(state: ParticleState, t_end: float, controls: RunControls | None = None, stops=()):
+    """Integrate to t = t_end with displacement-based adaptive RK4 steps.
 
-    Returns (final state, diagnostics).  Raises StepUnderflow if repeated
-    halving pushes dt below 1e-12 and ParticleCollision if particles meet.
+    One integration lands exactly on each of the sorted ``stops`` (times in
+    [state.t, t_end]) and on t_end, by stretching or shortening the step
+    that reaches it; after a stop the controller goes on from its own step
+    size.  Returns (final state, diagnostics), the states at the stops in
+    ``diagnostics.stop_states``.  Raises StepUnderflow if repeated halving
+    pushes dt below 1e-12 and ParticleCollision if particles meet.
     """
     controls = controls or RunControls()
+    stops = [float(s) for s in stops]
+    if stops and not (state.t <= stops[0] and stops[-1] <= t_end and stops == sorted(stops)):
+        raise ValueError(f"stops must be sorted within [{state.t}, {t_end}]")
     p = state.params
-    dt_max = controls.resolved_dt_max(p)
-    dt = controls.dt_init if controls.dt_init is not None else dt_max
+    dt = dt_max = controls.resolved_dt_max(p)
     disp_limit = controls.displacement_factor * math.sqrt(p.a_s / p.b_s)
-    record_interval = (
-        controls.record_interval if controls.record_interval is not None else max(t_end / 200.0, dt_max)
-    )
+    t0 = state.t
+    record_interval = controls.record_interval
+    record_interval = max((t_end - t0) / 200.0, dt_max) if record_interval is None else record_interval
 
     # every accepted state's velocities are computed once: by its record or by the
     # next step's first stage; a rejected step retries with the same k1
     diag = RunDiagnostics()
     v = forces(state, diag)
     _record(diag, state, controls.record_energy, v)
-    next_record = state.t + record_interval
+    n_records = 1
 
-    while state.t < t_end:
-        # a step that would stop within rounding of t_end is stretched to land on it,
-        # and the last step sets t to t_end itself, not to state.t + (t_end - state.t)
-        last = dt >= t_end - state.t - 1e-12 * max(1.0, t_end)
-        dt_try = t_end - state.t if last else dt
-        if v is None:
-            v = forces(state, diag)
-        new_state = step(state, dt_try, k1=v, diag=diag)
-        if last:
-            new_state = replace(new_state, t=t_end)
-        disp = max(
-            float(np.max(np.hypot(*(new_state.pos1 - state.pos1).T))),
-            float(np.max(np.hypot(*(new_state.pos2 - state.pos2).T))),
-        )
-        if disp > disp_limit:
-            diag.rejected_steps += 1
-            dt = 0.5 * dt_try
-            if dt < DT_MIN:
-                raise StepUnderflow(f"time step underflow at t={state.t}")
-            continue
-        state, v = new_state, None
-        diag.accepted_steps += 1
-        diag.dt_min = dt_try if diag.dt_min is None else min(diag.dt_min, dt_try)
-        diag.dt_max = dt_try if diag.dt_max is None else max(diag.dt_max, dt_try)
-        if disp < 0.25 * disp_limit:
-            dt = min(dt * 1.5, dt_max)
-        if state.t >= next_record - 1e-12:
-            v = forces(state, diag)
-            _record(diag, state, controls.record_energy, v)
-            next_record += record_interval
+    for k, target in enumerate([*stops, t_end]):
+        while state.t < target:
+            # a step that would stop within rounding of the target is stretched to land
+            # on it, and that step sets t to the target itself
+            last = dt >= target - state.t - 1e-12 * max(1.0, target)
+            dt_try = target - state.t if last else dt
+            if v is None:
+                v = forces(state, diag)
+            new_state = step(state, dt_try, k1=v, diag=diag)
+            if last:
+                new_state = replace(new_state, t=target)
+            disp = max(
+                float(np.max(np.hypot(*(new_state.pos1 - state.pos1).T))),
+                float(np.max(np.hypot(*(new_state.pos2 - state.pos2).T))),
+            )
+            if disp > disp_limit:
+                diag.rejected_steps += 1
+                dt = 0.5 * dt_try
+                if dt < DT_MIN:
+                    raise StepUnderflow(f"time step underflow at t={state.t}")
+                continue
+            state, v = new_state, None
+            diag.accepted_steps += 1
+            diag.dt_min = dt_try if diag.dt_min is None else min(diag.dt_min, dt_try)
+            diag.dt_max = dt_try if diag.dt_max is None else max(diag.dt_max, dt_try)
+            if disp < 0.25 * disp_limit:
+                dt = min(dt * 1.5, dt_max)
+            # record times are products, so no rounding piles up along the run
+            if state.t >= t0 + n_records * record_interval - 1e-12:
+                v = forces(state, diag)
+                _record(diag, state, controls.record_energy, v)
+                n_records += 1
+        if k < len(stops):
+            diag.stop_states.append(state)
 
     if diag.t[-1] < state.t:
         _record(diag, state, controls.record_energy, forces(state, diag))
-    diag.support_radii = support_radii(state)
     return state, diag
 
 

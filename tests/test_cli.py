@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,7 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from swarm_eq import cli
 from swarm_eq.cli import RunConfig, main
 from swarm_eq.output import fmt_value
 
@@ -148,11 +153,43 @@ def test_simulate_reports_run_counters(tmp_path, capsys):
     )
     assert code == 0
     counters = json.loads(err.strip().splitlines()[-1])["run"]
-    # three snapshot segments (to 2, 4 and 5), each starting with one evaluation
+    # one run through the snapshots at 2, 4 and 5: its start state is the only
+    # one evaluated without a step, and the stops cost nothing
     steps = 4 * counters["accepted_steps"] + 3 * counters["rejected_steps"]
-    assert counters["force_evals"] == steps + 3
+    assert counters["force_evals"] == steps + 1
     assert 0.0 < counters["dt_min"] <= counters["dt_max"]
     assert counters["closest_pair_ratio"] > 1.0
+
+
+def test_simulate_makes_one_run_and_times_its_stages(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = cli.run
+    monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(k.get("stops")) or original(*a, **k))
+    code, _, err = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10",
+        "--seed", "1", "--t-end", "5", "--snapshot-every", "2", "--out", str(tmp_path / "s"),
+    )
+    assert code == 0
+    assert calls == [[2.0, 4.0, 5.0]]
+    stages = json.loads(err.strip().splitlines()[-1])["stages_s"]
+    assert sorted(stages) == ["init", "run", "write"]
+    assert all(seconds >= 0.0 for seconds in stages.values())
+
+
+def test_simulate_diagnostics_evenly_spaced_over_the_whole_run(tmp_path, capsys):
+    # default record interval: t_end / 200 = 0.1 over the whole run, not per snapshot segment
+    code, _, err = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10",
+        "--seed", "1", "--t-end", "20", "--snapshot-every", "5", "--out", str(tmp_path / "s"),
+    )
+    assert code == 0
+    dt_max = json.loads(err.strip().splitlines()[-1])["run"]["dt_max"]
+    lines = (tmp_path / "s_diagnostics.csv").read_text().splitlines()[1:]
+    t = np.array([float(line.split(",")[0]) for line in lines])
+    # each record is the first accepted state at or past k * 0.1
+    assert len(t) == 201 and t[-1] == 20.0
+    lag = t - 0.1 * np.arange(len(t))
+    assert np.all(lag > -1e-12) and np.all(lag < dt_max)
 
 
 def test_simulate_too_few_particles_writes_nothing(tmp_path, capsys):
@@ -175,6 +212,22 @@ def test_simulate_rejects_bad_schedule(tmp_path, capsys, t_end, every):
     assert code == 2
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
     assert not (tmp_path / "s_snapshots.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase-diagram", "-M", "0", "--grid", "4"],
+        ["phase-diagram", "--extent", "0", "--grid", "4"],
+        ["lambda", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--r-max", "0"],
+        ["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--t-end", "1", "--snapshot-every", "5e-5"],
+    ],
+)
+def test_degenerate_ranges_are_config_errors(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out" if argv[0] == "simulate" else "--out-svg", str(tmp_path / "x"))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not list(tmp_path.iterdir())
 
 
 def test_phase_diagram_outputs(tmp_path, capsys):
@@ -274,3 +327,74 @@ def test_weakcross_overlay_emission(tmp_path, capsys):
     assert lines[0] == "ratio_AB,mass_ratio,d_over_R_sim"
     # a short, small run still lands in the right neighbourhood
     assert float(lines[1].split(",")[-1]) == pytest.approx(math.sqrt(6.0), rel=0.25)
+
+
+def _number(lo, hi):
+    return hst.one_of(
+        hst.floats(lo, hi).map(repr), hst.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "x", ""])
+    )
+
+
+def _count(lo, hi):
+    return hst.one_of(hst.integers(lo, hi).map(str), hst.sampled_from(["1.5", "x", ""]))
+
+
+_KIND = hst.sampled_from(["target-light", "target-heavy", "overlap-light", "overlap-heavy", "bogus"])
+_PARAMS = {"-A": _number(-1, 6), "-B": _number(-1, 6), "-M": _number(-1, 6), "--eta": _number(-0.5, 1.5),
+           "--a-s": _number(-1, 3)}
+_FLAGS = {
+    "region": _PARAMS,
+    "equilibrium": {**_PARAMS, "--kind": _KIND},
+    "lambda": {**_PARAMS, "--kind": _KIND, "--r-max": _number(-1, 5), "--n-samples": _count(-1, 20),
+               "--out-csv": hst.just("lam.csv"), "--out-svg": hst.just("lam.svg")},
+    "stability": {**_PARAMS, "--kind": _KIND, "--m-max": _count(-1, 6), "--out-csv": hst.just("modes.csv")},
+    "simulate": {
+        **_PARAMS, "--kind": _KIND, "--init": hst.sampled_from(["random", "equilibrium", "bogus"]),
+        "--N1": _count(-2, 40), "--N2": _count(-2, 40), "--seed": _count(-3, 100), "--radius": _number(-2, 3),
+        "--t-end": _number(-1, 1), "--snapshot-every": hst.one_of(_number(-1, 0), hst.floats(0.05, 2).map(repr)),
+        "--record-interval": _number(-1, 1), "--out": hst.just("sim"),
+    },
+    "weakcross": {
+        "--ratio": _number(-1, 9), "--ratio-min": _number(-1, 4), "--ratio-max": _number(-1, 9),
+        "--n-points": _count(-1, 6), "--overlay-ratios": hst.sampled_from(["6", "0.5,3", "x", ""]),
+        "--overlay-N": _count(-2, 40), "--overlay-t-end": _number(-1, 1), "--overlay-M": _number(-1, 4),
+        "--overlay-eta": _number(-0.5, 1.5), "--seed": _count(-3, 100), "--out-csv": hst.just("wc.csv"),
+        "--out-svg": hst.just("wc.svg"), "--overlay-csv": hst.just("overlay.csv"),
+    },
+    "phase-diagram": {"-M": _number(-1, 6), "--grid": _count(-1, 6), "--extent": _number(-1, 6),
+                      "--m-max": _count(-1, 4), "--out-csv": hst.just("pd.csv"), "--out-svg": hst.just("pd.svg")},
+}
+_PATH_FLAGS = ("--out-csv", "--out-svg", "--overlay-csv", "--out")
+#: Sizes every call starts from, in place of the defaults (N = 200, t = 3000 for the overlay), and
+#: simulate's output stem (default: the working directory); with drawn counts <= 40, --t-end <= 1
+#: and --snapshot-every >= 0.05 every call takes well under a second.
+_ALWAYS = {"--N1": "12", "--N2": "12", "--t-end": "0.5", "--n-samples": "20", "--n-points": "3", "--grid": "4",
+           "--m-max": "4", "--overlay-N": "24", "--overlay-t-end": "0.5", "--out": "sim"}
+#: Valid values that a draw may start from, so that draws also reach past argument checking.
+_VALID = {"-A": "3", "-B": "3.5", "-M": "2", "--kind": "target-light", "--snapshot-every": "0.2",
+          "--ratio-min": "1", "--ratio-max": "6"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=hst.data())
+def test_main_exits_only_with_0_2_or_3(tmp_path_factory, data):
+    command = data.draw(hst.sampled_from(sorted(_FLAGS) + ["bogus"]))
+    flags = _FLAGS.get(command, _PARAMS)
+    start = {**_ALWAYS, **_VALID} if data.draw(hst.booleans()) else _ALWAYS
+    values = {flag: value for flag, value in start.items() if flag in flags}
+    for flag in data.draw(hst.lists(hst.sampled_from(sorted(flags)), unique=True)):
+        values[flag] = data.draw(flags[flag])
+    out_dir = tmp_path_factory.mktemp("cli")
+    argv = [command] + [
+        f"{flag}={out_dir / value if flag in _PATH_FLAGS else value}" for flag, value in values.items()
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    record = json.loads(err.getvalue().strip().splitlines()[-1])
+    if code == 0:
+        assert "config_hash" in record
+        json.loads(out.getvalue().strip().splitlines()[-1])
+    else:
+        assert out.getvalue() == "" and "error" in record, argv

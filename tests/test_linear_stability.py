@@ -260,6 +260,21 @@ def test_cross_check_catches_perturbed_closed_form(monkeypatch):
             mode_spectrum(LIGHT, params_from_phase(*point), 2)
 
 
+def test_crosscheck_margin_reads_the_coefficient_residual(monkeypatch):
+    p = params_from_phase(1.3, 2.5, 3.0)
+    rep = stability_report(LIGHT, p, 32)
+    assert rep.worst_crosscheck_margin == max(s.crosscheck_margin for s in rep.modes)
+    assert 0.0 <= rep.worst_crosscheck_margin < 1e-6  # rounding only
+    exact = linear_stability.reduced_coefficients
+
+    def perturbed(kind, A, B, M, m):
+        c2, c1, c0 = exact(kind, A, B, M, m)
+        return c2, c1 + 0.5e-8 * (1.0 + abs(c2) + abs(c1) + abs(c0)), c0
+
+    monkeypatch.setattr(linear_stability, "reduced_coefficients", perturbed)
+    assert mode_spectrum(LIGHT, p, 2).crosscheck_margin == pytest.approx(0.5, abs=1e-3)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(A=st.floats(0.05, 5.0), B=st.floats(0.05, 5.0), M=st.floats(1.0, 4.0))
 def test_cross_check_never_raises_in_target_regions(A, B, M):

@@ -303,13 +303,18 @@ def test_pair_pass_memory_is_bounded():
         assert peak < 64 * 2**20, (pass_.__name__, peak)
 
 
-def test_run_computes_each_state_velocity_once(monkeypatch):
-    # a close pair forces rejected steps at the start
+def _close_pair_state():
+    """A random swarm with one pair 1e-3 apart, which forces rejected steps at the start."""
     p = params_from_phase(2.0, 1.5)
     st = init_random_disk(p, 40, 20, 1.0, seed=2)
     pos1 = st.pos1.copy()
     pos1[1] = pos1[0] + [1e-3, 0.0]
-    st = ParticleState(pos1=pos1, pos2=st.pos2, params=p)
+    return ParticleState(pos1=pos1, pos2=st.pos2, params=p)
+
+
+def test_run_computes_each_state_velocity_once(monkeypatch):
+    st = _close_pair_state()
+    p = st.params
     calls = []
     original = particles.forces
     monkeypatch.setattr(particles, "forces", lambda *a, **k: calls.append(1) or original(*a, **k))
@@ -322,22 +327,63 @@ def test_run_computes_each_state_velocity_once(monkeypatch):
     assert 1.0 < diag.closest_pair_ratio <= 1e-3 / collision_threshold(p)
 
 
+def test_run_lands_exactly_on_each_stop():
+    st0 = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+    # from t = 0, t + (stop - t) would miss a stop more than twice t by an ulp
+    assert [s.t for s in run(st0, 0.009, stops=[0.001, 0.009])[1].stop_states] == [0.001, 0.009]
+    st = ParticleState(pos1=st0.pos1, pos2=st0.pos2, params=st0.params, t=10.0)
+    stops = [10.1, 10.3, 10.3 + 1e-6, 31.0 / 3.0, 17.7, 30.0]
+    final, diag = run(st, 30.0, stops=stops)
+    assert [s.t for s in diag.stop_states] == stops
+    assert final.t == 30.0
+    assert diag.stop_states[-1] is final
+    # after a shortened step onto a stop the controller keeps its own dt, so each
+    # stop costs at most one extra step
+    assert diag.accepted_steps <= run(st, 30.0)[1].accepted_steps + len(stops)
+    # records: the first state at or past each 10 + k * 0.1, 1/200 of the run's own length
+    lag = np.asarray(diag.t) - (10.0 + 0.1 * np.arange(len(diag.t)))
+    assert len(diag.t) == 201 and np.all(lag > -1e-12) and np.all(lag < diag.dt_max)
+    with pytest.raises(ValueError):
+        run(st, 30.0, stops=[11.0, 10.5])
+    with pytest.raises(ValueError):
+        run(st, 30.0, stops=[9.0])
+
+
+def test_stops_cost_no_velocity_evaluation(monkeypatch):
+    st = _close_pair_state()
+    calls = []
+    original = particles.forces
+    monkeypatch.setattr(particles, "forces", lambda *a, **k: calls.append(1) or original(*a, **k))
+    stops = [1e-4, 0.25, 0.5, 0.75]
+    _, diag = run(st, 1.0, stops=stops)
+    assert diag.rejected_steps > 0 and diag.accepted_steps > 0
+    assert [s.t for s in diag.stop_states] == stops
+    assert diag.force_evals == 4 * diag.accepted_steps + 3 * diag.rejected_steps + 1
+    assert diag.force_evals == len(calls)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(
     A=hst.floats(0.3, 3.0),
     B=hst.floats(0.3, 3.0),
     M=hst.floats(1.0, 3.0),
     seed=hst.integers(0, 2**31 - 1),
+    stops=hst.lists(hst.floats(0.0, 2.0), max_size=4).map(sorted),
 )
-def test_run_energy_decreases_and_com_stays(A, B, M, seed):
+def test_run_energy_decreases_and_com_stays(A, B, M, seed, stops):
     t_end = 2.0
     st = init_random_disk(params_from_phase(A, B, M), 20, 10, 1.0, seed=seed)
-    _, diag = run(st, t_end)
+    _, diag = run(st, t_end, stops=stops)
     arr = diag.as_arrays()
     e = arr["energy"]
     assert np.all(np.diff(e) <= 1e-6 * abs(e[0]) + 1e-12)
     drift = np.hypot(*(arr["com_total"] - arr["com_total"][0]).T)
     assert np.all(drift < 1e-8 * t_end)
+    # the states handed back at the stops lie on the same descending path
+    e_stops = [particle_energy(s) for s in diag.stop_states]
+    assert np.all(np.diff([e[0], *e_stops]) <= 1e-6 * abs(e[0]) + 1e-12)
+    for s in diag.stop_states:
+        assert np.hypot(*(s.com() - arr["com_total"][0])) < 1e-8 * t_end
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
