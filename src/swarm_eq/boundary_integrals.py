@@ -1,7 +1,10 @@
 """First-order integrals over Fourier-perturbed disks, with quadrature oracles.
 
 The perturbed boundary of mode m is  p(theta) = R e^{i theta} (1 +
-eps_N cos(m theta) + i eps_T sin(m theta)).  The closed forms here are exact
+eps_N cos(m theta) + i eps_T sin(m theta)), written once in
+``PerturbedDisk.boundary_point`` and ``boundary_derivative`` over floats or
+numpy arrays of angles; the contour oracles evaluate it on whole grids of
+angles.  The closed forms here are exact
 to first order in the eps amplitudes; each is paired with an oracle that
 integrates the defining expression numerically over the true perturbed
 domain (exact boundary element, no truncation) so agreement degrades only at
@@ -48,18 +51,21 @@ class PerturbedDisk:
                 f"amplitudes must satisfy |eps| <= {EPS_MAX} (first-order regime)"
             )
 
-    def boundary_point(self, theta: float) -> complex:
+    def boundary_point(self, theta):
+        """p(theta) at a float or an array of angles."""
+        m = self.m
         return (
             self.R
-            * cmath.exp(1j * theta)
-            * (1.0 + self.eps_N * math.cos(self.m * theta) + 1j * self.eps_T * math.sin(self.m * theta))
+            * np.exp(1j * theta)
+            * (1.0 + self.eps_N * np.cos(m * theta) + 1j * self.eps_T * np.sin(m * theta))
         )
 
-    def boundary_derivative(self, theta: float) -> complex:
+    def boundary_derivative(self, theta):
+        """p'(theta) at a float or an array of angles."""
         m = self.m
-        radial = 1.0 + self.eps_N * math.cos(m * theta) + 1j * self.eps_T * math.sin(m * theta)
-        ripple = -m * self.eps_N * math.sin(m * theta) + 1j * m * self.eps_T * math.cos(m * theta)
-        return self.R * cmath.exp(1j * theta) * (1j * radial + ripple)
+        radial = 1.0 + self.eps_N * np.cos(m * theta) + 1j * self.eps_T * np.sin(m * theta)
+        ripple = -m * self.eps_N * np.sin(m * theta) + 1j * m * self.eps_T * np.cos(m * theta)
+        return self.R * np.exp(1j * theta) * (1j * radial + ripple)
 
 
 def _as_vec(z: complex) -> np.ndarray:
@@ -100,30 +106,11 @@ def repulsion_integral(probe: PerturbedDisk, theta0: float, domain: PerturbedDis
     if abs(rl - rj) <= ALPHA_GUARD * max(rl, rj):
         val = math.pi * rj * phase * (1.0 + (ejn + ejt) * 1j * sin_m)
         return _as_vec(val)
-    if rl < rj:
-        beta = rl / rj
-        val = (
-            math.pi
-            * rl
-            * phase
-            * (
-                beta
-                + (-beta * ejn + beta ** (m + 1) * eln) * cos_m
-                + (beta * ejt + beta ** (m + 1) * eln) * 1j * sin_m
-            )
-        )
-        return _as_vec(val)
-    beta = rj / rl
-    val = (
-        math.pi
-        * rl
-        * phase
-        * (
-            beta
-            + (beta * ejn - beta ** (m - 1) * eln) * cos_m
-            + (beta * ejt + beta ** (m - 1) * eln) * 1j * sin_m
-        )
-    )
+    # domain inside the probe's circle: beta = rl/rj, power m + 1 and the normal term negated
+    inside = rl < rj
+    beta, power, sign = (rl / rj, m + 1, -1.0) if inside else (rj / rl, m - 1, 1.0)
+    normal = sign * (beta * ejn - beta**power * eln) * cos_m
+    val = math.pi * rl * phase * (beta + normal + (beta * ejt + beta**power * eln) * 1j * sin_m)
     return _as_vec(val)
 
 
@@ -192,14 +179,7 @@ def perturbed_area(disk: PerturbedDisk, n: int = 4096) -> float:
     """Exact area of the perturbed domain by a contour quadrature."""
 
     def f(theta):
-        p = disk.R * np.exp(1j * theta) * (
-            1.0 + disk.eps_N * np.cos(disk.m * theta) + 1j * disk.eps_T * np.sin(disk.m * theta)
-        )
-        dp = disk.R * np.exp(1j * theta) * (
-            1j
-            * (1.0 + disk.eps_N * np.cos(disk.m * theta) + 1j * disk.eps_T * np.sin(disk.m * theta))
-            + (-disk.m * disk.eps_N * np.sin(disk.m * theta) + 1j * disk.m * disk.eps_T * np.cos(disk.m * theta))
-        )
+        p, dp = disk.boundary_point(theta), disk.boundary_derivative(theta)
         return 0.5 * (p.real * dp.imag - p.imag * dp.real)
 
     return periodic_trapezoid(f, n)
@@ -209,14 +189,10 @@ def perturbed_moment(disk: PerturbedDisk, n: int = 4096) -> np.ndarray:
     """Exact first moment (integral of y over the domain) by contour quadrature."""
 
     def fx(theta):
-        p = np.vectorize(disk.boundary_point)(theta)
-        dp = np.vectorize(disk.boundary_derivative)(theta)
-        return 0.5 * p.real**2 * dp.imag
+        return 0.5 * disk.boundary_point(theta).real ** 2 * disk.boundary_derivative(theta).imag
 
     def fy(theta):
-        p = np.vectorize(disk.boundary_point)(theta)
-        dp = np.vectorize(disk.boundary_derivative)(theta)
-        return -0.5 * p.imag**2 * dp.real
+        return -0.5 * disk.boundary_point(theta).imag ** 2 * disk.boundary_derivative(theta).real
 
     return np.array([periodic_trapezoid(fx, n), periodic_trapezoid(fy, n)])
 

@@ -223,6 +223,7 @@ def cmd_simulate(ns) -> dict:
             f"--t-end must be finite and > 0 and --snapshot-every > 0 with at most {MAX_SNAPSHOTS} snapshots, "
             f"got {ns.t_end} and {ns.snapshot_every}"
         )
+    controls = RunControls(record_interval=ns.record_interval)
     clock = time.perf_counter()
     p = resolve_params(ns)
     if ns.init == "equilibrium":
@@ -240,7 +241,7 @@ def cmd_simulate(ns) -> dict:
     every = [k * ns.snapshot_every for k in range(1, math.ceil(ns.t_end / ns.snapshot_every))]
     stops = [t for t in every if t < ns.t_end] + [ns.t_end]
     start = state
-    state, diag = run(state, ns.t_end, RunControls(record_interval=ns.record_interval), stops=stops)
+    state, diag = run(state, ns.t_end, controls, stops=stops)
     stages["run"] = time.perf_counter() - clock
 
     clock = time.perf_counter()
@@ -296,8 +297,6 @@ def cmd_weakcross(ns) -> None:
         return
     samples = curve_sample(ns.ratio_min, ns.ratio_max, ns.n_points)
     rows = [(s.ratio_AB, s.d_over_R, s.regime, s.residual) for s in samples]
-    if ns.out_csv:
-        write_csv(ns.out_csv, ("ratio_AB", "d_over_R", "regime", "residual"), rows)
     overlay_rows = []
     if ns.overlay_ratios:
         ratios = [float(r) for r in ns.overlay_ratios.split(",")]
@@ -307,8 +306,11 @@ def cmd_weakcross(ns) -> None:
                 seed=ns.seed + k,
             )
             overlay_rows.append((ratio, ns.overlay_M, sim))
-        if ns.overlay_csv:
-            write_csv(ns.overlay_csv, ("ratio_AB", "mass_ratio", "d_over_R_sim"), overlay_rows)
+    # every overlay run has succeeded before any file is written
+    if ns.out_csv:
+        write_csv(ns.out_csv, ("ratio_AB", "d_over_R", "regime", "residual"), rows)
+    if ns.overlay_ratios and ns.overlay_csv:
+        write_csv(ns.overlay_csv, ("ratio_AB", "mass_ratio", "d_over_R_sim"), overlay_rows)
     if ns.out_svg:
         plot = SvgPlot(
             (ns.ratio_min, ns.ratio_max),

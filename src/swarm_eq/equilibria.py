@@ -6,6 +6,9 @@ inner disk, one species alone on the surrounding annulus).  Radii follow from
 the zero-velocity conditions; densities are the admissible piecewise-constant
 values.  Existence is decided directly from density positivity and the radius
 ordering, which reproduces the phase-plane region unions exactly.
+
+``lambda_coeffs`` holds the only copy of the uniform-disk potential terms of
+the profiles Lambda_i; ``velocity_residual`` reads v_i = -Lambda_i'(r) from it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .model import (
     InteractionParams,
     RegionId,
     _density_quadruple,
+    attraction_weights,
     classify_region,
     target_geometry,
     to_phase_point,
@@ -179,51 +183,66 @@ def mass_integrals(cfg: EquilibriumConfig) -> tuple[float, float]:
 def force_scale(cfg: EquilibriumConfig) -> float:
     """Characteristic velocity magnitude used to normalize residuals."""
     p = cfg.params
-    return (p.b_s * p.M1 + p.bc_eff * p.M2) * cfg.outermost_radius
+    return attraction_weights(p.b_s, p.bc_eff, p.M1, p.M2)[0] * cfg.outermost_radius
 
 
-def _disk_repulsion_component(r: float, R: float) -> float:
-    """e1-component of the disk repulsion integral at x = (r, 0)."""
-    if R == 0.0:
-        return 0.0
-    if r < R:
-        return math.pi * r
-    return math.pi * R * R / r
-
-
-def velocity_at_radius(cfg: EquilibriumConfig, species: int, r: float) -> float:
-    """Radial velocity of the given species at |x| = r (closed-form disk integrals)."""
-    p = cfg.params
-    # kernel coefficients acting on rho1 and rho2 respectively
+def _kernel_pairs(p: InteractionParams, species: int):
+    """(a, b) kernel coefficients acting on rho1 and rho2 for Lambda_species."""
     if species == 1:
-        (a1, b1), (a2, b2) = (p.a_s, p.b_s), (p.ac_eff, p.bc_eff)
+        return (p.a_s, p.b_s), (p.ac_eff, p.bc_eff)
+    return (p.ac_eff, p.bc_eff), (p.a_s, p.b_s)
+
+
+def _disk_coeffs(weight, a, b, R, inside):
+    """(c0, c2, cl) contribution of one uniform disk to Lambda at weight*density."""
+    if R == 0.0 or weight == 0.0:
+        return (0.0, 0.0, 0.0)
+    piR2 = math.pi * R * R
+    c0 = weight * b * piR2 * R * R / 4.0
+    c2 = weight * b * piR2 / 2.0
+    if inside:
+        c0 += weight * (-a) * (piR2 * math.log(R) - piR2 / 2.0)
+        c2 += weight * (-a) * math.pi / 2.0
+        cl = 0.0
     else:
-        (a1, b1), (a2, b2) = (p.ac_eff, p.bc_eff), (p.a_s, p.b_s)
-    v = 0.0
+        cl = weight * (-a) * piR2
+    return (c0, c2, cl)
+
+
+def lambda_coeffs(cfg: EquilibriumConfig, species: int, r: float) -> tuple[float, float, float]:
+    """(c0, c2, cl) of Lambda_species = c0 + c2 r^2 + cl ln r on the interval holding r.
+
+    Each shell is a difference of uniform disks, taken in their inside form where r < R.
+    """
+    k1, k2 = _kernel_pairs(cfg.params, species)
+    c0 = c2 = cl = 0.0
     for s in cfg.shells:
-        i_rep = _disk_repulsion_component(r, s.r_out) - _disk_repulsion_component(r, s.r_in)
-        i_att = r * math.pi * (s.r_out**2 - s.r_in**2)
-        v += s.rho1 * (a1 * i_rep - b1 * i_att) + s.rho2 * (a2 * i_rep - b2 * i_att)
-    return v
+        for R, sign in ((s.r_out, 1.0), (s.r_in, -1.0)):
+            for rho, (a, b) in ((s.rho1, k1), (s.rho2, k2)):
+                d0, d2, dl = _disk_coeffs(sign * rho, a, b, R, r < R)
+                c0 += d0
+                c2 += d2
+                cl += dl
+    return c0, c2, cl
 
 
 def velocity_residual(cfg: EquilibriumConfig, sample_radii) -> list[float]:
-    """|v_i| at sample radii inside the supports; zero (to rounding) at equilibrium.
+    """|v_i| = |Lambda_i'(r)| at sample radii inside the supports; zero (to rounding) at equilibrium.
 
     For radii where both species are present the larger of the two residuals
     is reported.  Raises SampleOutsideSupport for radii in no species' support.
     """
     if not cfg.exists:
         raise SampleOutsideSupport("configuration does not exist")
+
+    def speed(species, r):
+        _, c2, cl = lambda_coeffs(cfg, species, r)
+        return abs(2.0 * c2 * r + (cl / r if cl else 0.0))
+
     out = []
     for r in np.atleast_1d(np.asarray(sample_radii, dtype=float)):
-        species_here = [
-            i
-            for i in (1, 2)
-            for lo, hi in cfg.support_intervals(i)
-            if lo <= r <= hi
-        ]
+        species_here = [i for i in (1, 2) for lo, hi in cfg.support_intervals(i) if lo <= r <= hi]
         if not species_here:
             raise SampleOutsideSupport(f"radius {r} is outside both supports")
-        out.append(max(abs(velocity_at_radius(cfg, i, r)) for i in species_here))
+        out.append(max(speed(i, r) for i in species_here))
     return out

@@ -23,6 +23,7 @@ from .model import (
     InteractionParams,
     PhasePoint,
     RegionId,
+    attraction_weights,
     classify_region,
     curve_c2,
     region_code_grid,
@@ -205,9 +206,9 @@ def char_poly_cubic(kind: EquilibriumKind, q: PhasePoint, m: int):
 
 def cubic_scale(kind: EquilibriumKind, p: InteractionParams) -> float:
     """lambda = scale * mu conversion factor: pi a_s times the annulus density."""
-    if EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN:
-        return p.b_s * p.M1 + p.bc_eff * p.M2
-    return p.bc_eff * p.M1 + p.b_s * p.M2
+    light = EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN
+    M_ann, M_core = (p.M1, p.M2) if light else (p.M2, p.M1)
+    return attraction_weights(p.b_s, p.bc_eff, M_ann, M_core)[0]
 
 
 def rate_unit(kind: EquilibriumKind, p: InteractionParams, m: int) -> float:

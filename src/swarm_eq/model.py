@@ -16,7 +16,8 @@ reciprocal curves A = c1(B) and A = c2(B) = 1/c1(B).
 arrays: ``classify_region`` reads the tag of one point from it and
 ``region_code_grid`` folds its four boundary tags into one code for sweeps.
 ``target_geometry`` likewise holds the only copy of the target radii and the
-single-species densities.
+single-species densities, and ``attraction_weights`` of the mass-weighted
+attraction sums they are built from.
 """
 
 from __future__ import annotations
@@ -208,6 +209,11 @@ def region_code_grid(A, B, M: float, tau_region: float = TAU_REGION) -> np.ndarr
     return _TAG_CODES[region_tag_grid(A, B, M, tau_region)]
 
 
+def attraction_weights(b_s, b_c, M1, M2):
+    """Mass-weighted attraction sums (b_s M1 + b_c M2, b_c M1 + b_s M2): pi a_s times rho1, rho2 of ``target_geometry``."""
+    return b_s * M1 + b_c * M2, b_c * M1 + b_s * M2
+
+
 def target_geometry(a_s, a_c, b_s, b_c, M1, M2):
     """Squared radii (r2^2, r1^2, r0^2) and densities (rho1, rho2) of the light-inside target.
 
@@ -217,11 +223,12 @@ def target_geometry(a_s, a_c, b_s, b_c, M1, M2):
     Plain arithmetic, so floats or broadcastable arrays work alike; the
     heavy-inside target is the same call with M1 and M2 swapped.
     """
-    r2sq = a_s * M2 / (b_c * M1 + b_s * M2)
-    r1sq = a_c * M2 / (b_s * M1 + b_c * M2)
-    r0sq = (a_s * M1 + a_c * M2) / (b_s * M1 + b_c * M2)
-    rho1 = (b_s * M1 + b_c * M2) / (math.pi * a_s)
-    rho2 = (b_c * M1 + b_s * M2) / (math.pi * a_s)
+    w1, w2 = attraction_weights(b_s, b_c, M1, M2)
+    r2sq = a_s * M2 / w2
+    r1sq = a_c * M2 / w1
+    r0sq = (a_s * M1 + a_c * M2) / w1
+    rho1 = w1 / (math.pi * a_s)
+    rho2 = w2 / (math.pi * a_s)
     return r2sq, r1sq, r0sq, rho1, rho2
 
 

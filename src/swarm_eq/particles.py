@@ -233,13 +233,18 @@ class RunControls:
     below it, capped at ``dt_max`` (default: a conservative fraction of the
     fastest linear relaxation rate).  Records are taken at the first
     accepted state at or past each t0 + k * ``record_interval`` (default:
-    1/200 of the run's length, at least ``dt_max``).
+    1/200 of the run's length, at least ``dt_max``), which must be finite
+    and > 0.
     """
 
     dt_max: float | None = None
     displacement_factor: float = 0.1
     record_interval: float | None = None
     record_energy: bool = True
+
+    def __post_init__(self):
+        if self.record_interval is not None and not 0.0 < self.record_interval < math.inf:
+            raise ValueError(f"record_interval must be finite and > 0, got {self.record_interval}")
 
     def resolved_dt_max(self, p: InteractionParams) -> float:
         if self.dt_max is not None:

@@ -5,8 +5,9 @@ interval between equilibrium radii, of the form
 
     Lambda(r) = c0 + c2 * r^2 + cl * ln r,
 
-assembled from per-disk contributions (each shell is a difference of disks).
-That representation makes plateaus, monotonicity changes, and minima exact.
+assembled from per-disk contributions (each shell is a difference of disks)
+by ``equilibria.lambda_coeffs``.  That representation makes plateaus,
+monotonicity changes, and minima exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import EquilibriumConfig, EquilibriumKind
+from .equilibria import EquilibriumConfig, EquilibriumKind, _kernel_pairs, lambda_coeffs
 from .errors import (
     ConstraintViolated,
     DegenerateMassRatio,
@@ -112,37 +113,12 @@ class MinimizerVerdict:
     swarm_minimizer: bool
 
 
-def _kernel_pairs(p: InteractionParams, species: int):
-    """(a, b) kernel coefficients acting on rho1 and rho2 for Lambda_species."""
-    if species == 1:
-        return (p.a_s, p.b_s), (p.ac_eff, p.bc_eff)
-    return (p.ac_eff, p.bc_eff), (p.a_s, p.b_s)
-
-
-def _disk_coeffs(weight, a, b, R, inside):
-    """(c0, c2, cl) contribution of one uniform disk to Lambda at weight*density."""
-    if R == 0.0 or weight == 0.0:
-        return (0.0, 0.0, 0.0)
-    piR2 = math.pi * R * R
-    c0 = weight * b * piR2 * R * R / 4.0
-    c2 = weight * b * piR2 / 2.0
-    if inside:
-        c0 += weight * (-a) * (piR2 * math.log(R) - piR2 / 2.0)
-        c2 += weight * (-a) * math.pi / 2.0
-        cl = 0.0
-    else:
-        cl = weight * (-a) * piR2
-    return (c0, c2, cl)
-
-
 def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
     """Closed-form piecewise Lambda profile for one species of an equilibrium."""
     if species not in (1, 2):
         raise UnsupportedKind(f"species must be 1 or 2, got {species}")
     if not cfg.exists:
         raise UnsupportedKind("profile undefined: configuration does not exist")
-    p = cfg.params
-    k1, k2 = _kernel_pairs(p, species)
     radii = sorted({s.r_in for s in cfg.shells if s.r_in > 0.0} | {s.r_out for s in cfg.shells})
     bounds = [0.0] + radii + [math.inf]
     support = cfg.support_intervals(species)
@@ -150,14 +126,7 @@ def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
     pieces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rep = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo
-        c0 = c2 = cl = 0.0
-        for s in cfg.shells:
-            for R, sign in ((s.r_out, 1.0), (s.r_in, -1.0)):
-                for rho, (a, b) in ((s.rho1, k1), (s.rho2, k2)):
-                    d0, d2, dl = _disk_coeffs(sign * rho, a, b, R, rep < R)
-                    c0 += d0
-                    c2 += d2
-                    cl += dl
+        c0, c2, cl = lambda_coeffs(cfg, species, rep)
         on_support = any(s_lo <= rep <= s_hi for s_lo, s_hi in support)
         pieces.append(LambdaPiece(lo, hi, c0, c2, cl, on_support))
 
@@ -253,15 +222,15 @@ def target_lambda_pair(p: InteractionParams) -> tuple[float, float]:
     b_s, b_c = p.b_s, p.bc_eff
     M1, M2 = p.M1, p.M2
     r2sq, r1sq, r0sq, rho1, rho2 = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
+    # the exterior minimum sits at the heavy-inside target's outer radius
+    heavy_r0sq = target_geometry(a_s, a_c, b_s, b_c, M2, M1)[2]
     shared = 0.5 * (a_c * M1 + a_s * M2) + 0.25 * (
         b_c * M1 * (r0sq + r1sq) + b_s * M2 * r2sq
     )
     lam2 = shared - rho1 * a_c * math.pi * 0.5 * (
         r0sq * math.log(r0sq) - r1sq * math.log(r1sq)
     ) - rho2 * a_s * math.pi * 0.5 * r2sq * math.log(r2sq)
-    lam_m = shared - 0.5 * (a_c * M1 + a_s * M2) * math.log(
-        (a_c * M1 + a_s * M2) / (b_c * M1 + b_s * M2)
-    )
+    lam_m = shared - 0.5 * (a_c * M1 + a_s * M2) * math.log(heavy_r0sq)
     return lam2, lam_m
 
 

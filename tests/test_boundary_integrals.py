@@ -119,6 +119,19 @@ def test_attraction_examples():
     np.testing.assert_allclose(attraction_integral(x, d0), math.pi * 1.7**2 * x)
 
 
+def test_boundary_parametrization_takes_arrays():
+    d = PerturbedDisk(R=1.3, m=3, eps_N=0.02, eps_T=-0.01)
+    theta = np.linspace(0.0, 2.0 * math.pi, 17)
+    expected = [
+        1.3 * cmath.exp(1j * t) * (1.0 + 0.02 * math.cos(3 * t) - 0.01j * math.sin(3 * t)) for t in theta
+    ]
+    np.testing.assert_allclose(d.boundary_point(theta), expected, rtol=1e-15)
+    assert d.boundary_point(float(theta[5])) == pytest.approx(expected[5], rel=1e-15)
+    h = 1e-6
+    central = (d.boundary_point(theta + h) - d.boundary_point(theta - h)) / (2.0 * h)
+    np.testing.assert_allclose(d.boundary_derivative(theta), central, atol=1e-8)
+
+
 def test_area_and_moment_facts():
     # moment matches the printed second-order expansion exactly; the area has
     # an extra m*eps_N*eps_T cross term at second order

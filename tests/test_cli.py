@@ -221,10 +221,24 @@ def test_simulate_rejects_bad_schedule(tmp_path, capsys, t_end, every):
         ["phase-diagram", "--extent", "0", "--grid", "4"],
         ["lambda", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--r-max", "0"],
         ["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--t-end", "1", "--snapshot-every", "5e-5"],
+        *(
+            ["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--t-end", "1", "--record-interval", value]
+            for value in ("nan", "0", "-1", "inf")
+        ),
     ],
 )
 def test_degenerate_ranges_are_config_errors(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--out" if argv[0] == "simulate" else "--out-svg", str(tmp_path / "x"))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not list(tmp_path.iterdir())
+
+
+def test_weakcross_overlay_error_writes_nothing(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "weakcross", "--n-points", "3", "--out-csv", str(tmp_path / "wc.csv"),
+        "--overlay-ratios", "6", "--overlay-t-end", "0", "--overlay-N", "24",
+    )
     assert code == 2 and out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
     assert not list(tmp_path.iterdir())

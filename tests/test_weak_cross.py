@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from swarm_eq.errors import OutOfRange
 from swarm_eq.model import InteractionParams, equilibrium_densities
 from swarm_eq.weak_cross import (
+    SERIES_BELOW,
+    _edge_log_integral,
     ab_ratio_of_d,
     cross_condition_residual,
     curve_sample,
@@ -13,6 +16,51 @@ from swarm_eq.weak_cross import (
     force_balance_residual,
     leading_order_densities,
 )
+
+
+def _edge_log_oracle(r):
+    """The lens edge integral by adaptive quadrature, split at the log's near-singular point t = 0."""
+    gamma = math.acos(min(1.0, r / 2.0))
+
+    def integrand(t):
+        return math.log(1.0 + r * r - 2.0 * r * math.cos(t)) * math.cos(t)
+
+    val, _ = quad(integrand, -gamma, gamma, points=[0.0], epsabs=1e-12, epsrel=1e-10, limit=300)
+    return val
+
+
+def test_edge_integral_matches_quadrature_oracle():
+    # away from r = 1, where the integrand's log singularity costs quad its accuracy
+    for r in np.concatenate([np.linspace(0.01, 0.9, 60), np.linspace(1.1, 1.99, 60)]):
+        assert _edge_log_integral(float(r)) == pytest.approx(_edge_log_oracle(float(r)), abs=1e-12), r
+
+
+def test_edge_integral_exact_values():
+    assert _edge_log_integral(1.0) == pytest.approx(-2.0 * math.pi / 3.0 - math.sqrt(3.0), rel=1e-15)
+    assert _edge_log_integral(2.0) == 0.0
+
+
+def test_edge_integral_continuous_across_series_switch():
+    below = _edge_log_integral(math.nextafter(SERIES_BELOW, 0.0))
+    at = _edge_log_integral(SERIES_BELOW)
+    assert abs(at - below) < 1e-15
+
+
+def test_edge_integral_near_seam_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for r in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9, 1.0 + 1e-9):
+            x = mpmath.mpf(r)
+            gamma = mpmath.acos(x / 2)
+            exact = 2 * mpmath.quad(lambda t: mpmath.log(1 + x * x - 2 * x * mpmath.cos(t)) * mpmath.cos(t), [0, gamma])
+            assert abs(_edge_log_integral(r) - float(exact)) < 1e-14, r
+
+
+def test_separation_solves_next_to_the_seam():
+    # the implicit branch stays solvable to RESIDUAL_TOL where d/R is within 1e-6 of 1
+    for d in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-8, 1.0 + 1e-8):
+        sol = d_of_ab_ratio(ab_ratio_of_d(d))
+        assert sol.d_over_R == pytest.approx(d, abs=1e-12)
 
 
 def test_mixing_threshold_limit():
