@@ -3,9 +3,11 @@
 Every subcommand accepts parameters through flags or a JSON config file
 (flags override the file).  Results go to stdout as JSON; bulk numeric output
 goes to CSV files; plots to dependency-free SVG.  A metadata record (config
-hash, version, wall time; for ``simulate`` also the run counters) is printed
-to stderr for every run.  Exit code 2 flags configuration errors, 3 numerical
-failures (with the error name in a JSON record on stderr).
+hash, version, wall time; for ``simulate``, ``stability``, ``weakcross`` and
+``phase-diagram`` also the wall time of each stage, and for ``simulate`` the
+run counters) is printed to stderr for every run.  Exit code 2 flags
+configuration errors, 3 numerical failures (with the error name in a JSON
+record on stderr).
 """
 
 from __future__ import annotations
@@ -123,6 +125,23 @@ def emit(obj) -> None:
     sys.stdout.write(json_canonical(obj) + "\n")
 
 
+class _Stages:
+    """Wall time of each named stage of a command, for its metadata record."""
+
+    def __init__(self):
+        self.seconds = {}
+        self._clock = time.perf_counter()
+
+    def done(self, name):
+        """End stage ``name`` (timed from the end of the previous one) and start the next."""
+        now = time.perf_counter()
+        self.seconds[name] = now - self._clock
+        self._clock = now
+
+    def record(self) -> dict:
+        return {"stages_s": {name: round(seconds, 6) for name, seconds in self.seconds.items()}}
+
+
 def cmd_region(ns) -> None:
     if ns.A is None or ns.B is None or ns.M is None:
         raise ValueError("region requires -A, -B and -M")
@@ -182,9 +201,11 @@ def _lambda_y_range(prof1, prof2, rs):
     return (lo - pad, hi + pad)
 
 
-def cmd_stability(ns) -> None:
+def cmd_stability(ns) -> dict:
+    stages = _Stages()
     p = resolve_params(ns)
     report = stability_report(_kind(ns), p, ns.m_max)
+    stages.done("report")
     if ns.out_csv:
         rows = []
         for ms in report.modes:
@@ -201,13 +222,18 @@ def cmd_stability(ns) -> None:
             "guarantee": report.guarantee,
         }
     )
+    stages.done("write")
+    return {"worst_crosscheck_margin": report.worst_crosscheck_margin, **stages.record()}
 
 
 #: Snapshots ``simulate`` accepts; every one is held in memory until the CSV is written.
 MAX_SNAPSHOTS = 10_000
 
 #: ``RunDiagnostics`` counters in ``simulate``'s stderr metadata record.
-_RUN_COUNTERS = ("force_evals", "accepted_steps", "rejected_steps", "dt_min", "dt_max", "closest_pair_ratio")
+_RUN_COUNTERS = (
+    "force_evals", "accepted_steps", "rejected_steps", "dt_min", "dt_max", "closest_pair_ratio",
+    "max_stiffness", "max_energy_rise",
+)
 
 
 def _write_snapshot(rows, state):
@@ -224,7 +250,7 @@ def cmd_simulate(ns) -> dict:
             f"got {ns.t_end} and {ns.snapshot_every}"
         )
     controls = RunControls(record_interval=ns.record_interval)
-    clock = time.perf_counter()
+    stages = _Stages()
     p = resolve_params(ns)
     if ns.init == "equilibrium":
         cfg = build_equilibrium(_kind(ns), p)
@@ -233,18 +259,16 @@ def cmd_simulate(ns) -> dict:
         state = init_random_disk(p, ns.N1, ns.N2, ns.radius, ns.seed)
     # the final morphology needs enough particles; fail before any file is written
     check_morphology_counts(state)
-    stages = {"init": time.perf_counter() - clock}
+    stages.done("init")
 
     # snapshots at every k * snapshot_every below t_end (a product, so no rounding
     # piles up), then at t_end, all from one integration
-    clock = time.perf_counter()
     every = [k * ns.snapshot_every for k in range(1, math.ceil(ns.t_end / ns.snapshot_every))]
     stops = [t for t in every if t < ns.t_end] + [ns.t_end]
     start = state
     state, diag = run(state, ns.t_end, controls, stops=stops)
-    stages["run"] = time.perf_counter() - clock
+    stages.done("run")
 
-    clock = time.perf_counter()
     snapshot_rows: list = []
     for snap in [start, *diag.stop_states]:
         _write_snapshot(snapshot_rows, snap)
@@ -263,7 +287,7 @@ def cmd_simulate(ns) -> dict:
         diag_rows,
     )
     m: Morphology = morphology(state)
-    stages["write"] = time.perf_counter() - clock
+    stages.done("write")
     emit(
         {
             "t_end": state.t,
@@ -272,16 +296,18 @@ def cmd_simulate(ns) -> dict:
             "diagnostics": f"{ns.out}_diagnostics.csv",
         }
     )
-    return {
-        "run": {key: getattr(diag, key) for key in _RUN_COUNTERS},
-        "stages_s": {key: round(seconds, 6) for key, seconds in stages.items()},
-    }
+    return {"run": {key: getattr(diag, key) for key in _RUN_COUNTERS}, **stages.record()}
+
+
+def _overlay_counts(n_total, mass_ratio):
+    """Particle counts (n1, n2) of an overlay run, split in proportion to the masses."""
+    n2 = round(n_total / (1.0 + mass_ratio))
+    return n_total - n2, n2
 
 
 def _overlay_point(ratio, mass_ratio, eta, n_total, t_end, seed):
     """Long-run particle estimate of d/R at one A/B ratio (unit self-coefficients)."""
-    n2 = round(n_total / (1.0 + mass_ratio))
-    n1 = n_total - n2
+    n1, n2 = _overlay_counts(n_total, mass_ratio)
     p = InteractionParams(
         a_s=1.0, a_c=ratio, b_s=1.0, b_c=1.0, M1=mass_ratio, M2=1.0, eta=eta
     )
@@ -290,22 +316,44 @@ def _overlay_point(ratio, mass_ratio, eta, n_total, t_end, seed):
     return diag.d_over_R[-1]  # the last record is the final state's
 
 
-def cmd_weakcross(ns) -> None:
+def _overlay_ratios(ns):
+    """The ``--overlay-ratios`` list, after checking it and every other ``--overlay-*`` value."""
+    ratios = [float(r) for r in ns.overlay_ratios.split(",")]
+    if not all(0.0 < r < math.inf for r in ratios):
+        raise ValueError(f"--overlay-ratios must be finite and > 0, got {ns.overlay_ratios}")
+    if not 0.0 < ns.overlay_t_end < math.inf:
+        raise ValueError(f"--overlay-t-end must be finite and > 0, got {ns.overlay_t_end}")
+    if not 0.0 < ns.overlay_eta <= 1.0:
+        raise ValueError(f"--overlay-eta must lie in (0, 1], got {ns.overlay_eta}")
+    if not 1.0 <= ns.overlay_M < math.inf:
+        raise ValueError(f"--overlay-M must be finite and >= 1, got {ns.overlay_M}")
+    if min(_overlay_counts(ns.overlay_N, ns.overlay_M)) < 1:
+        raise ValueError(
+            f"--overlay-N {ns.overlay_N} leaves a species without particles at --overlay-M {ns.overlay_M}"
+        )
+    return ratios
+
+
+def cmd_weakcross(ns) -> dict:
+    stages = _Stages()
     if ns.ratio is not None:
         s = d_of_ab_ratio(ns.ratio)
+        stages.done("curve")
         emit(asdict(s))
-        return
+        return stages.record()
+    ratios = _overlay_ratios(ns) if ns.overlay_ratios else []
     samples = curve_sample(ns.ratio_min, ns.ratio_max, ns.n_points)
     rows = [(s.ratio_AB, s.d_over_R, s.regime, s.residual) for s in samples]
+    stages.done("curve")
     overlay_rows = []
-    if ns.overlay_ratios:
-        ratios = [float(r) for r in ns.overlay_ratios.split(",")]
+    if ratios:
         for k, ratio in enumerate(ratios):
             sim = _overlay_point(
                 ratio, ns.overlay_M, ns.overlay_eta, ns.overlay_N, ns.overlay_t_end,
                 seed=ns.seed + k,
             )
             overlay_rows.append((ratio, ns.overlay_M, sim))
+        stages.done("overlay")
     # every overlay run has succeeded before any file is written
     if ns.out_csv:
         write_csv(ns.out_csv, ("ratio_AB", "d_over_R", "regime", "residual"), rows)
@@ -329,11 +377,14 @@ def cmd_weakcross(ns) -> None:
             "overlay": [list(r) for r in overlay_rows],
         }
     )
+    stages.done("write")
+    return stages.record()
 
 
-def cmd_phase_diagram(ns) -> None:
+def cmd_phase_diagram(ns) -> dict:
     if not (1.0 <= ns.M < math.inf and 0.0 < ns.extent < math.inf):
         raise ValueError(f"-M must be finite and >= 1 and --extent finite and > 0, got {ns.M} and {ns.extent}")
+    stages = _Stages()
     ax = cell_centered_axis(ns.grid, 0.0, ns.extent)
     A, B = np.meshgrid(ax, ax, indexing="ij")
     codes = region_code_grid(A, B, ns.M)
@@ -347,6 +398,7 @@ def cmd_phase_diagram(ns) -> None:
     masks = [existence_region_mask(kind, codes) for kind in EquilibriumKind]
     a, b, *rest = (x.ravel().tolist() for x in (A, B, *masks, verdict_light, verdict_heavy))
     rows = list(zip(a, b, [_REGION_NAMES[code] for code in codes.ravel().tolist()], *rest))
+    stages.done("sweep")
     if ns.out_csv:
         write_csv(
             ns.out_csv,
@@ -366,6 +418,8 @@ def cmd_phase_diagram(ns) -> None:
     if ns.out_svg:
         _phase_svg(ns, ax, codes)
     emit({"grid": ns.grid, "M": ns.M, "csv": ns.out_csv or "", "svg": ns.out_svg or ""})
+    stages.done("write")
+    return stages.record()
 
 
 def _phase_svg(ns, ax, codes):

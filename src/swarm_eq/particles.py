@@ -10,6 +10,14 @@ of mass is conserved up to rounding.
 each of a sorted list of stop times, hands back the state at each and keeps
 its step-size controller across them; records lie on one grid over the
 whole run, and a stop costs no extra velocity evaluation.
+
+The flow is stiff: each species' density relaxes at ``relaxation_rate``
+while the species drift apart orders of magnitude more slowly.  The
+Jacobian's spectrum is real and negative (J = -W^-1 Hess E), so RK4 is
+stable for rate * dt up to 2.785.  The default step cap puts the fastest
+rate at ``C_RK4`` = 2, and the stiffness estimate that every step gets for
+free from its first two stages rejects any step that the continuum rate
+underestimates beyond ``STIFFNESS_LIMIT``.
 """
 
 from __future__ import annotations
@@ -21,10 +29,21 @@ import numpy as np
 
 from .equilibria import EquilibriumConfig
 from .errors import EquilibriumMissing, ParticleCollision, StepUnderflow, TooFewParticles
-from .model import InteractionParams
+from .model import InteractionParams, attraction_weights
 
 #: Hard lower bound on the adaptive time step.
 DT_MIN = 1e-12
+
+#: Default step cap in units of the fastest relaxation time: lambda * dt <= 2,
+#: where RK4's amplification is |R(-2)| = 1/3, so the fastest mode still damps.
+C_RK4 = 2.0
+
+#: Most records one run takes; each holds a few floats.
+MAX_RECORDS = 100_000
+
+#: Largest q * dt of an accepted step, q the stiffness estimate of ``step``:
+#: 0.9 of RK4's real-axis stability limit 2.785.
+STIFFNESS_LIMIT = 2.5
 
 
 @dataclass(frozen=True)
@@ -206,7 +225,10 @@ def step(state: ParticleState, dt: float, k1=None, diag: RunDiagnostics | None =
     """One classical RK4 step of the particle ODE system.
 
     ``k1`` gives the velocities at ``state`` when already computed; ``diag``
-    counts the stage evaluations.
+    counts the stage evaluations and receives the step's stiffness estimate
+    in ``step_stiffness``: q * dt with q = |k2 - k1| / (dt/2 |k1|), the
+    rate of the flow along k1 (Hairer & Wanner, Solving ODEs II, IV.2),
+    0 at a fixed point.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -220,6 +242,9 @@ def step(state: ParticleState, dt: float, k1=None, diag: RunDiagnostics | None =
     k2 = rhs(x + 0.5 * dt * k1)
     k3 = rhs(x + 0.5 * dt * k2)
     k4 = rhs(x + dt * k3)
+    if diag is not None:
+        norm = float(np.linalg.norm(k1))
+        diag.step_stiffness = 2.0 * float(np.linalg.norm(k2 - k1)) / norm if norm > 0.0 else 0.0
     y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return replace(state, pos1=y[:n1], pos2=y[n1:], t=state.t + dt)
 
@@ -230,11 +255,16 @@ class RunControls:
 
     The step is halved whenever the largest particle displacement exceeds
     ``displacement_factor`` times sqrt(a_s/b_s) and grown gently when far
-    below it, capped at ``dt_max`` (default: a conservative fraction of the
-    fastest linear relaxation rate).  Records are taken at the first
-    accepted state at or past each t0 + k * ``record_interval`` (default:
-    1/200 of the run's length, at least ``dt_max``), which must be finite
-    and > 0.
+    below it, capped at ``dt_max`` (default: ``C_RK4`` over
+    ``relaxation_rate``).  A sampled state can relax faster than the
+    continuum, for instance where two particles sit close together, so a
+    step whose stiffness estimate q * dt exceeds ``STIFFNESS_LIMIT`` is
+    rejected as well and retried at min(dt/2, ``C_RK4``/q).  Records are
+    taken at the first accepted state at or past each t0 + k *
+    ``record_interval`` (default: 1/200 of the run's length, at least
+    1/``relaxation_rate``), one row per grid time, so a step across several
+    grid times records its state at each; ``record_interval`` must be
+    finite and > 0, and a run takes at most ``MAX_RECORDS`` records.
     """
 
     dt_max: float | None = None
@@ -249,8 +279,18 @@ class RunControls:
     def resolved_dt_max(self, p: InteractionParams) -> float:
         if self.dt_max is not None:
             return self.dt_max
-        rate = 2.0 * (p.b_s + p.bc_eff) * (p.M1 + p.M2)
-        return 1.0 / rate
+        return C_RK4 / relaxation_rate(p)
+
+
+def relaxation_rate(p: InteractionParams) -> float:
+    """Fastest relaxation rate of the flow: 2 max(b_s M1 + b_c M2, b_c M1 + b_s M2), eta-scaled b_c.
+
+    That is 2 pi a_s rho_i, the rate at which a species' density relaxes to
+    its target value rho_i.  The sampled flow's Jacobian reaches it once
+    close pairs have spread, and exceeds it by up to a quarter in disordered
+    states of N = 100.
+    """
+    return 2.0 * max(attraction_weights(p.b_s, p.bc_eff, p.M1, p.M2))
 
 
 @dataclass
@@ -259,9 +299,14 @@ class RunDiagnostics:
 
     ``stop_states`` holds the state at each of ``run``'s stop times, in
     order.  ``force_evals`` counts velocity evaluations, ``dt_min``/``dt_max``
-    span the accepted step sizes (None before the first), and
+    span the accepted step sizes (None before the first),
     ``closest_pair_ratio`` is the smallest pair distance any evaluation saw
-    over ``collision_threshold``.
+    over ``collision_threshold``, ``max_stiffness`` the largest q * dt of an
+    accepted step (``step_stiffness`` holds the latest attempt's) and
+    ``max_energy_rise`` the largest rise of the recorded energy between
+    consecutive records, relative to the first record's |E| (0 if none
+    rose).  The flow is a gradient flow, so any rise beyond rounding is an
+    integration fault.
     """
 
     t: list = field(default_factory=list)
@@ -276,6 +321,9 @@ class RunDiagnostics:
     dt_min: float | None = None
     dt_max: float | None = None
     closest_pair_ratio: float = math.inf
+    max_stiffness: float = 0.0
+    step_stiffness: float = 0.0
+    max_energy_rise: float = 0.0
 
     def as_arrays(self):
         return {
@@ -287,27 +335,31 @@ class RunDiagnostics:
         }
 
 
-def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool, v):
+def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool, v, count: int = 1):
+    """Append ``count`` identical records of ``state`` (one per grid time it is the first at or past)."""
     p = state.params
     c1 = state.pos1.mean(axis=0)
     c2 = state.pos2.mean(axis=0)
     R = math.sqrt(p.a_s / p.b_s)
-    diag.t.append(state.t)
-    diag.energy.append(particle_energy(state) if with_energy else math.nan)
-    diag.com_total.append(state.com())
-    diag.d_over_R.append(float(np.hypot(*(c1 - c2))) / R)
-    diag.max_speed.append(max_speed(state, v))
+    energy = particle_energy(state) if with_energy else math.nan
+    if with_energy and diag.energy:
+        rise = (energy - diag.energy[-1]) / (abs(diag.energy[0]) or 1.0)
+        diag.max_energy_rise = max(diag.max_energy_rise, rise)
+    row = (state.t, energy, state.com(), float(np.hypot(*(c1 - c2))) / R, max_speed(state, v))
+    for trace, value in zip((diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed), row):
+        trace.extend([value] * count)
 
 
 def run(state: ParticleState, t_end: float, controls: RunControls | None = None, stops=()):
-    """Integrate to t = t_end with displacement-based adaptive RK4 steps.
+    """Integrate to t = t_end with adaptive RK4 steps (see ``RunControls``).
 
     One integration lands exactly on each of the sorted ``stops`` (times in
     [state.t, t_end]) and on t_end, by stretching or shortening the step
     that reaches it; after a stop the controller goes on from its own step
     size.  Returns (final state, diagnostics), the states at the stops in
     ``diagnostics.stop_states``.  Raises StepUnderflow if repeated halving
-    pushes dt below 1e-12 and ParticleCollision if particles meet.
+    pushes dt below 1e-12, ParticleCollision if particles meet, and
+    ValueError for stops out of order or more than ``MAX_RECORDS`` records.
     """
     controls = controls or RunControls()
     stops = [float(s) for s in stops]
@@ -318,10 +370,16 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None,
     disp_limit = controls.displacement_factor * math.sqrt(p.a_s / p.b_s)
     t0 = state.t
     record_interval = controls.record_interval
-    record_interval = max((t_end - t0) / 200.0, dt_max) if record_interval is None else record_interval
+    if record_interval is None:
+        # grid times closer than the fastest relaxation time would mostly repeat the
+        # state of a step that spans several of them
+        record_interval = max((t_end - t0) / 200.0, 1.0 / relaxation_rate(p))
+    if t_end - t0 > MAX_RECORDS * record_interval:
+        raise ValueError(f"record_interval {record_interval} gives more than {MAX_RECORDS} records up to t_end={t_end}")
 
     # every accepted state's velocities are computed once: by its record or by the
-    # next step's first stage; a rejected step retries with the same k1
+    # next step's first stage; a step rejected by the displacement rule or the
+    # stiffness check retries with the same k1
     diag = RunDiagnostics()
     v = forces(state, diag)
     _record(diag, state, controls.record_energy, v)
@@ -342,23 +400,30 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None,
                 float(np.max(np.hypot(*(new_state.pos1 - state.pos1).T))),
                 float(np.max(np.hypot(*(new_state.pos2 - state.pos2).T))),
             )
-            if disp > disp_limit:
+            stiffness = diag.step_stiffness
+            if disp > disp_limit or stiffness > STIFFNESS_LIMIT:
                 diag.rejected_steps += 1
                 dt = 0.5 * dt_try
+                if stiffness > STIFFNESS_LIMIT:
+                    dt = min(dt, C_RK4 * dt_try / stiffness)
                 if dt < DT_MIN:
                     raise StepUnderflow(f"time step underflow at t={state.t}")
                 continue
             state, v = new_state, None
             diag.accepted_steps += 1
+            diag.max_stiffness = max(diag.max_stiffness, stiffness)
             diag.dt_min = dt_try if diag.dt_min is None else min(diag.dt_min, dt_try)
             diag.dt_max = dt_try if diag.dt_max is None else max(diag.dt_max, dt_try)
             if disp < 0.25 * disp_limit:
                 dt = min(dt * 1.5, dt_max)
             # record times are products, so no rounding piles up along the run
-            if state.t >= t0 + n_records * record_interval - 1e-12:
+            passed = 0
+            while state.t >= t0 + (n_records + passed) * record_interval - 1e-12:
+                passed += 1
+            if passed:
                 v = forces(state, diag)
-                _record(diag, state, controls.record_energy, v)
-                n_records += 1
+                _record(diag, state, controls.record_energy, v, passed)
+                n_records += passed
         if k < len(stops):
             diag.stop_states.append(state)
 

@@ -161,6 +161,17 @@ def test_simulate_reports_run_counters(tmp_path, capsys):
     assert counters["closest_pair_ratio"] > 1.0
 
 
+def test_simulate_reports_the_stiffness_check_and_energy_rise(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10",
+        "--seed", "1", "--t-end", "5", "--out", str(tmp_path / "s"),
+    )
+    assert code == 0
+    counters = json.loads(err.strip().splitlines()[-1])["run"]
+    assert 0.0 < counters["max_stiffness"] <= 2.5
+    assert 0.0 <= counters["max_energy_rise"] <= 1e-6
+
+
 def test_simulate_makes_one_run_and_times_its_stages(tmp_path, capsys, monkeypatch):
     calls = []
     original = cli.run
@@ -242,6 +253,55 @@ def test_weakcross_overlay_error_writes_nothing(tmp_path, capsys):
     assert code == 2 and out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--overlay-t-end", "0"),
+        ("--overlay-t-end", "nan"),
+        ("--overlay-t-end", "-1"),
+        ("--overlay-N", "1"),
+        ("--overlay-N", "-5"),
+        ("--overlay-eta", "0"),
+        ("--overlay-eta", "1.5"),
+        ("--overlay-M", "0.5"),
+        ("--overlay-M", "inf"),
+        ("--overlay-ratios", "6,-1"),
+    ],
+)
+def test_weakcross_overlay_flags_are_checked_by_name(tmp_path, capsys, flag, value):
+    argv = {"--overlay-ratios": "6", "--overlay-t-end": "1", "--overlay-N": "24", flag: value}
+    code, out, err = run_cli(
+        capsys, "weakcross", "--n-points", "3", "--out-csv", str(tmp_path / "wc.csv"),
+        "--overlay-csv", str(tmp_path / "ov.csv"), *(item for pair in argv.items() for item in pair),
+    )
+    assert code == 2 and out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and flag in record["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, stages",
+    [
+        (["phase-diagram", "--grid", "4", "--m-max", "4", "--out-csv", "pd.csv"], ["sweep", "write"]),
+        (["weakcross", "--ratio", "6"], ["curve"]),
+        (["weakcross", "--n-points", "3", "--overlay-ratios", "6", "--overlay-t-end", "1", "--overlay-N", "24"],
+         ["curve", "overlay", "write"]),
+        (["stability", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--m-max", "4"],
+         ["report", "write"]),
+    ],
+)
+def test_commands_time_their_stages(tmp_path, capsys, monkeypatch, argv, stages):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0
+    record = json.loads(err.strip().splitlines()[-1])
+    assert sorted(record["stages_s"]) == stages
+    assert all(seconds >= 0.0 for seconds in record["stages_s"].values())
+    if argv[0] == "stability":
+        assert 0.0 <= record["worst_crosscheck_margin"] <= 1.0
 
 
 def test_phase_diagram_outputs(tmp_path, capsys):

@@ -18,6 +18,8 @@ from swarm_eq.errors import (
 from swarm_eq.model import InteractionParams
 from swarm_eq.particles import (
     BLOCK_ELEMENTS,
+    C_RK4,
+    STIFFNESS_LIMIT,
     ParticleState,
     RunControls,
     collision_threshold,
@@ -29,6 +31,7 @@ from swarm_eq.particles import (
     init_random_disk,
     morphology,
     particle_energy,
+    relaxation_rate,
     run,
     step,
     support_radii,
@@ -349,6 +352,20 @@ def test_run_lands_exactly_on_each_stop():
         run(st, 30.0, stops=[9.0])
 
 
+def test_run_fills_a_record_row_per_grid_time_and_bounds_their_number():
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+    # grid 0.01 against steps of up to dt_max = 0.125: each row holds the first
+    # state at or past its grid time, repeated where a step spans several
+    _, diag = run(st, 2.0, RunControls(record_interval=0.01))
+    t = np.asarray(diag.t)
+    assert len(t) == 201 and diag.dt_max > 0.05
+    lag = t - 0.01 * np.arange(len(t))
+    assert np.all(lag > -1e-12) and np.all(lag < diag.dt_max) and np.all(np.diff(t) >= 0.0)
+    assert len(set(diag.t)) < len(t)
+    with pytest.raises(ValueError):
+        run(st, 1.0, RunControls(record_interval=1e-6))
+
+
 def test_stops_cost_no_velocity_evaluation(monkeypatch):
     st = _close_pair_state()
     calls = []
@@ -377,6 +394,8 @@ def test_run_energy_decreases_and_com_stays(A, B, M, seed, stops):
     arr = diag.as_arrays()
     e = arr["energy"]
     assert np.all(np.diff(e) <= 1e-6 * abs(e[0]) + 1e-12)
+    assert diag.max_energy_rise <= 1e-6
+    assert 0.0 < diag.max_stiffness <= STIFFNESS_LIMIT
     drift = np.hypot(*(arr["com_total"] - arr["com_total"][0]).T)
     assert np.all(drift < 1e-8 * t_end)
     # the states handed back at the stops lie on the same descending path
@@ -384,6 +403,81 @@ def test_run_energy_decreases_and_com_stays(A, B, M, seed, stops):
     assert np.all(np.diff([e[0], *e_stops]) <= 1e-6 * abs(e[0]) + 1e-12)
     for s in diag.stop_states:
         assert np.hypot(*(s.com() - arr["com_total"][0])) < 1e-8 * t_end
+
+
+def _jacobian_rate(state, h=1e-7):
+    """Largest |eigenvalue| of the flow's Jacobian by forward differences, one ``forces`` call per coordinate."""
+    X = np.concatenate([state.pos1, state.pos2])
+    f0 = np.concatenate(forces(state)).ravel()
+    J = np.empty((X.size, X.size))
+    for c in range(X.size):
+        Y = X.ravel().copy()
+        Y[c] += h
+        Y = Y.reshape(-1, 2)
+        moved = ParticleState(pos1=Y[: state.n1], pos2=Y[state.n1 :], params=state.params)
+        J[:, c] = (np.concatenate(forces(moved)).ravel() - f0) / h
+    return float(np.max(np.abs(np.linalg.eigvals(J))))
+
+
+#: RK4's stability interval on the negative real axis is [-2.785, 0].
+RK4_REAL_LIMIT = 2.785
+
+
+@pytest.mark.parametrize(
+    "kind, A, B, eta",
+    [
+        (EquilibriumKind.TARGET_LIGHT_IN, 3.0, 3.5, 1.0),
+        (EquilibriumKind.OVERLAP_LIGHT_IN, 0.5, 1.0, 1.0),
+        (None, 3.0, 1.0, 0.05),
+    ],
+)
+def test_step_cap_keeps_relaxed_spectrum_inside_rk4_stability(kind, A, B, eta):
+    # relaxed to t = 5, so the close pairs of the initial sample have spread;
+    # the continuum rate relaxation_rate is exact for the continuum (and bounds
+    # the coexistence densities' rate of overlap states), while a sampled state
+    # of N = 100 still relaxes up to 25% faster: lambda * dt_max lies in
+    # 2.0..2.5 over seeds 0..5, inside RK4's stability interval, and the
+    # stiffness check guards what the bound misses
+    p = params_from_phase(A, B, eta=eta)
+    if kind is None:
+        st = init_random_disk(p, 67, 33, 1.0, seed=3)
+    else:
+        st = init_from_equilibrium(build_equilibrium(kind, p), 67, 33, seed=3)
+    st, _ = run(st, 5.0, RunControls(record_energy=False))
+    dt_max = RunControls().resolved_dt_max(p)
+    assert dt_max == C_RK4 / relaxation_rate(p)
+    # the tolerance above C_RK4 = 2 is 0.785, up to the stability limit itself;
+    # from below, the sampled flow reaches the continuum rate, so the cap wastes nothing
+    assert 0.99 * C_RK4 <= _jacobian_rate(st) * dt_max <= RK4_REAL_LIMIT
+
+
+def test_stiffness_check_rejects_a_step_and_reuses_k1(monkeypatch):
+    # one cross pair near its kernel zero r* = sqrt(a_c/b_c) relaxes at
+    # 2 (w1 + w2) b_c = 12, faster than the continuum rate 2 (b_s + b_c) = 8
+    # that sets dt_max: the first attempt has q * dt = 3, and only the
+    # stiffness check can reject it, as the pair barely moves
+    p = params_from_phase(1.0, 3.0, M=1.0)
+    r_star = math.sqrt(p.ac_eff / p.bc_eff)
+    st = ParticleState(pos1=[[0.0, 0.0]], pos2=[[1.01 * r_star, 0.0]], params=p)
+    calls, attempts = [], []
+    original_forces, original_step = particles.forces, particles.step
+
+    def traced_step(state, dt, k1=None, diag=None):
+        new = original_step(state, dt, k1=k1, diag=diag)
+        attempts.append((dt, diag.step_stiffness))
+        return new
+
+    monkeypatch.setattr(particles, "forces", lambda *a, **k: calls.append(1) or original_forces(*a, **k))
+    monkeypatch.setattr(particles, "step", traced_step)
+    controls = RunControls()
+    _, diag = run(st, 1.0, controls)
+    (dt0, qdt0), (dt1, qdt1) = attempts[:2]
+    assert dt0 == controls.resolved_dt_max(p) and qdt0 == pytest.approx(12.0 * dt0, rel=0.05)
+    assert qdt0 > STIFFNESS_LIMIT and dt1 == min(0.5 * dt0, C_RK4 * dt0 / qdt0) and qdt1 <= STIFFNESS_LIMIT
+    assert diag.rejected_steps >= 1 and diag.max_stiffness <= STIFFNESS_LIMIT
+    assert diag.force_evals == 4 * diag.accepted_steps + 3 * diag.rejected_steps + 1
+    assert diag.force_evals == len(calls)
+    assert diag.max_energy_rise <= 1e-6
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
