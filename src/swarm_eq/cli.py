@@ -237,10 +237,8 @@ _RUN_COUNTERS = (
 
 
 def _write_snapshot(rows, state):
-    for i, (x, y) in enumerate(state.pos1):
-        rows.append((state.t, 1, i, float(x), float(y)))
-    for i, (x, y) in enumerate(state.pos2):
-        rows.append((state.t, 2, i, float(x), float(y)))
+    for species, pos in ((1, state.pos1), (2, state.pos2)):
+        rows.extend((state.t, species, i, x, y) for i, (x, y) in enumerate(pos.tolist()))
 
 
 def cmd_simulate(ns) -> dict:

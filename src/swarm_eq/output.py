@@ -28,7 +28,7 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt_value(v) for v in row) + "\n")
+            fh.write(",".join(map(fmt_value, row)) + "\n")
 
 
 def json_canonical(obj) -> str:

@@ -65,6 +65,14 @@ class ParticleState:
         if not (np.all(np.isfinite(self.pos1)) and np.all(np.isfinite(self.pos2))):
             raise ValueError("positions must be finite")
 
+    @classmethod
+    def _unchecked(cls, pos1, pos2, params, t):
+        """A state from (N, 2) float arrays, skipping the validation; for ``step``'s inner stages."""
+        state = object.__new__(cls)
+        for name, value in (("pos1", pos1), ("pos2", pos2), ("params", params), ("t", t)):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def n1(self) -> int:
         return len(self.pos1)
@@ -110,30 +118,37 @@ def _row_blocks(*counts):
 
 
 class _PairPass:
-    """Blocked squared distances between the rows of one (N, 2) position array."""
+    """Blocked squared distances over the upper triangle of one (N, 2) position array.
+
+    Row block lo:hi meets the columns lo: only, so each unordered pair is
+    formed once, in the block of its lower index; the block's own square
+    comes first and its diagonal (self pairs) is inf.
+    """
 
     def __init__(self, X):
         self.X = X
         self.x2 = np.einsum("ij,ij->i", X, X)
         self.m2X = -2.0 * X
+        self.exact_below = max(1e-12, 1e-6 * float(self.x2.max()))
 
-    def dist_sq(self, lo, hi, c0=0):
-        """Squared distances of rows lo:hi to rows c0: and their minimum; self pairs are inf.
+    def dist_sq(self, lo, hi):
+        """Squared distances of rows lo:hi to rows lo: and their minimum.
 
-        The expanded form |x|^2 + |y|^2 - 2 x.y runs on BLAS but loses precision
-        once |x - y|^2 approaches rounding of the position magnitudes, so
-        entries below 1e-12, negative ones included, are recomputed from the
-        explicit differences.
+        The expanded form |x|^2 + |y|^2 - 2 x.y runs on BLAS, but its
+        absolute error is about eps * max |x|^2, so entries below
+        ``exact_below`` (1e-6 of the largest |x|^2, at least 1e-12), negative
+        ones included, are recomputed from the explicit differences: a close
+        pair's r^2 then stays accurate relative to itself.
         """
         X = self.X
-        r2 = X[lo:hi] @ self.m2X[c0:].T
+        r2 = X[lo:hi] @ self.m2X[lo:].T
         r2 += self.x2[lo:hi, None]
-        r2 += self.x2[None, c0:]
-        r2.reshape(-1)[lo - c0 :: r2.shape[1] + 1] = np.inf  # entries (k, lo + k - c0)
+        r2 += self.x2[None, lo:]
+        r2.reshape(-1)[:: r2.shape[1] + 1] = np.inf
         low = float(r2.min())
-        if low < 1e-12:
-            ii, jj = np.nonzero(r2 < 1e-12)
-            diff = X[lo + ii] - X[c0 + jj]
+        if low < self.exact_below:
+            ii, jj = np.nonzero(r2 < self.exact_below)
+            diff = X[lo + ii] - X[lo + jj]
             r2[ii, jj] = np.einsum("ij,ij->i", diff, diff)
             low = float(r2.min())
         return r2, low
@@ -152,35 +167,48 @@ def forces(state: ParticleState, diag: RunDiagnostics | None = None):
     """Velocities of all particles (right-hand side of the particle system).
 
     v_i = sum_j w_j [a_ij (x_i - x_j) / |x_i - x_j|^2 - b_ij (x_i - x_j)].  The
-    repulsion runs as one blocked pass over all pairs, one matrix product per
-    block against [c_j, c_j x_j, c_j y_j] with c_j = a_ij w_j.  The attraction
-    is linear in positions: sum_j b_ij w_j (x_i - x_j) = x_i sb_i - tb_i from
-    each species' mass and first moment (the j = i term is 0).  With
-    ``diag``, the evaluation and its closest pair are counted.
+    repulsion runs as one blocked pass over the pairs j >= lo of each row
+    block lo:hi, with K = 1/r^2 formed once per unordered pair: K times
+    [c_j, c_j x_j, c_j y_j] (c_j = a_ij w_j) feeds the block's rows, and K^T
+    times the block's own [c_i, c_i x_i, c_i y_i] feeds the columns past the
+    block, once per column species, so both directions of a pair read the
+    same K_ij.  The attraction is linear in positions: sum_j b_ij w_j (x_i -
+    x_j) = x_i sb_i - tb_i from each species' mass and first moment (the j =
+    i term is 0).  With ``diag``, the evaluation and its closest pair are
+    counted.
     """
     p = state.params
+    n1 = state.n1
     X = np.concatenate([state.pos1, state.pos2])
+    n = len(X)
     pairs = _PairPass(X)
     d2 = collision_threshold(p) ** 2
-    ones_X = np.column_stack([np.ones(len(X)), X])
+    ones_X = np.column_stack([np.ones(n), X])
     repulsion = [c[:, None] * ones_X for c in _repulsion_weights(state)]
-    mass = (state.w1 * state.n1, state.w2 * state.n2)
+    mass = (state.w1 * n1, state.w2 * state.n2)
     first = (state.w1 * state.pos1.sum(axis=0), state.w2 * state.pos2.sum(axis=0))
     sb = [p.b_s * mass[s] + p.bc_eff * mass[1 - s] for s in (0, 1)]
     tb = [p.b_s * first[s] + p.bc_eff * first[1 - s] for s in (0, 1)]
-    v = np.empty_like(X)
+    S = np.zeros((n, 3))
     closest = math.inf
-    for s, lo, hi in _row_blocks(state.n1, state.n2):
+    for s, lo, hi in _row_blocks(n1, state.n2):
         r2, low = pairs.dist_sq(lo, hi)
         if low < d2:
             raise ParticleCollision(f"minimum pairwise distance {math.sqrt(low):.3e} below {math.sqrt(d2):.3e}")
         closest = min(closest, low)
-        S = np.reciprocal(r2, out=r2) @ repulsion[s]
-        v[lo:hi] = X[lo:hi] * (S[:, :1] - sb[s]) - (S[:, 1:] - tb[s])
+        K = np.reciprocal(r2, out=r2)
+        S[lo:hi] += K @ repulsion[s][lo:]
+        # rows before lo were fed by earlier blocks; the own square fed its rows above
+        for t, c_lo, c_hi in ((0, hi, n1), (1, max(hi, n1), n)):
+            if c_lo < c_hi:
+                S[c_lo:c_hi] += K[:, c_lo - lo : c_hi - lo].T @ repulsion[t][lo:hi]
+    v = np.empty_like(X)
+    for s, rows in ((0, slice(0, n1)), (1, slice(n1, n))):
+        v[rows] = X[rows] * (S[rows, :1] - sb[s]) - (S[rows, 1:] - tb[s])
     if diag is not None:
         diag.force_evals += 1
         diag.closest_pair_ratio = min(diag.closest_pair_ratio, math.sqrt(closest / d2))
-    return v[: state.n1], v[state.n1 :]
+    return v[:n1], v[n1:]
 
 
 def particle_energy(state: ParticleState) -> float:
@@ -199,7 +227,7 @@ def particle_energy(state: ParticleState) -> float:
     for s, lo, hi in _row_blocks(state.n1, state.n2):
         # pairs j > i: the columns from lo on, with the block's own square
         # (symmetric, one species) at half weight and its diagonal at log 1 = 0
-        r2, _ = pairs.dist_sq(lo, hi, c0=lo)
+        r2, _ = pairs.dist_sq(lo, hi)
         r2.reshape(-1)[:: r2.shape[1] + 1] = 1.0
         c = weights[s][lo:].copy()
         c[: hi - lo] *= 0.5
@@ -228,7 +256,8 @@ def step(state: ParticleState, dt: float, k1=None, diag: RunDiagnostics | None =
     counts the stage evaluations and receives the step's stiffness estimate
     in ``step_stiffness``: q * dt with q = |k2 - k1| / (dt/2 |k1|), the
     rate of the flow along k1 (Hairer & Wanner, Solving ODEs II, IV.2),
-    0 at a fixed point.
+    0 at a fixed point.  The inner stage states skip validation; the
+    returned state is validated, so a non-finite stage raises there.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -236,7 +265,7 @@ def step(state: ParticleState, dt: float, k1=None, diag: RunDiagnostics | None =
     x = np.concatenate([state.pos1, state.pos2])
 
     def rhs(y):
-        return np.concatenate(forces(replace(state, pos1=y[:n1], pos2=y[n1:]), diag))
+        return np.concatenate(forces(ParticleState._unchecked(y[:n1], y[n1:], state.params, state.t), diag))
 
     k1 = np.concatenate(forces(state, diag) if k1 is None else k1)
     k2 = rhs(x + 0.5 * dt * k1)
@@ -263,8 +292,14 @@ class RunControls:
     taken at the first accepted state at or past each t0 + k *
     ``record_interval`` (default: 1/200 of the run's length, at least
     1/``relaxation_rate``), one row per grid time, so a step across several
-    grid times records its state at each; ``record_interval`` must be
-    finite and > 0, and a run takes at most ``MAX_RECORDS`` records.
+    grid times records its state at each; a run takes at most
+    ``MAX_RECORDS`` records.  ``dt_max``, ``displacement_factor`` and
+    ``record_interval`` must be finite and > 0.
+
+    The stiffness estimate saturates near 2 for a repelling pair that one
+    step overshoots (k2 is taken after the pair has flown apart), so it
+    cannot stand in for the displacement rule: a ``displacement_factor``
+    much above the default removes the protection against such steps.
     """
 
     dt_max: float | None = None
@@ -273,8 +308,10 @@ class RunControls:
     record_energy: bool = True
 
     def __post_init__(self):
-        if self.record_interval is not None and not 0.0 < self.record_interval < math.inf:
-            raise ValueError(f"record_interval must be finite and > 0, got {self.record_interval}")
+        for name in ("dt_max", "displacement_factor", "record_interval"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def resolved_dt_max(self, p: InteractionParams) -> float:
         if self.dt_max is not None:
@@ -496,14 +533,19 @@ def edge_radius(positions, inner: bool = False) -> float:
 
     Each particle stands for a density patch roughly one interparticle
     spacing across, so the swarm edge sits half a spacing beyond the extreme
-    sample; the median nearest-neighbour distance supplies the spacing.  With
-    ``inner`` the inner rim of an annular cloud is estimated instead.
+    sample; the median nearest-neighbour distance supplies the spacing, from
+    the pair pass's triangle as row minima and a running column minimum.
+    With ``inner`` the inner rim of an annular cloud is estimated instead.
     """
     positions = np.asarray(positions, dtype=float)
     c = positions.mean(axis=0)
     dist = np.hypot(*(positions - c).T)
     pairs = _PairPass(positions)
-    nearest2 = np.concatenate([pairs.dist_sq(lo, hi)[0].min(axis=1) for _, lo, hi in _row_blocks(len(positions))])
+    nearest2 = np.full(len(positions), np.inf)
+    for _, lo, hi in _row_blocks(len(positions)):
+        r2, _ = pairs.dist_sq(lo, hi)
+        np.minimum(nearest2[lo:hi], r2.min(axis=1), out=nearest2[lo:hi])
+        np.minimum(nearest2[lo:], r2.min(axis=0), out=nearest2[lo:])
     spacing = float(np.median(np.sqrt(nearest2)))
     if inner:
         return float(dist.min()) - 0.5 * spacing

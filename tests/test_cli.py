@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from conftest import params_from_phase
 from swarm_eq import cli
 from swarm_eq.cli import RunConfig, main
-from swarm_eq.output import fmt_value
+from swarm_eq.output import fmt_value, write_csv
+from swarm_eq.particles import ParticleState
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +117,23 @@ def test_simulate_determinism(tmp_path, capsys):
         t, species, pid, x, y = line.split(",")
         assert fmt_value(float(x)) == x
         assert fmt_value(float(y)) == y
+
+
+def test_snapshot_csv_matches_a_float_repr_reference(tmp_path):
+    values = [0.1, -0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-17, 123456789.125, 2.0**-1074 * 3]
+    pos1 = np.array(values).reshape(-1, 2)
+    pos2 = -np.arange(6, dtype=float).reshape(-1, 2) / 7.0
+    times, rows = (0.0, 0.30000000000000004), []
+    for t in times:
+        cli._write_snapshot(rows, ParticleState(pos1=pos1, pos2=pos2, params=params_from_phase(3, 3.5), t=t))
+    path = tmp_path / "s.csv"
+    write_csv(path, ("t", "species", "particle_id", "x", "y"), rows)
+    expected = ["t,species,particle_id,x,y"]
+    for t in times:
+        for species, pos in ((1, pos1), (2, pos2)):
+            for i, (x, y) in enumerate(pos):
+                expected.append(f"{t!r},{species},{i},{float(x)!r},{float(y)!r}")
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def _snapshot_times(path):

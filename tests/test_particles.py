@@ -306,6 +306,89 @@ def test_pair_pass_memory_is_bounded():
         assert peak < 64 * 2**20, (pass_.__name__, peak)
 
 
+def _ragged_blocked_state(monkeypatch):
+    """(n1, n2) = (331, 77) with 40-row blocks: several per species, neither count a multiple."""
+    monkeypatch.setattr(particles, "BLOCK_ELEMENTS", 40 * 408)
+    p = InteractionParams(1.2, 0.8, 0.9, 1.7, 3, 2, eta=0.7)
+    st = init_random_disk(p, 331, 77, 1.0, seed=6)
+    assert [hi - lo for _, lo, hi in particles._row_blocks(331, 77)] == [40] * 8 + [11, 40, 37]
+    return st
+
+
+def test_triangle_pass_matches_direct_double_sum_over_ragged_blocks(monkeypatch):
+    st = _ragged_blocked_state(monkeypatch)
+    v_ref, scale, e_ref, e_scale = _direct_pair_terms(st)
+    v = np.concatenate(forces(st))
+    assert np.all(np.abs(v - v_ref) <= 1e-14 * scale[:, None])
+    assert particle_energy(st) == pytest.approx(e_ref, abs=1e-13 * e_scale)
+    for pos in (st.pos1, np.concatenate([st.pos1, st.pos2])):
+        dist = np.hypot(np.subtract.outer(pos[:, 0], pos[:, 0]), np.subtract.outer(pos[:, 1], pos[:, 1]))
+        spacing = float(np.median(np.min(dist + np.diag(np.full(len(pos), np.inf)), axis=1)))
+        edge = np.hypot(*(pos - pos.mean(axis=0)).T).max() + 0.5 * spacing
+        assert edge_radius(pos) == pytest.approx(edge, rel=1e-12)
+
+
+def test_triangle_pass_conserves_momentum_with_a_close_pair_in_the_last_blocks(monkeypatch):
+    # the last particle of each species 1e-7 apart: species 1's row in the last
+    # block of species 1, formed as a column of the last, 11-row block of species 0
+    st = _ragged_blocked_state(monkeypatch)
+    pos2 = st.pos2.copy()
+    pos2[-1] = st.pos1[-1] + [6e-8, -8e-8]
+    st = ParticleState(pos1=st.pos1, pos2=pos2, params=st.params)
+    v_ref, scale, _, _ = _direct_pair_terms(st)
+    v1, v2 = forces(st)
+    w = np.repeat([st.w1, st.w2], [st.n1, st.n2])
+    momentum = st.w1 * v1.sum(axis=0) + st.w2 * v2.sum(axis=0)
+    assert np.all(np.abs(momentum) <= 1e-14 * float(w @ scale))
+    # the close pair's own terms, about 1e5 in velocity, cancel to that rounding
+    assert np.hypot(*v_ref[st.n1 - 1]) > 1e5
+    assert np.all(np.abs(np.concatenate([v1, v2]) - v_ref) <= 1e-14 * scale[:, None])
+
+
+@pytest.mark.parametrize("gap", [1e-5, 3e-6])
+def test_near_pair_is_recomputed_relative_to_the_position_scale(gap):
+    # at |x| ~ 1 the expanded r^2 has an absolute error of about 1e-16, which
+    # at these gaps is 1e-6..1e-5 of r^2; the pass recomputes such entries
+    p = InteractionParams(1.2, 0.8, 0.9, 1.7, 3, 2, eta=0.7)
+    st = init_random_disk(p, 100, 50, 1.0, seed=5)
+    pos1, pos2 = st.pos1.copy(), st.pos2.copy()
+    pos1[60] = [0.8, 0.6]
+    pos2[30] = pos1[60] + gap * np.array([0.6, -0.8])
+    st = ParticleState(pos1=pos1, pos2=pos2, params=p)
+    v_ref = _direct_pair_terms(st)[0]
+    v = np.concatenate(forces(st))
+    for i in (60, st.n1 + 30):
+        assert np.hypot(*(v[i] - v_ref[i])) <= 1e-9 * np.hypot(*v_ref[i])
+
+
+def test_step_validates_its_result_but_not_its_stages(monkeypatch):
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+    calls = []
+    original = particles.forces
+
+    def nan_at_stage_2(state, diag=None):
+        calls.append(1)
+        v1, v2 = original(state, diag)
+        return (v1 * np.nan, v2) if len(calls) == 2 else (v1, v2)
+
+    monkeypatch.setattr(particles, "forces", nan_at_stage_2)
+    with pytest.raises(ValueError, match="finite"):
+        step(st, 0.01)
+    assert len(calls) == 4
+    calls.clear()
+    diag = particles.RunDiagnostics()
+    with pytest.raises(ValueError, match="finite"):
+        step(st, 0.01, diag=diag)
+    assert diag.force_evals == 4
+
+
+@pytest.mark.parametrize("name", ["dt_max", "displacement_factor", "record_interval"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_run_controls_reject_non_positive_or_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        RunControls(**{name: value})
+
+
 def _close_pair_state():
     """A random swarm with one pair 1e-3 apart, which forces rejected steps at the start."""
     p = params_from_phase(2.0, 1.5)
