@@ -32,7 +32,6 @@ from .model import (
 )
 from .particles import (
     ParticleState,
-    RunControls,
     RunDiagnostics,
     forces,
     init_from_equilibrium,
@@ -64,7 +63,6 @@ __all__ = [
     "ParticleState",
     "PhasePoint",
     "RegionId",
-    "RunControls",
     "RunDiagnostics",
     "SeparationSolution",
     "StabilityReport",

@@ -4,10 +4,10 @@ Every subcommand accepts parameters through flags or a JSON config file
 (flags override the file).  Results go to stdout as JSON; bulk numeric output
 goes to CSV files; plots to dependency-free SVG.  A metadata record (config
 hash, version, wall time; for ``simulate``, ``stability``, ``weakcross`` and
-``phase-diagram`` also the wall time of each stage, and for ``simulate`` the
-run counters) is printed to stderr for every run.  Exit code 2 flags
-configuration errors, 3 numerical failures (with the error name in a JSON
-record on stderr).
+``phase-diagram`` also the wall time of each stage, and for ``simulate`` and
+each of ``weakcross``'s overlay runs the run counters) is printed to stderr
+for every run.  Exit code 2 flags configuration errors, 3 numerical failures
+(with the error name in a JSON record on stderr).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .model import (
 from .output import SvgPlot, config_hash, json_canonical, write_csv
 from .particles import (
     Morphology,
-    RunControls,
     check_morphology_counts,
     init_from_equilibrium,
     init_random_disk,
@@ -229,11 +228,15 @@ def cmd_stability(ns) -> dict:
 #: Snapshots ``simulate`` accepts; every one is held in memory until the CSV is written.
 MAX_SNAPSHOTS = 10_000
 
-#: ``RunDiagnostics`` counters in ``simulate``'s stderr metadata record.
+#: ``RunDiagnostics`` counters in the stderr metadata record, for ``simulate`` and each overlay run of ``weakcross``.
 _RUN_COUNTERS = (
     "force_evals", "accepted_steps", "rejected_steps", "dt_min", "dt_max", "closest_pair_ratio",
     "max_stiffness", "max_energy_rise",
 )
+
+
+def _run_counters(diag) -> dict:
+    return {key: getattr(diag, key) for key in _RUN_COUNTERS}
 
 
 def _write_snapshot(rows, state):
@@ -247,7 +250,6 @@ def cmd_simulate(ns) -> dict:
             f"--t-end must be finite and > 0 and --snapshot-every > 0 with at most {MAX_SNAPSHOTS} snapshots, "
             f"got {ns.t_end} and {ns.snapshot_every}"
         )
-    controls = RunControls(record_interval=ns.record_interval)
     stages = _Stages()
     p = resolve_params(ns)
     if ns.init == "equilibrium":
@@ -264,7 +266,7 @@ def cmd_simulate(ns) -> dict:
     every = [k * ns.snapshot_every for k in range(1, math.ceil(ns.t_end / ns.snapshot_every))]
     stops = [t for t in every if t < ns.t_end] + [ns.t_end]
     start = state
-    state, diag = run(state, ns.t_end, controls, stops=stops)
+    state, diag = run(state, ns.t_end, stops=stops, record_interval=ns.record_interval)
     stages.done("run")
 
     snapshot_rows: list = []
@@ -294,7 +296,7 @@ def cmd_simulate(ns) -> dict:
             "diagnostics": f"{ns.out}_diagnostics.csv",
         }
     )
-    return {"run": {key: getattr(diag, key) for key in _RUN_COUNTERS}, **stages.record()}
+    return {"run": _run_counters(diag), **stages.record()}
 
 
 def _overlay_counts(n_total, mass_ratio):
@@ -304,14 +306,13 @@ def _overlay_counts(n_total, mass_ratio):
 
 
 def _overlay_point(ratio, mass_ratio, eta, n_total, t_end, seed):
-    """Long-run particle estimate of d/R at one A/B ratio (unit self-coefficients)."""
+    """Diagnostics of a long particle run at one A/B ratio (unit self-coefficients)."""
     n1, n2 = _overlay_counts(n_total, mass_ratio)
     p = InteractionParams(
         a_s=1.0, a_c=ratio, b_s=1.0, b_c=1.0, M1=mass_ratio, M2=1.0, eta=eta
     )
     state = init_random_disk(p, n1, n2, 1.0, seed=seed)
-    _, diag = run(state, t_end, RunControls(record_energy=False, record_interval=t_end / 10.0))
-    return diag.d_over_R[-1]  # the last record is the final state's
+    return run(state, t_end, record_interval=t_end / 10.0)[1]
 
 
 def _overlay_ratios(ns):
@@ -343,14 +344,16 @@ def cmd_weakcross(ns) -> dict:
     samples = curve_sample(ns.ratio_min, ns.ratio_max, ns.n_points)
     rows = [(s.ratio_AB, s.d_over_R, s.regime, s.residual) for s in samples]
     stages.done("curve")
-    overlay_rows = []
+    overlay_rows, overlay_runs = [], []
     if ratios:
         for k, ratio in enumerate(ratios):
-            sim = _overlay_point(
+            diag = _overlay_point(
                 ratio, ns.overlay_M, ns.overlay_eta, ns.overlay_N, ns.overlay_t_end,
                 seed=ns.seed + k,
             )
-            overlay_rows.append((ratio, ns.overlay_M, sim))
+            # the last record is the final state's
+            overlay_rows.append((ratio, ns.overlay_M, diag.d_over_R[-1]))
+            overlay_runs.append(_run_counters(diag))
         stages.done("overlay")
     # every overlay run has succeeded before any file is written
     if ns.out_csv:
@@ -376,6 +379,8 @@ def cmd_weakcross(ns) -> dict:
         }
     )
     stages.done("write")
+    if overlay_runs:
+        return {"overlay_runs": overlay_runs, **stages.record()}
     return stages.record()
 
 

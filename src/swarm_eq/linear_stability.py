@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_integrals import PerturbedDisk, attraction_integral, repulsion_integral
-from .equilibria import EquilibriumKind, build_equilibrium, existence_region_mask
+from .equilibria import EquilibriumConfig, EquilibriumKind, build_equilibrium, existence_region_mask
 from .errors import EquilibriumMissing, SpectrumMismatch
 from .model import (
     InteractionParams,
@@ -130,13 +130,14 @@ def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
 
 
 def _require_target(kind: EquilibriumKind, p: InteractionParams):
+    """The target kind and its equilibrium at p; raises EquilibriumMissing for any other state."""
     kind = EquilibriumKind(kind)
     if kind not in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.TARGET_HEAVY_IN):
         raise EquilibriumMissing(f"boundary perturbation analysis covers targets only, not {kind}")
     cfg = build_equilibrium(kind, p)
     if not cfg.exists:
         raise EquilibriumMissing(f"{kind.value} does not exist here: {cfg.reason}")
-    return kind
+    return kind, cfg
 
 
 def build_Q(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
@@ -147,7 +148,7 @@ def build_Q(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
     light-inside one with the species masses interchanged, which reorders the
     middle/inner roles accordingly.
     """
-    kind = _require_target(kind, p)
+    kind, _ = _require_target(kind, p)
     if m < 1:
         raise ValueError(f"mode must be >= 1, got {m}")
     if kind is EquilibriumKind.TARGET_LIGHT_IN:
@@ -335,7 +336,7 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
     verdict is cross-checked against the analytic region result (light
     inside: stable exactly on D4 and D5; heavy inside: never stable).
     """
-    kind = _require_target(kind, p)
+    kind, _ = _require_target(kind, p)
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     modes = tuple(mode_spectrum(kind, p, m) for m in range(1, m_max + 1))
@@ -371,18 +372,14 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
 # Independent assembly of Q from the perturbed-boundary integrals
 
 
-def _assembly_geometry(kind: EquilibriumKind, p: InteractionParams):
-    """Boundary radii (outer, middle, inner), their species, and shell densities."""
-    cfg = build_equilibrium(kind, p)
-    if not cfg.exists:
-        raise EquilibriumMissing(cfg.reason)
+def _assembly_geometry(kind: EquilibriumKind, cfg: EquilibriumConfig):
+    """Boundary radii (outer, middle, inner), their species, and shell densities of an existing target."""
+    r_core, r_mid, r_out = cfg.radii
     if kind is EquilibriumKind.TARGET_LIGHT_IN:
-        r_core, r_mid, r_out = cfg.radii
         species = (1, 1, 2)  # outer, middle, inner boundary
         rho_ann, rho_core = cfg.shells[1].rho1, cfg.shells[0].rho2
         s_ann, s_core = 1, 2
     else:
-        r_core, r_mid, r_out = cfg.radii
         species = (2, 2, 1)
         rho_ann, rho_core = cfg.shells[1].rho2, cfg.shells[0].rho1
         s_ann, s_core = 2, 1
@@ -399,10 +396,10 @@ def build_Q_from_integrals(
     baseline is subtracted, and the normal/tangential responses are read off
     at angle theta0 (any angle with cos(m theta0) sin(m theta0) != 0).
     """
-    kind = _require_target(kind, p)
+    kind, cfg = _require_target(kind, p)
     if theta0 is None:
         theta0 = math.pi / (4.0 * m)
-    radii, species, (rho_ann, s_ann), (rho_core, s_core) = _assembly_geometry(kind, p)
+    radii, species, (rho_ann, s_ann), (rho_core, s_core) = _assembly_geometry(kind, cfg)
     kernels = {
         True: (p.a_s, p.b_s),  # same species
         False: (p.ac_eff, p.bc_eff),

@@ -14,8 +14,8 @@ whole run, and a stop costs no extra velocity evaluation.
 The flow is stiff: each species' density relaxes at ``relaxation_rate``
 while the species drift apart orders of magnitude more slowly.  The
 Jacobian's spectrum is real and negative (J = -W^-1 Hess E), so RK4 is
-stable for rate * dt up to 2.785.  The default step cap puts the fastest
-rate at ``C_RK4`` = 2, and the stiffness estimate that every step gets for
+stable for rate * dt up to 2.785.  The step cap puts the fastest rate at
+``C_RK4`` = 2, and the stiffness estimate that every step gets for
 free from its first two stages rejects any step that the continuum rate
 underestimates beyond ``STIFFNESS_LIMIT``.
 """
@@ -34,9 +34,16 @@ from .model import InteractionParams, attraction_weights
 #: Hard lower bound on the adaptive time step.
 DT_MIN = 1e-12
 
-#: Default step cap in units of the fastest relaxation time: lambda * dt <= 2,
-#: where RK4's amplification is |R(-2)| = 1/3, so the fastest mode still damps.
+#: Step cap in units of the fastest relaxation time: lambda * dt <= 2, where
+#: RK4's amplification is |R(-2)| = 1/3, so the fastest mode still damps.
 C_RK4 = 2.0
+
+#: Largest particle displacement of an accepted step, in units of
+#: sqrt(a_s/b_s).  The stiffness check cannot stand in for this rule: its
+#: estimate saturates near 2 for a repelling pair that one step overshoots
+#: (k2 is taken after the pair has flown apart), so only this bound keeps
+#: such steps out.
+DISPLACEMENT_FACTOR = 0.1
 
 #: Most records one run takes; each holds a few floats.
 MAX_RECORDS = 100_000
@@ -243,9 +250,9 @@ def particle_energy(state: ParticleState) -> float:
     return -0.5 * log_sum + 0.5 * (p.b_s * quad_self + p.bc_eff * quad_cross)
 
 
-def max_speed(state: ParticleState, v=None) -> float:
-    """Largest particle speed; ``v`` gives the state's velocities if already computed."""
-    v1, v2 = forces(state) if v is None else v
+def max_speed(v) -> float:
+    """Largest particle speed of the velocities ``v`` = (v1, v2)."""
+    v1, v2 = v
     return float(max(np.max(np.hypot(v1[:, 0], v1[:, 1])), np.max(np.hypot(v2[:, 0], v2[:, 1]))))
 
 
@@ -276,47 +283,6 @@ def step(state: ParticleState, dt: float, k1=None, diag: RunDiagnostics | None =
         diag.step_stiffness = 2.0 * float(np.linalg.norm(k2 - k1)) / norm if norm > 0.0 else 0.0
     y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return replace(state, pos1=y[:n1], pos2=y[n1:], t=state.t + dt)
-
-
-@dataclass(frozen=True)
-class RunControls:
-    """Adaptive stepping and recording knobs for ``run``.
-
-    The step is halved whenever the largest particle displacement exceeds
-    ``displacement_factor`` times sqrt(a_s/b_s) and grown gently when far
-    below it, capped at ``dt_max`` (default: ``C_RK4`` over
-    ``relaxation_rate``).  A sampled state can relax faster than the
-    continuum, for instance where two particles sit close together, so a
-    step whose stiffness estimate q * dt exceeds ``STIFFNESS_LIMIT`` is
-    rejected as well and retried at min(dt/2, ``C_RK4``/q).  Records are
-    taken at the first accepted state at or past each t0 + k *
-    ``record_interval`` (default: 1/200 of the run's length, at least
-    1/``relaxation_rate``), one row per grid time, so a step across several
-    grid times records its state at each; a run takes at most
-    ``MAX_RECORDS`` records.  ``dt_max``, ``displacement_factor`` and
-    ``record_interval`` must be finite and > 0.
-
-    The stiffness estimate saturates near 2 for a repelling pair that one
-    step overshoots (k2 is taken after the pair has flown apart), so it
-    cannot stand in for the displacement rule: a ``displacement_factor``
-    much above the default removes the protection against such steps.
-    """
-
-    dt_max: float | None = None
-    displacement_factor: float = 0.1
-    record_interval: float | None = None
-    record_energy: bool = True
-
-    def __post_init__(self):
-        for name in ("dt_max", "displacement_factor", "record_interval"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-    def resolved_dt_max(self, p: InteractionParams) -> float:
-        if self.dt_max is not None:
-            return self.dt_max
-        return C_RK4 / relaxation_rate(p)
 
 
 def relaxation_rate(p: InteractionParams) -> float:
@@ -372,41 +338,54 @@ class RunDiagnostics:
         }
 
 
-def _record(diag: RunDiagnostics, state: ParticleState, with_energy: bool, v, count: int = 1):
+def _record(diag: RunDiagnostics, state: ParticleState, v, count: int = 1):
     """Append ``count`` identical records of ``state`` (one per grid time it is the first at or past)."""
     p = state.params
     c1 = state.pos1.mean(axis=0)
     c2 = state.pos2.mean(axis=0)
     R = math.sqrt(p.a_s / p.b_s)
-    energy = particle_energy(state) if with_energy else math.nan
-    if with_energy and diag.energy:
+    energy = particle_energy(state)
+    if diag.energy:
         rise = (energy - diag.energy[-1]) / (abs(diag.energy[0]) or 1.0)
         diag.max_energy_rise = max(diag.max_energy_rise, rise)
-    row = (state.t, energy, state.com(), float(np.hypot(*(c1 - c2))) / R, max_speed(state, v))
+    row = (state.t, energy, state.com(), float(np.hypot(*(c1 - c2))) / R, max_speed(v))
     for trace, value in zip((diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed), row):
         trace.extend([value] * count)
 
 
-def run(state: ParticleState, t_end: float, controls: RunControls | None = None, stops=()):
-    """Integrate to t = t_end with adaptive RK4 steps (see ``RunControls``).
+def run(state: ParticleState, t_end: float, stops=(), record_interval: float | None = None):
+    """Integrate to t = t_end with adaptive RK4 steps.
+
+    The step is halved whenever the largest particle displacement exceeds
+    ``DISPLACEMENT_FACTOR`` times sqrt(a_s/b_s) and grown gently when far
+    below it, capped at ``C_RK4`` over ``relaxation_rate``.  A sampled
+    state can relax faster than the continuum, for instance where two
+    particles sit close together, so a step whose stiffness estimate q * dt
+    exceeds ``STIFFNESS_LIMIT`` is rejected as well and retried at
+    min(dt/2, ``C_RK4``/q).
 
     One integration lands exactly on each of the sorted ``stops`` (times in
     [state.t, t_end]) and on t_end, by stretching or shortening the step
     that reaches it; after a stop the controller goes on from its own step
-    size.  Returns (final state, diagnostics), the states at the stops in
-    ``diagnostics.stop_states``.  Raises StepUnderflow if repeated halving
-    pushes dt below 1e-12, ParticleCollision if particles meet, and
-    ValueError for stops out of order or more than ``MAX_RECORDS`` records.
+    size.  Records are taken at the first accepted state at or past each
+    t0 + k * ``record_interval`` (finite and > 0; default: 1/200 of the
+    run's length, at least 1/``relaxation_rate``), one row per grid time,
+    so a step across several grid times records its state at each; a run
+    takes at most ``MAX_RECORDS`` records.  Returns (final state,
+    diagnostics), the states at the stops in ``diagnostics.stop_states``.
+    Raises StepUnderflow if repeated halving pushes dt below 1e-12,
+    ParticleCollision if particles meet, and ValueError for stops out of
+    order, a bad ``record_interval`` or more than ``MAX_RECORDS`` records.
     """
-    controls = controls or RunControls()
+    if record_interval is not None and not 0.0 < record_interval < math.inf:
+        raise ValueError(f"record_interval must be finite and > 0, got {record_interval}")
     stops = [float(s) for s in stops]
     if stops and not (state.t <= stops[0] and stops[-1] <= t_end and stops == sorted(stops)):
         raise ValueError(f"stops must be sorted within [{state.t}, {t_end}]")
     p = state.params
-    dt = dt_max = controls.resolved_dt_max(p)
-    disp_limit = controls.displacement_factor * math.sqrt(p.a_s / p.b_s)
+    dt = dt_max = C_RK4 / relaxation_rate(p)
+    disp_limit = DISPLACEMENT_FACTOR * math.sqrt(p.a_s / p.b_s)
     t0 = state.t
-    record_interval = controls.record_interval
     if record_interval is None:
         # grid times closer than the fastest relaxation time would mostly repeat the
         # state of a step that spans several of them
@@ -419,7 +398,7 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None,
     # stiffness check retries with the same k1
     diag = RunDiagnostics()
     v = forces(state, diag)
-    _record(diag, state, controls.record_energy, v)
+    _record(diag, state, v)
     n_records = 1
 
     for k, target in enumerate([*stops, t_end]):
@@ -459,13 +438,13 @@ def run(state: ParticleState, t_end: float, controls: RunControls | None = None,
                 passed += 1
             if passed:
                 v = forces(state, diag)
-                _record(diag, state, controls.record_energy, v, passed)
+                _record(diag, state, v, passed)
                 n_records += passed
         if k < len(stops):
             diag.stop_states.append(state)
 
     if diag.t[-1] < state.t:
-        _record(diag, state, controls.record_energy, forces(state, diag))
+        _record(diag, state, forces(state, diag))
     return state, diag
 
 

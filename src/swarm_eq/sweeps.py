@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .equilibria import EquilibriumKind, existence_region_mask
-from .linear_stability import UmRegion, reduced_coefficients
+from .linear_stability import MARGINAL_BAND, UmRegion, reduced_coefficients
 from .model import region_code_grid
 
 _VERDICT_STABLE = 1
@@ -41,18 +41,21 @@ def _cubic_max_real(c2, c1, c0):
     return roots.real.max(axis=1)
 
 
-def _band_verdict(w, band):
-    """1, 0 or -1 as the largest scaled real part w lies below, inside or above the band."""
-    return np.where(w > band, _VERDICT_UNSTABLE, np.where(w < -band, _VERDICT_STABLE, _VERDICT_MARGINAL))
+def _band_verdict(w):
+    """1, 0 or -1 as the largest scaled real part w lies below, inside or above the marginal band."""
+    return np.where(
+        w > MARGINAL_BAND, _VERDICT_UNSTABLE, np.where(w < -MARGINAL_BAND, _VERDICT_STABLE, _VERDICT_MARGINAL)
+    )
 
 
-def cubic_mode_verdict(c2, c1, c0, band: float = 1e-9) -> np.ndarray:
+def cubic_mode_verdict(c2, c1, c0) -> np.ndarray:
     """Verdict per point for the rates mu^3 + c2 mu^2 + c1 mu + c0 = 0, c2 > 0.
 
     Returns 1 (stable: every root has Re < -band*s), -1 (unstable: some root
-    has Re > band*s) or 0 (marginal: neither), with s = 1 + |c2| + |c1| + |c0|
-    the natural scale of the cubic.  By Routh-Hurwitz, with c2 > 0 every
-    root has Re < 0 iff c0 > 0 and H = c2*c1 - c0 > 0.  The sign test can
+    has Re > band*s) or 0 (marginal: neither), with band the
+    ``MARGINAL_BAND`` and s = 1 + |c2| + |c1| + |c0| the natural scale of
+    the cubic.  By Routh-Hurwitz, with c2 > 0 every root has Re < 0 iff
+    c0 > 0 and H = c2*c1 - c0 > 0.  The sign test can
     only go wrong for a root with |Re| <= band*s, and such a root leaves a
     trace in the coefficients: by the Cauchy bound every root has |r| <= s,
     so a real root r with |r| <= band*s gives |c0| = |r1 r2 r3| <= band*s^3,
@@ -67,22 +70,20 @@ def cubic_mode_verdict(c2, c1, c0, band: float = 1e-9) -> np.ndarray:
     s = 1.0 + np.abs(c2) + np.abs(c1) + np.abs(c0)
     H = c2 * c1 - c0
     verdict = np.where((c0 > 0.0) & (H > 0.0), _VERDICT_STABLE, _VERDICT_UNSTABLE).astype(np.int8)
-    tol = 16.0 * band * s**3
+    tol = 16.0 * MARGINAL_BAND * s**3
     unsure = ~((np.abs(c0) > tol) & (np.abs(H) > tol))
     if np.any(unsure):
         w = _cubic_max_real(c2[unsure], c1[unsure], c0[unsure]) / s[unsure]
-        verdict[unsure] = _band_verdict(w, band)
+        verdict[unsure] = _band_verdict(w)
     return verdict
 
 
-def target_verdict_grid(
-    kind: EquilibriumKind, A, B, M: float, m_max: int = 32, band: float = 1e-9
-) -> np.ndarray:
+def target_verdict_grid(kind: EquilibriumKind, A, B, M: float, m_max: int = 32) -> np.ndarray:
     """Overall stability verdict per grid point for a target state.
 
     Returns 1 (stable), -1 (unstable), 0 (marginal: some rate inside the band
     and none above it), -2 (state does not exist there).  Rates are in units
-    of the natural matrix scale, so ``band`` is relative.  The overall
+    of the natural matrix scale, so ``MARGINAL_BAND`` is relative.  The overall
     verdict is the worst per-mode verdict (unstable < marginal < stable).
     """
     kind = EquilibriumKind(kind)
@@ -101,18 +102,18 @@ def target_verdict_grid(
     # mode 1: reduced quadratic, unit b_s M2 scale; both roots are real
     lin, const = reduced_coefficients(kind, Ae, Be, M, 1)
     max_re = 0.5 * (-lin + np.sqrt(lin * lin - 4.0 * const))
-    v = _band_verdict(max_re / np.maximum(1.0, np.abs(lin)), band)
+    v = _band_verdict(max_re / np.maximum(1.0, np.abs(lin)))
     for m in range(2, m_max + 1):
-        v = np.minimum(v, cubic_mode_verdict(*reduced_coefficients(kind, Ae, Be, M, m), band))
+        v = np.minimum(v, cubic_mode_verdict(*reduced_coefficients(kind, Ae, Be, M, m)))
     verdict[exists] = v
     return verdict.reshape(shape)
 
 
-def heavy_mode2_unstable_grid(A, B, M: float, band: float = 1e-9) -> np.ndarray:
+def heavy_mode2_unstable_grid(A, B, M: float) -> np.ndarray:
     """Mask where boundary mode 2 of the heavy-inside target is unstable."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     coeffs = reduced_coefficients(EquilibriumKind.TARGET_HEAVY_IN, A, B, M, 2)
-    return cubic_mode_verdict(*coeffs, band) == _VERDICT_UNSTABLE
+    return cubic_mode_verdict(*coeffs) == _VERDICT_UNSTABLE
 
 
 def um_member_grid(m: int, M: float, A, B) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -336,6 +337,12 @@ class PerturbationGrid:
     def cell_area(self) -> float:
         return self.h * self.h
 
+    @cached_property
+    def dist_sq(self) -> np.ndarray:
+        """Squared distances between all pairs of cell centres, (n^2, n^2)."""
+        diff = self.points[:, None, :] - self.points[None, :, :]
+        return np.sum(diff * diff, axis=-1)
+
     def integrate(self, values) -> float:
         return float(np.sum(values) * self.cell_area)
 
@@ -386,31 +393,21 @@ def _check_constraints(grid, t1, t2):
 def grid_interaction_energy(grid: PerturbationGrid, r1, r2, p: InteractionParams) -> float:
     """Interaction energy of a gridded density pair by direct double sums.
 
-    The log kernel's diagonal entry uses the exact average of ln|x - y| over a
-    square cell against its own center, keeping the sum second-order accurate
-    despite the integrable singularity.
+    The quadratic part is ``attraction_term``.  The log kernel's diagonal
+    entry uses the exact average of ln|x - y| over a square cell against its
+    own center, keeping the sum second-order accurate despite the integrable
+    singularity.
     """
     r1 = np.asarray(r1, dtype=float).ravel()
     r2 = np.asarray(r2, dtype=float).ravel()
-    pts = grid.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist_sq = np.sum(diff * diff, axis=-1)
     with np.errstate(divide="ignore"):
-        log_k = 0.5 * np.log(dist_sq)
+        log_k = 0.5 * np.log(grid.dist_sq)
     np.fill_diagonal(log_k, math.log(grid.h) + LOG_CELL_CONSTANT)
     q2 = grid.cell_area**2
-
-    def bilinear(kmat, u, v):
-        return float(u @ kmat @ v) * q2
-
-    e_self = 0.5 * (
-        -p.a_s * (bilinear(log_k, r1, r1) + bilinear(log_k, r2, r2))
-        + 0.5 * p.b_s * (bilinear(dist_sq, r1, r1) + bilinear(dist_sq, r2, r2))
-    )
-    e_cross = -p.ac_eff * bilinear(log_k, r1, r2) + 0.5 * p.bc_eff * bilinear(
-        dist_sq, r1, r2
-    )
-    return e_self + e_cross
+    repulsion = -(
+        0.5 * p.a_s * (float(r1 @ log_k @ r1) + float(r2 @ log_k @ r2)) + p.ac_eff * float(r1 @ log_k @ r2)
+    ) * q2
+    return repulsion + attraction_term(grid, r1, r2, p)
 
 
 def second_variation(grid: PerturbationGrid, t1, t2, p: InteractionParams) -> float:
@@ -436,9 +433,7 @@ def attraction_term(grid: PerturbationGrid, t1, t2, p: InteractionParams) -> flo
     """Direct double-sum of the quadratic-attraction part of E2."""
     t1 = np.asarray(t1, dtype=float).ravel()
     t2 = np.asarray(t2, dtype=float).ravel()
-    pts = grid.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist_sq = np.sum(diff * diff, axis=-1)
+    dist_sq = grid.dist_sq
     q2 = grid.cell_area**2
     return (
         0.25 * p.b_s * (float(t1 @ dist_sq @ t1) + float(t2 @ dist_sq @ t2)) * q2

@@ -41,7 +41,6 @@ from swarm_eq.linear_stability import (
 )
 from swarm_eq.model import InteractionParams, PhasePoint, to_phase_point
 from swarm_eq.particles import (
-    RunControls,
     core_anisotropy,
     core_displacement,
     edge_radius,
@@ -340,7 +339,7 @@ def _overlay_separation(ratio, mass_ratio, seed):
         M1, M2 = 2.0, 1.0
     p = InteractionParams(a_s=1.0, a_c=ratio, b_s=1.0, b_c=1.0, M1=M1, M2=M2, eta=0.05)
     st = init_random_disk(p, n1, n2, 1.0, seed=seed)
-    st, _ = run(st, 3000.0, RunControls(record_energy=False, record_interval=500.0))
+    st, _ = run(st, 3000.0, record_interval=500.0)
     return float(np.hypot(*(st.pos1.mean(axis=0) - st.pos2.mean(axis=0))))
 
 

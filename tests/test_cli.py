@@ -422,6 +422,23 @@ def test_weakcross_overlay_emission(tmp_path, capsys):
     assert float(lines[1].split(",")[-1]) == pytest.approx(math.sqrt(6.0), rel=0.25)
 
 
+def test_weakcross_overlay_reports_run_counters(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "weakcross", "--n-points", "3",
+        "--overlay-ratios", "2,6", "--overlay-t-end", "20", "--overlay-N", "40",
+        "--overlay-csv", str(tmp_path / "ov.csv"),
+    )
+    assert code == 0
+    assert "overlay_runs" not in last_json(out)
+    runs = json.loads(err.strip().splitlines()[-1])["overlay_runs"]
+    # one record per overlay ratio, with simulate's counters
+    assert len(runs) == 2
+    for counters in runs:
+        assert sorted(counters) == sorted(cli._RUN_COUNTERS)
+        assert counters["force_evals"] == 4 * counters["accepted_steps"] + 3 * counters["rejected_steps"] + 1
+        assert 0.0 <= counters["max_energy_rise"] <= 1e-6
+
+
 def _number(lo, hi):
     return hst.one_of(
         hst.floats(lo, hi).map(repr), hst.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "x", ""])

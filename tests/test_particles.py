@@ -21,7 +21,6 @@ from swarm_eq.particles import (
     C_RK4,
     STIFFNESS_LIMIT,
     ParticleState,
-    RunControls,
     collision_threshold,
     core_anisotropy,
     core_displacement,
@@ -141,11 +140,12 @@ def test_energy_decreases_and_com_conserved(rng):
         assert drift < 1e-8 * 8.0
 
 
-def test_step_underflow():
+def test_step_underflow(monkeypatch):
     p = params_from_phase(1.5, 0.5)
     st = init_random_disk(p, 12, 8, 1.0, seed=1)
+    monkeypatch.setattr(particles, "DISPLACEMENT_FACTOR", 1e-18)
     with pytest.raises(StepUnderflow):
-        run(st, 1.0, RunControls(displacement_factor=1e-18))
+        run(st, 1.0)
 
 
 def test_morphology_labels():
@@ -153,7 +153,7 @@ def test_morphology_labels():
     cfg = build_equilibrium(EquilibriumKind.TARGET_LIGHT_IN, p)
     st = init_from_equilibrium(cfg, 133, 67, seed=5)
     # a short relaxation removes the O(1/sqrt(N)) sampling offset of the coms
-    st, _ = run(st, 8.0, RunControls(record_energy=False))
+    st, _ = run(st, 8.0)
     m = morphology(st)
     assert m.label == "target-like"
     assert m.d_over_R < 0.05
@@ -209,7 +209,7 @@ def test_weak_coupling_separation_reaches_prediction():
     # the separation approaches sqrt(A/B) = sqrt(6)
     p = InteractionParams(a_s=1, a_c=6, b_s=1, b_c=1, M1=2, M2=1, eta=0.001)
     st = init_random_disk(p, 67, 33, 1.0, seed=7)
-    st, _ = run(st, 2000.0, RunControls(record_energy=False, record_interval=500.0))
+    st, _ = run(st, 2000.0, record_interval=500.0)
     m = morphology(st)
     assert m.d_over_R == pytest.approx(math.sqrt(6.0), rel=0.10)
     assert m.label == "separated"
@@ -219,10 +219,10 @@ def test_two_timescale_structure():
     # fast per-species relaxation, slow inter-species separation
     p = InteractionParams(a_s=1, a_c=6, b_s=1, b_c=1, M1=2, M2=1, eta=0.001)
     st = init_random_disk(p, 67, 33, 0.6, seed=3)
-    st, _ = run(st, 10.0, RunControls(record_energy=False, record_interval=5.0))
+    st, _ = run(st, 10.0, record_interval=5.0)
     early = support_radii(st)
     d_early = morphology(st).d_over_R
-    st, _ = run(st, 40.0, RunControls(record_energy=False, record_interval=5.0))
+    st, _ = run(st, 40.0, record_interval=5.0)
     late = support_radii(st)
     # radii already equilibrated at t = 10 ...
     assert early[0] == pytest.approx(late[0], rel=0.05)
@@ -382,11 +382,12 @@ def test_step_validates_its_result_but_not_its_stages(monkeypatch):
     assert diag.force_evals == 4
 
 
-@pytest.mark.parametrize("name", ["dt_max", "displacement_factor", "record_interval"])
+@pytest.mark.parametrize("name", ["record_interval"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_run_controls_reject_non_positive_or_non_finite(name, value):
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
     with pytest.raises(ValueError, match=name):
-        RunControls(**{name: value})
+        run(st, 1.0, **{name: value})
 
 
 def _close_pair_state():
@@ -404,12 +405,12 @@ def test_run_computes_each_state_velocity_once(monkeypatch):
     calls = []
     original = particles.forces
     monkeypatch.setattr(particles, "forces", lambda *a, **k: calls.append(1) or original(*a, **k))
-    controls = RunControls()
-    _, diag = run(st, 1.0, RunControls(record_interval=controls.resolved_dt_max(p)))
+    dt_max = C_RK4 / relaxation_rate(p)
+    _, diag = run(st, 1.0, record_interval=dt_max)
     assert diag.rejected_steps > 0 and diag.accepted_steps > 0
     assert diag.force_evals == 4 * diag.accepted_steps + 3 * diag.rejected_steps + 1
     assert diag.force_evals == len(calls)
-    assert 0.0 < diag.dt_min < diag.dt_max <= controls.resolved_dt_max(p)
+    assert 0.0 < diag.dt_min < diag.dt_max <= dt_max
     assert 1.0 < diag.closest_pair_ratio <= 1e-3 / collision_threshold(p)
 
 
@@ -439,14 +440,14 @@ def test_run_fills_a_record_row_per_grid_time_and_bounds_their_number():
     st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
     # grid 0.01 against steps of up to dt_max = 0.125: each row holds the first
     # state at or past its grid time, repeated where a step spans several
-    _, diag = run(st, 2.0, RunControls(record_interval=0.01))
+    _, diag = run(st, 2.0, record_interval=0.01)
     t = np.asarray(diag.t)
     assert len(t) == 201 and diag.dt_max > 0.05
     lag = t - 0.01 * np.arange(len(t))
     assert np.all(lag > -1e-12) and np.all(lag < diag.dt_max) and np.all(np.diff(t) >= 0.0)
     assert len(set(diag.t)) < len(t)
     with pytest.raises(ValueError):
-        run(st, 1.0, RunControls(record_interval=1e-6))
+        run(st, 1.0, record_interval=1e-6)
 
 
 def test_stops_cost_no_velocity_evaluation(monkeypatch):
@@ -526,9 +527,8 @@ def test_step_cap_keeps_relaxed_spectrum_inside_rk4_stability(kind, A, B, eta):
         st = init_random_disk(p, 67, 33, 1.0, seed=3)
     else:
         st = init_from_equilibrium(build_equilibrium(kind, p), 67, 33, seed=3)
-    st, _ = run(st, 5.0, RunControls(record_energy=False))
-    dt_max = RunControls().resolved_dt_max(p)
-    assert dt_max == C_RK4 / relaxation_rate(p)
+    st, _ = run(st, 5.0)
+    dt_max = C_RK4 / relaxation_rate(p)
     # the tolerance above C_RK4 = 2 is 0.785, up to the stability limit itself;
     # from below, the sampled flow reaches the continuum rate, so the cap wastes nothing
     assert 0.99 * C_RK4 <= _jacobian_rate(st) * dt_max <= RK4_REAL_LIMIT
@@ -552,10 +552,9 @@ def test_stiffness_check_rejects_a_step_and_reuses_k1(monkeypatch):
 
     monkeypatch.setattr(particles, "forces", lambda *a, **k: calls.append(1) or original_forces(*a, **k))
     monkeypatch.setattr(particles, "step", traced_step)
-    controls = RunControls()
-    _, diag = run(st, 1.0, controls)
+    _, diag = run(st, 1.0)
     (dt0, qdt0), (dt1, qdt1) = attempts[:2]
-    assert dt0 == controls.resolved_dt_max(p) and qdt0 == pytest.approx(12.0 * dt0, rel=0.05)
+    assert dt0 == C_RK4 / relaxation_rate(p) and qdt0 == pytest.approx(12.0 * dt0, rel=0.05)
     assert qdt0 > STIFFNESS_LIMIT and dt1 == min(0.5 * dt0, C_RK4 * dt0 / qdt0) and qdt1 <= STIFFNESS_LIMIT
     assert diag.rejected_steps >= 1 and diag.max_stiffness <= STIFFNESS_LIMIT
     assert diag.force_evals == 4 * diag.accepted_steps + 3 * diag.rejected_steps + 1

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import draw_phase_in_regions, params_from_phase
 from swarm_eq.equilibria import EXISTENCE_REGIONS, EquilibriumKind
-from swarm_eq.linear_stability import reduced_coefficients, stability_report
+from swarm_eq.linear_stability import MARGINAL_BAND, reduced_coefficients, stability_report
 from swarm_eq.model import PhasePoint, RegionId, classify_region
 from swarm_eq.sweeps import (
     cell_centered_axis,
@@ -65,8 +65,9 @@ def _eigvals_max_real(c2, c1, c0):
     return np.linalg.eigvals(comp).real.max(axis=1)
 
 
-def _eigvals_verdict_grid(kind, A, B, M, m_max, band=1e-9):
+def _eigvals_verdict_grid(kind, A, B, M, m_max):
     """Reference sweep: every cubic mode at every point decided by the eigensolver."""
+    band = MARGINAL_BAND
     codes = region_code_grid(A, B, M)
     exists = existence_region_mask(kind, codes) & (codes != 0)
     Ae, Be = A[exists], B[exists]
@@ -125,6 +126,6 @@ def test_cubic_verdict_matches_eigensolver_near_the_band(shape, delta, sign, r1,
     c = np.array([[c2], [c1], [c0]])
     s = 1.0 + np.abs(c).sum()
     w = _eigvals_max_real(*c) / s
-    band = 1e-9
+    band = MARGINAL_BAND
     expected = np.where(w > band, -1, np.where(w < -band, 1, 0))
-    np.testing.assert_array_equal(cubic_mode_verdict(*c, band), expected)
+    np.testing.assert_array_equal(cubic_mode_verdict(*c), expected)
