@@ -375,8 +375,11 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
     diagnostics), the states at the stops in ``diagnostics.stop_states``.
     Raises StepUnderflow if repeated halving pushes dt below 1e-12,
     ParticleCollision if particles meet, and ValueError for stops out of
-    order, a bad ``record_interval`` or more than ``MAX_RECORDS`` records.
+    order, a ``t_end`` that is not finite or lies before state.t, a bad
+    ``record_interval`` or more than ``MAX_RECORDS`` records.
     """
+    if not state.t <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= state.t = {state.t}, got {t_end}")
     if record_interval is not None and not 0.0 < record_interval < math.inf:
         raise ValueError(f"record_interval must be finite and > 0, got {record_interval}")
     stops = [float(s) for s in stops]

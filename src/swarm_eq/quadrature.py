@@ -1,9 +1,17 @@
-"""Adaptive and panel quadrature helpers backing the independent oracles.
+"""Quadrature helpers backing the independent oracles.
 
-All routines here evaluate defining integrals numerically (polar rays around
-the evaluation point, periodic trapezoid rules, graded panels at integrable
-log singularities) and deliberately avoid the closed forms they are used to
-verify.
+All routines here evaluate defining integrals numerically and deliberately
+avoid the closed forms they are used to verify.  Disk integrals are taken in
+polar coordinates around the evaluation point: the radial part along each
+ray is an elementary antiderivative of the kernel, and the angular part is
+numerical (adaptive ``quad`` in ``disk_kernel_integral``, fixed rules in
+``disk_repulsion_batch``).  Contour integrals use periodic trapezoid rules,
+or adaptive ``quad`` with graded panels at integrable log singularities.
+
+Every adaptive call checks QUADPACK's error estimate against the requested
+tolerance and raises ``QuadratureNonConvergence`` when it is exceeded.
+scipy is imported inside the helpers, so importing the package does not
+load it.
 """
 
 from __future__ import annotations
@@ -11,11 +19,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureNonConvergence
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
+
+
+def _checked_quad(f, a, b, what, **kw):
+    """``scipy.integrate.quad`` whose error estimate must meet its own tolerance."""
+    from scipy.integrate import quad
+
+    val, err = quad(f, a, b, **kw)
+    if not (math.isfinite(val) and err <= max(kw["epsabs"], kw["epsrel"] * abs(val))):
+        raise QuadratureNonConvergence(f"{what}: value {val} with error estimate {err}")
+    return val
 
 
 def _ray_disk_bounds(x, center, R, phi):
@@ -37,38 +54,43 @@ def _ray_disk_bounds(x, center, R, phi):
 def disk_kernel_integral(x, center, R, a_log, b_quad):
     """Integral of -a_log*ln|x-y| + (b_quad/2)|x-y|^2 over the disk |y-center| < R.
 
-    Nested adaptive quadrature in polar coordinates around x; the radial
-    integrand r*(-a ln r + b r^2/2) is continuous at r = 0, so interior
-    points need no special handling.
+    Polar coordinates around x.  The radial part along each ray is exact:
+    r*(-a ln r + b r^2/2) has the antiderivative
+    G(r) = -a (r^2/2 ln r - r^2/4) + b r^4/8 with G(0) = 0, so a ray that
+    crosses the disk on [t_lo, t_hi] contributes G(t_hi) - G(t_lo).  The
+    angular integral is one adaptive ``quad``: over [0, 2 pi] for interior
+    points, and for exterior points over the window phi_c +- half that the
+    disk subtends, with phi = phi_c + half*sin(u), which removes the
+    square-root behavior of the chord at the window's edges.  Raises
+    ``QuadratureNonConvergence`` when ``quad``'s error estimate exceeds
+    max(epsabs, epsrel*|value|).
     """
     x = (float(x[0]), float(x[1]))
     center = (float(center[0]), float(center[1]))
+
+    def G(r):
+        if r == 0.0:
+            return 0.0
+        r2 = r * r
+        return -a_log * r2 * (0.5 * math.log(r) - 0.25) + 0.125 * b_quad * r2 * r2
 
     def radial(phi):
         bounds = _ray_disk_bounds(x, center, R, phi)
         if bounds is None:
             return 0.0
-        t_lo, t_hi = bounds
-
-        def f(r):
-            if r == 0.0:
-                return 0.0
-            return r * (-a_log * math.log(r) + 0.5 * b_quad * r * r)
-
-        val, _ = quad(f, t_lo, t_hi, **_QUAD_KW)
-        return val
+        return G(bounds[1]) - G(bounds[0])
 
     dist = math.hypot(x[0] - center[0], x[1] - center[1])
     if dist < R:
-        val, err = quad(radial, 0.0, 2.0 * math.pi, **_QUAD_KW)
-    else:
-        # integrand supported on the angular window subtended by the disk
-        phi_c = math.atan2(center[1] - x[1], center[0] - x[0])
-        half = math.asin(min(1.0, R / dist))
-        val, err = quad(radial, phi_c - half, phi_c + half, **_QUAD_KW)
-    if not math.isfinite(val):
-        raise QuadratureNonConvergence("disk kernel integral did not converge")
-    return val
+        return _checked_quad(radial, 0.0, 2.0 * math.pi, "disk kernel integral", **_QUAD_KW)
+    # integrand supported on the angular window subtended by the disk
+    phi_c = math.atan2(center[1] - x[1], center[0] - x[0])
+    half = math.asin(min(1.0, R / dist))
+
+    def window(u):
+        return radial(phi_c + half * math.sin(u)) * half * math.cos(u)
+
+    return _checked_quad(window, -0.5 * math.pi, 0.5 * math.pi, "disk kernel integral", **_QUAD_KW)
 
 
 def periodic_trapezoid(f, n=512):
@@ -78,12 +100,17 @@ def periodic_trapezoid(f, n=512):
 
 
 def quad_complex(f, a, b, points=None, epsabs=1e-12):
-    """Adaptive quadrature of a complex-valued integrand."""
+    """Adaptive quadrature of a complex-valued integrand.
+
+    The real and imaginary parts are separate ``quad`` calls; each must meet
+    max(epsabs, epsrel*|part|) by its error estimate, or
+    ``QuadratureNonConvergence`` is raised.
+    """
     kw = dict(epsabs=epsabs, epsrel=1e-11, limit=400)
     if points is not None:
         kw["points"] = points
-    re, _ = quad(lambda t: f(t).real, a, b, **kw)
-    im, _ = quad(lambda t: f(t).imag, a, b, **kw)
+    re = _checked_quad(lambda t: f(t).real, a, b, "complex quadrature, real part", **kw)
+    im = _checked_quad(lambda t: f(t).imag, a, b, "complex quadrature, imaginary part", **kw)
     return complex(re, im)
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketingFailure, OutOfRange
 from .model import InteractionParams
@@ -123,6 +122,8 @@ def d_of_ab_ratio(ratio_AB: float) -> SeparationSolution:
     if ratio >= 4.0:
         d = math.sqrt(ratio)
         return SeparationSolution(ratio, d, "separated" if d > 2.0 else "intermediate", 0.0)
+    from scipy.optimize import brentq
+
     _monotone_scan()
     d = brentq(lambda x: ab_ratio_of_d(x) - ratio, 1e-9, 2.0, xtol=1e-14, rtol=8.9e-16)
     residual = abs(ab_ratio_of_d(d) - ratio)

@@ -390,6 +390,18 @@ def test_run_controls_reject_non_positive_or_non_finite(name, value):
         run(st, 1.0, **{name: value})
 
 
+@pytest.mark.parametrize("t_end", [math.nan, -1.0, math.inf])
+def test_run_rejects_a_t_end_before_the_start_or_not_finite(monkeypatch, t_end):
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("run evaluated velocities before rejecting t_end")
+
+    monkeypatch.setattr(particles, "forces", no_work)
+    with pytest.raises(ValueError, match="t_end"):
+        run(st, t_end)
+
+
 def _close_pair_state():
     """A random swarm with one pair 1e-3 apart, which forces rejected steps at the start."""
     p = params_from_phase(2.0, 1.5)
