@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .equilibria import EquilibriumKind, build_equilibrium
 from .errors import SwarmEqError
-from .linear_stability import stability_report
+from .linear_stability import DEFAULT_M_MAX, stability_report
 from .model import (
     BOUNDARY,
     InteractionParams,
@@ -385,8 +385,11 @@ def cmd_weakcross(ns) -> dict:
 
 
 def cmd_phase_diagram(ns) -> dict:
-    if not (1.0 <= ns.M < math.inf and 0.0 < ns.extent < math.inf):
-        raise ValueError(f"-M must be finite and >= 1 and --extent finite and > 0, got {ns.M} and {ns.extent}")
+    if not (1.0 <= ns.M < math.inf and 0.0 < ns.extent < math.inf and ns.grid >= 1):
+        raise ValueError(
+            f"-M must be finite and >= 1, --extent finite and > 0 and --grid >= 1, "
+            f"got {ns.M}, {ns.extent} and {ns.grid}"
+        )
     stages = _Stages()
     ax = cell_centered_axis(ns.grid, 0.0, ns.extent)
     A, B = np.meshgrid(ax, ax, indexing="ij")
@@ -476,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--out-csv", dest="out_csv", default=None)
             s.add_argument("--out-svg", dest="out_svg", default=None)
         if name == "stability":
-            s.add_argument("--m-max", dest="m_max", type=int, default=32)
+            s.add_argument("--m-max", dest="m_max", type=int, default=DEFAULT_M_MAX)
             s.add_argument("--out-csv", dest="out_csv", default=None)
         s.set_defaults(func=fn)
 
@@ -519,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-M", type=float, default=2.0)
     s.add_argument("--grid", type=int, default=100)
     s.add_argument("--extent", type=float, default=5.0)
-    s.add_argument("--m-max", dest="m_max", type=int, default=32)
+    s.add_argument("--m-max", dest="m_max", type=int, default=DEFAULT_M_MAX)
     s.add_argument("--out-csv", dest="out_csv", default=None)
     s.add_argument("--out-svg", dest="out_svg", default=None)
     s.set_defaults(func=cmd_phase_diagram)

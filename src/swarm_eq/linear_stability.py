@@ -71,6 +71,8 @@ class StabilityReport:
     guarantee: str = _NESTING_NOTE
 
     def verdict_of(self, m: int) -> str:
+        if m not in range(1, self.m_max + 1):
+            raise ValueError(f"mode {m!r} is not one of the report's modes 1..{self.m_max}")
         return self.modes[m - 1].verdict
 
     @property
@@ -80,52 +82,48 @@ class StabilityReport:
 
 
 def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
+    """Rate matrices of the modes in the 1-D int array m, stacked as (len(m), 6, 6)."""
     r2sq, r1sq, r0sq, rho1, rho2 = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
     r2, r1, r0 = math.sqrt(r2sq), math.sqrt(r1sq), math.sqrt(r0sq)
     pi = math.pi
-    Q = np.zeros((6, 6))
-    if m == 1:
-        Q[0, 0] = -a_s * pi * rho1 + b_s * rho1 * pi * r0**2
-        Q[0, 2] = -a_s * rho1 * pi * (r1 / r0) ** 3 - b_s * rho1 * pi * r1**3 / r0
-        Q[0, 4] = M2 * a_c * r2 / r0**3 + M2 * b_c * r2 / r0
-        Q[1, 0] = a_s * pi * rho1 - b_s * rho1 * pi * r0**2
-        Q[1, 2] = -a_s * pi * rho1 * (r1 / r0) ** 3 + b_s * rho1 * pi * r1**3 / r0
-        Q[1, 4] = M2 * a_c * r2 / r0**3 - M2 * b_c * r2 / r0
-        Q[2, 0] = -a_s * pi * rho1 * r0 / r1 + b_s * rho1 * pi * r0**3 / r1
-        Q[2, 2] = -a_s * pi * rho1 - b_s * rho1 * pi * r1**2
-        Q[2, 4] = M2 * a_c * r2 / r1**3 + b_c * M2 * r2 / r1
-        Q[3, 0] = a_s * pi * rho1 * r0 / r1 - b_s * rho1 * pi * r0**3 / r1
-        Q[3, 2] = -a_s * pi * rho1 + b_s * pi * rho1 * r1**2
-        Q[3, 4] = M2 * a_c * r2 / r1**3 - M2 * b_c * r2 / r1
-        Q[4, 0] = -a_c * pi * rho1 * r0 / r2 + b_c * pi * rho1 * r0**3 / r2
-        Q[4, 2] = a_c * pi * rho1 * r1 / r2 - b_c * rho1 * pi * r1**3 / r2
-        Q[4, 4] = -M1 * b_c
-        Q[5, 0] = a_c * pi * rho1 * r0 / r2 - b_c * rho1 * pi * r0**3 / r2
-        Q[5, 2] = -a_c * pi * rho1 * r1 / r2 + b_c * rho1 * pi * r1**3 / r2
-        Q[5, 4] = M1 * b_c
-        return Q
+    modes = m.tolist()
+
+    def pw(ratio, shift):
+        # float ** int per mode: numpy's array ** can differ from it in the last bit
+        return np.array([ratio ** (k + shift) for k in modes])
+
     s1 = a_s * pi * rho1
     s2 = a_s * pi * rho2
     c1 = a_c * pi * rho1
     c2 = a_c * pi * rho2
-    Q[0, 0] = -s1
-    Q[0, 2] = -s1 * (r1 / r0) ** (m + 2)
-    Q[0, 4] = c2 * (r2 / r0) ** (m + 2)
-    Q[1, 0] = s1
-    Q[1, 2] = -s1 * (r1 / r0) ** (m + 2)
-    Q[1, 4] = c2 * (r2 / r0) ** (m + 2)
-    Q[2, 0] = -s1 * (r1 / r0) ** (m - 2)
-    Q[2, 2] = -s1
-    Q[2, 4] = c2 * (r2 / r1) ** (m + 2)
-    Q[3, 0] = s1 * (r1 / r0) ** (m - 2)
-    Q[3, 2] = -s1
-    Q[3, 4] = c2 * (r2 / r1) ** (m + 2)
-    Q[4, 0] = -c1 * (r2 / r0) ** (m - 2)
-    Q[4, 2] = c1 * (r2 / r1) ** (m - 2)
-    Q[4, 4] = -s2
-    Q[5, 0] = c1 * (r2 / r0) ** (m - 2)
-    Q[5, 2] = -c1 * (r2 / r1) ** (m - 2)
-    Q[5, 4] = s2
+    Q = np.zeros((len(modes), 6, 6))
+    Q[:, 0, 0], Q[:, 0, 2], Q[:, 0, 4] = -s1, -s1 * pw(r1 / r0, 2), c2 * pw(r2 / r0, 2)
+    Q[:, 1, 0], Q[:, 1, 2], Q[:, 1, 4] = s1, -s1 * pw(r1 / r0, 2), c2 * pw(r2 / r0, 2)
+    Q[:, 2, 0], Q[:, 2, 2], Q[:, 2, 4] = -s1 * pw(r1 / r0, -2), -s1, c2 * pw(r2 / r1, 2)
+    Q[:, 3, 0], Q[:, 3, 2], Q[:, 3, 4] = s1 * pw(r1 / r0, -2), -s1, c2 * pw(r2 / r1, 2)
+    Q[:, 4, 0], Q[:, 4, 2], Q[:, 4, 4] = -c1 * pw(r2 / r0, -2), c1 * pw(r2 / r1, -2), -s2
+    Q[:, 5, 0], Q[:, 5, 2], Q[:, 5, 4] = c1 * pw(r2 / r0, -2), -c1 * pw(r2 / r1, -2), s2
+    if 1 in modes:  # mode 1 fills the same 18 entries by its own formulas
+        Q1 = np.zeros((6, 6))
+        Q1[0, 0] = -a_s * pi * rho1 + b_s * rho1 * pi * r0**2
+        Q1[0, 2] = -a_s * rho1 * pi * (r1 / r0) ** 3 - b_s * rho1 * pi * r1**3 / r0
+        Q1[0, 4] = M2 * a_c * r2 / r0**3 + M2 * b_c * r2 / r0
+        Q1[1, 0] = a_s * pi * rho1 - b_s * rho1 * pi * r0**2
+        Q1[1, 2] = -a_s * pi * rho1 * (r1 / r0) ** 3 + b_s * rho1 * pi * r1**3 / r0
+        Q1[1, 4] = M2 * a_c * r2 / r0**3 - M2 * b_c * r2 / r0
+        Q1[2, 0] = -a_s * pi * rho1 * r0 / r1 + b_s * rho1 * pi * r0**3 / r1
+        Q1[2, 2] = -a_s * pi * rho1 - b_s * rho1 * pi * r1**2
+        Q1[2, 4] = M2 * a_c * r2 / r1**3 + b_c * M2 * r2 / r1
+        Q1[3, 0] = a_s * pi * rho1 * r0 / r1 - b_s * rho1 * pi * r0**3 / r1
+        Q1[3, 2] = -a_s * pi * rho1 + b_s * pi * rho1 * r1**2
+        Q1[3, 4] = M2 * a_c * r2 / r1**3 - M2 * b_c * r2 / r1
+        Q1[4, 0] = -a_c * pi * rho1 * r0 / r2 + b_c * pi * rho1 * r0**3 / r2
+        Q1[4, 2] = a_c * pi * rho1 * r1 / r2 - b_c * rho1 * pi * r1**3 / r2
+        Q1[4, 4] = -M1 * b_c
+        Q1[5, 0] = a_c * pi * rho1 * r0 / r2 - b_c * rho1 * pi * r0**3 / r2
+        Q1[5, 2] = -a_c * pi * rho1 * r1 / r2 + b_c * rho1 * pi * r1**3 / r2
+        Q1[5, 4] = M1 * b_c
+        Q[m == 1] = Q1
     return Q
 
 
@@ -140,8 +138,16 @@ def _require_target(kind: EquilibriumKind, p: InteractionParams):
     return kind, cfg
 
 
-def build_Q(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
-    """Mode-m rate matrix for a target state.
+def _modes(m) -> np.ndarray:
+    """m as a 1-D array of modes; ValueError unless m is one integer >= 1 or a 1-D sequence of them."""
+    modes = np.asarray(m)
+    if modes.ndim > 1 or not np.issubdtype(modes.dtype, np.integer) or np.any(modes < 1):
+        raise ValueError(f"modes must be integers >= 1, got {m!r}")
+    return np.atleast_1d(modes)
+
+
+def build_Q(kind: EquilibriumKind, p: InteractionParams, m) -> np.ndarray:
+    """Mode-m rate matrix for a target state; a (k, 6, 6) stack for a 1-D array of k modes.
 
     Rows/columns follow the boundary order (outer, middle, inner), normal
     then tangential amplitude each.  The heavy-inside matrix is the
@@ -149,22 +155,22 @@ def build_Q(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
     middle/inner roles accordingly.
     """
     kind, _ = _require_target(kind, p)
-    if m < 1:
-        raise ValueError(f"mode must be >= 1, got {m}")
-    if kind is EquilibriumKind.TARGET_LIGHT_IN:
-        return _q_light_raw(p.a_s, p.ac_eff, p.b_s, p.bc_eff, p.M1, p.M2, m)
-    return _q_light_raw(p.a_s, p.ac_eff, p.b_s, p.bc_eff, p.M2, p.M1, m)
+    M_ann, M_core = (p.M1, p.M2) if kind is EquilibriumKind.TARGET_LIGHT_IN else (p.M2, p.M1)
+    Q = _q_light_raw(p.a_s, p.ac_eff, p.b_s, p.bc_eff, M_ann, M_core, _modes(m))
+    return Q if np.ndim(m) else Q[0]
 
 
-def reduced_coefficients(kind: EquilibriumKind, A, B, M, m: int):
+def reduced_coefficients(kind: EquilibriumKind, A, B, M, m):
     """Monic reduced polynomial of mode m, over floats or broadcastable arrays A, B.
 
     Mode 1: (c1, c0) of mu^2 + c1 mu + c0; modes m >= 2: (c2, c1, c0) of
-    mu^3 + c2 mu^2 + c1 mu + c0.  Its roots times ``rate_unit`` are the
-    nontrivial rates; the heavy-inside cubic is the light-inside one under M -> 1/M.
+    mu^3 + c2 mu^2 + c1 mu + c0, also per mode for a float A, B and an array
+    m of modes >= 2 (c2 does not depend on m).  Its roots times ``rate_unit``
+    are the nontrivial rates; the heavy-inside cubic is the light-inside one
+    under M -> 1/M.
     """
     light = EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN
-    if m == 1:
+    if np.ndim(m) == 0 and m == 1:
         if light:
             return M + 2.0 * B + M * B, -M * (M + 1.0) * (A - B) * (M + B) / (M + A)
         return 1.0 + B + 2.0 * M * B, -(M + 1.0) * (A - B) * (1.0 + M * B) / (1.0 + M * A)
@@ -212,9 +218,10 @@ def cubic_scale(kind: EquilibriumKind, p: InteractionParams) -> float:
     return attraction_weights(p.b_s, p.bc_eff, M_ann, M_core)[0]
 
 
-def rate_unit(kind: EquilibriumKind, p: InteractionParams, m: int) -> float:
-    """Physical rate per unit root of the mode-m reduced polynomial."""
-    return p.b_s * p.M2 if m == 1 else cubic_scale(kind, p)
+def rate_unit(kind: EquilibriumKind, p: InteractionParams, m):
+    """Physical rate per unit root of the mode-m reduced polynomial, per mode for an array m."""
+    unit = np.where(np.equal(m, 1), p.b_s * p.M2, cubic_scale(kind, p))
+    return unit if np.ndim(m) else float(unit)
 
 
 def closed_form_rates(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
@@ -235,49 +242,53 @@ def P_minus_inv_C_identity(q: PhasePoint, m: int) -> float:
     return (1.0 - C) * (C / q.A) ** (m - 2) * (1.0 - (q.A / (q.M + q.A)) ** m)
 
 
-def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m: int) -> ModeSpectrum:
-    """Assemble Q, compute its spectrum, and classify the mode.
+def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m):
+    """Assemble Q, compute its spectrum, and classify the mode; a tuple, one per mode, for a 1-D array m.
 
     The n largest-magnitude eigenvalues (2 for m = 1, 3 otherwise) are the
     nontrivial ones; their signed elementary symmetric sums in reduced units
     must match the closed-form coefficients within 1e-8 of 1 + sum |c_k|, or
-    SpectrumMismatch is raised.  Coefficients are compared, not roots, since
-    a near-double root is only determined to about sqrt(eps).  Rates within
-    the marginal band around zero give a "marginal" verdict.
+    SpectrumMismatch is raised for the lowest failing mode.  Coefficients are
+    compared, not roots, since a near-double root is only determined to about
+    sqrt(eps).  Rates within the marginal band around zero give a "marginal" verdict.
     """
-    kind = EquilibriumKind(kind)
-    Q = build_Q(kind, p, m)
-    eigs = np.linalg.eigvals(Q)
-    n_nontrivial = 2 if m == 1 else 3
-    order = np.argsort(-np.abs(eigs))
-    nontrivial = eigs[order[:n_nontrivial]]
-    trivial = eigs[order[n_nontrivial:]]
-    norm_q = float(np.linalg.norm(Q))
-    band = MARGINAL_BAND * norm_q
-    if np.max(np.abs(trivial)) > band:
-        raise SpectrumMismatch(
-            f"expected {6 - n_nontrivial} structurally zero eigenvalues at mode {m}"
-        )
+    kind, modes = EquilibriumKind(kind), np.atleast_1d(m)
+    stack = build_Q(kind, p, modes)  # one equilibrium and one eigensolve for all the modes
+    eigs = np.linalg.eigvals(stack)
+    one = modes == 1
+    n_nontrivial = np.where(one, 2, 3)
+    ranked = np.take_along_axis(eigs, np.argsort(-np.abs(eigs), axis=1), axis=1)
+    nontrivial = np.arange(6) < n_nontrivial[:, None]
+    band = MARGINAL_BAND * np.linalg.norm(stack, axis=(1, 2))
+    trivial_fails = np.max(np.where(nontrivial, 0.0, np.abs(ranked)), axis=1) > band
 
+    # per mode, the closed-form (c2, c1, c0), or (c1, c0, 0) for mode 1, against the expansion of
+    # prod (mu - r) over its nontrivial roots r in reduced units, padded with r = 0 for mode 1
     q = to_phase_point(p)
-    coeffs = reduced_coefficients(kind, q.A, q.B, q.M, m)
-    vieta = [1.0]  # expands prod (mu - r) over the nontrivial roots r, in reduced units
-    for r in nontrivial / rate_unit(kind, p, m):
-        vieta = [a - r * b for a, b in zip(vieta + [0.0], [0.0] + vieta)]
-    residual = max(abs(v - c) for v, c in zip(vieta[1:], coeffs)) / (1.0 + sum(map(abs, coeffs)))
-    if residual > CROSSCHECK_RTOL:
+    coeffs = np.zeros((len(modes), 3))
+    if np.any(one):
+        coeffs[one, :2] = reduced_coefficients(kind, q.A, q.B, q.M, 1)
+    coeffs[~one] = np.column_stack(np.broadcast_arrays(*reduced_coefficients(kind, q.A, q.B, q.M, modes[~one])))
+    r0, r1, r2 = (np.where(nontrivial, ranked, 0.0)[:, :3] / rate_unit(kind, p, modes)[:, None]).T
+    vieta = np.column_stack([-(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -(r0 * r1 * r2)])
+    residual = np.max(np.abs(vieta - coeffs), axis=1) / (1.0 + np.sum(np.abs(coeffs), axis=1))
+    fails = trivial_fails | (residual > CROSSCHECK_RTOL)
+    if np.any(fails):
+        k = int(np.argmax(fails))
         raise SpectrumMismatch(
-            f"eigensolver and closed-form coefficients disagree at mode {m}: relative residual {residual:.2e}"
+            f"expected {6 - n_nontrivial[k]} structurally zero eigenvalues at mode {modes[k]}" if trivial_fails[k]
+            else f"eigensolver and closed-form coefficients disagree at mode {modes[k]}: "
+            f"relative residual {residual[k]:.2e}"
         )
 
-    re = nontrivial.real
-    if np.all(re < -band):
-        verdict = "stable"
-    elif np.any(re > band):
-        verdict = "unstable"
-    else:
-        verdict = "marginal"
-    return ModeSpectrum(kind, m, Q, eigs, nontrivial, verdict, residual / CROSSCHECK_RTOL)
+    stable = np.all((ranked.real < -band[:, None]) | ~nontrivial, axis=1)
+    unstable = np.any((ranked.real > band[:, None]) & nontrivial, axis=1)
+    verdicts = np.where(stable, "stable", np.where(unstable, "unstable", "marginal"))
+    spectra = tuple(
+        ModeSpectrum(kind, int(mode), Qk, eig, rank[:n], str(verdict), float(res / CROSSCHECK_RTOL))
+        for mode, Qk, eig, rank, n, verdict, res in zip(modes, stack, eigs, ranked, n_nontrivial, verdicts, residual)
+    )
+    return spectra if np.ndim(m) else spectra[0]
 
 
 class UmRegion:
@@ -328,32 +339,28 @@ def region_Um(m: int, M: float) -> UmRegion:
     return UmRegion(m, M)
 
 
+def checked_m_max(m_max) -> int:
+    """m_max as an int; ValueError unless it is one integer >= 2 (the rule of reports and sweeps)."""
+    if np.ndim(m_max) or not np.issubdtype(np.asarray(m_max).dtype, np.integer) or m_max < 2:
+        raise ValueError(f"m_max must be an integer >= 2, got {m_max!r}")
+    return int(m_max)
+
+
 def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = DEFAULT_M_MAX) -> StabilityReport:
     """Classify every boundary mode up to m_max and combine into one verdict.
 
+    One equilibrium build and one stacked eigensolve cover all the modes.
     Stable overall only when every mode is stable; nesting of the per-mode
     stable regions makes m_max = 32 conclusive for all higher modes.  The
     verdict is cross-checked against the analytic region result (light
     inside: stable exactly on D4 and D5; heavy inside: never stable).
     """
-    kind, _ = _require_target(kind, p)
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    modes = tuple(mode_spectrum(kind, p, m) for m in range(1, m_max + 1))
-    verdicts = [s.verdict for s in modes]
-    if any(v == "unstable" for v in verdicts):
-        overall = "unstable"
-    elif all(v == "stable" for v in verdicts):
-        overall = "stable"
-    else:
-        overall = "marginal"
-
-    dominant = None
-    if overall == "unstable":
-        growth = [
-            max(s.nontrivial.real) if s.verdict == "unstable" else -math.inf for s in modes
-        ]
-        dominant = int(np.argmax(growth)) + 1
+    kind, m_max = EquilibriumKind(kind), checked_m_max(m_max)
+    modes = mode_spectrum(kind, p, range(1, m_max + 1))
+    verdicts = {s.verdict for s in modes}
+    overall = "unstable" if "unstable" in verdicts else "stable" if verdicts == {"stable"} else "marginal"
+    growth = [max(s.nontrivial.real) if s.verdict == "unstable" else -math.inf for s in modes]
+    dominant = int(np.argmax(growth)) + 1 if overall == "unstable" else None
 
     if overall != "marginal":
         region = classify_region(to_phase_point(p))

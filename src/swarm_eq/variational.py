@@ -114,13 +114,18 @@ class MinimizerVerdict:
     swarm_minimizer: bool
 
 
+def _breakpoint_radii(cfg: EquilibriumConfig) -> list[float]:
+    """Sorted shell edges other than the origin: where the pieces of a Lambda profile meet."""
+    return sorted({s.r_in for s in cfg.shells if s.r_in > 0.0} | {s.r_out for s in cfg.shells})
+
+
 def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
     """Closed-form piecewise Lambda profile for one species of an equilibrium."""
     if species not in (1, 2):
         raise UnsupportedKind(f"species must be 1 or 2, got {species}")
     if not cfg.exists:
         raise UnsupportedKind("profile undefined: configuration does not exist")
-    radii = sorted({s.r_in for s in cfg.shells if s.r_in > 0.0} | {s.r_out for s in cfg.shells})
+    radii = _breakpoint_radii(cfg)
     bounds = [0.0] + radii + [math.inf]
     support = cfg.support_intervals(species)
 
@@ -145,10 +150,7 @@ def lambda_quadrature_oracle(cfg: EquilibriumConfig, species: int, r: float) -> 
     Independent of the closed-form profile; refuses radii within
     ``BREAKPOINT_GUARD`` of a breakpoint where the integrand family changes.
     """
-    profile_radii = sorted(
-        {s.r_in for s in cfg.shells if s.r_in > 0.0} | {s.r_out for s in cfg.shells}
-    )
-    if any(abs(r - b) < BREAKPOINT_GUARD for b in profile_radii):
+    if any(abs(r - b) < BREAKPOINT_GUARD for b in _breakpoint_radii(cfg)):
         raise QuadratureNonConvergence(
             f"radius {r} within {BREAKPOINT_GUARD} of a breakpoint"
         )

@@ -264,6 +264,23 @@ def test_degenerate_ranges_are_config_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase-diagram", "--grid", "4", "--m-max", "1"],
+        ["phase-diagram", "--grid", "4", "--m-max", "0"],
+        ["phase-diagram", "--grid", "0"],
+        ["phase-diagram", "--grid", "-3"],
+        ["stability", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--m-max", "1"],
+    ],
+)
+def test_m_max_below_two_or_an_empty_grid_writes_nothing(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out-csv", str(tmp_path / "x.csv"))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not list(tmp_path.iterdir())
+
+
 def test_weakcross_overlay_error_writes_nothing(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "weakcross", "--n-points", "3", "--out-csv", str(tmp_path / "wc.csv"),

@@ -283,3 +283,81 @@ def test_cross_check_never_raises_in_target_regions(A, B, M):
     rep = stability_report(LIGHT, params_from_phase(A, B, M), 32)
     expected = "stable" if region in (RegionId.D4, RegionId.D5) else "unstable"
     assert rep.overall in (expected, "marginal")
+
+
+def test_report_builds_one_equilibrium_and_runs_one_eigensolve(monkeypatch):
+    calls = {"build_equilibrium": 0, "mode_spectrum": 0, "eigvals": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linear_stability, "build_equilibrium", counted("build_equilibrium", build_equilibrium))
+    monkeypatch.setattr(linear_stability, "mode_spectrum", counted("mode_spectrum", mode_spectrum))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    rep = stability_report(LIGHT, params_from_phase(3.0, 3.5), 32)
+    assert len(rep.modes) == 32
+    assert calls == {"build_equilibrium": 1, "mode_spectrum": 1, "eigvals": 1}
+
+
+@pytest.mark.parametrize("kind", [LIGHT, HEAVY])
+def test_build_Q_stack_is_the_scalar_matrices(kind):
+    p = params_from_phase(3.0, 3.5)
+    stack = build_Q(kind, p, np.arange(1, 33))
+    assert stack.shape == (32, 6, 6)
+    assert stack.tobytes() == np.stack([build_Q(kind, p, m) for m in range(1, 33)]).tobytes()
+    assert build_Q(kind, p, [3, 1]).tobytes() == np.stack([build_Q(kind, p, 3), build_Q(kind, p, 1)]).tobytes()
+
+
+def _vieta_margin(kind, p, spec):
+    """The cross-check margin from a per-root expansion of prod (mu - r), as a loop over one mode."""
+    q = to_phase_point(p)
+    coeffs = linear_stability.reduced_coefficients(kind, q.A, q.B, q.M, spec.m)
+    vieta = [1.0]
+    for r in spec.nontrivial / linear_stability.rate_unit(kind, p, spec.m):
+        vieta = [a - r * b for a, b in zip(vieta + [0.0], [0.0] + vieta)]
+    residual = max(abs(v - c) for v, c in zip(vieta[1:], coeffs)) / (1.0 + sum(map(abs, coeffs)))
+    return residual / linear_stability.CROSSCHECK_RTOL
+
+
+def test_report_modes_are_the_per_mode_spectra(rng):
+    for kind, regions in ((LIGHT, ("D3", "D4", "D5")), (HEAVY, ("D2", "D3", "D4"))):
+        for A, B in draw_phase_in_regions(rng, regions, n=6):
+            p = params_from_phase(A, B)
+            rep = stability_report(kind, p, 32)
+            for m in range(1, 33):
+                got, want = rep.modes[m - 1], mode_spectrum(kind, p, m)
+                assert (got.kind, got.m, got.verdict, got.crosscheck_margin) == (
+                    want.kind, want.m, want.verdict, want.crosscheck_margin
+                )
+                for field in ("Q", "eigenvalues", "nontrivial"):
+                    np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+                np.testing.assert_array_equal(got.eigenvalues, np.linalg.eigvals(build_Q(kind, p, m)))
+                # symmetric sums in place of the loop: a few ulps of 1 + sum |c_k|, i.e. ~1e-8 of the margin
+                assert got.crosscheck_margin == pytest.approx(_vieta_margin(kind, p, got), abs=1e-6)
+
+
+@pytest.mark.parametrize("m", [2.5, 0, -1, True, [[1, 2]], [1, 2.5]])
+def test_modes_must_be_integers_from_one(m):
+    p = params_from_phase(3.0, 3.5)
+    with pytest.raises(ValueError, match="modes must be integers >= 1"):
+        build_Q(LIGHT, p, m)
+    with pytest.raises(ValueError, match="modes must be integers >= 1"):
+        mode_spectrum(LIGHT, p, m)
+
+
+@pytest.mark.parametrize("m_max", [2.5, 1, 0, np.array([4, 5])])
+def test_report_m_max_must_be_an_integer_from_two(m_max):
+    with pytest.raises(ValueError, match="m_max must be an integer >= 2"):
+        stability_report(LIGHT, params_from_phase(3.0, 3.5), m_max)
+
+
+def test_verdict_of_takes_only_the_report_modes():
+    rep = stability_report(HEAVY, params_from_phase(3.0, 0.75), 8)
+    assert [rep.verdict_of(m) for m in (1, 2, 8)] == ["unstable", "stable", rep.modes[7].verdict]
+    for m in (0, -1, 9, 2.5):
+        with pytest.raises(ValueError, match="not one of the report's modes 1..8"):
+            rep.verdict_of(m)

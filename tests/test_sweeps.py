@@ -129,3 +129,9 @@ def test_cubic_verdict_matches_eigensolver_near_the_band(shape, delta, sign, r1,
     band = MARGINAL_BAND
     expected = np.where(w > band, -1, np.where(w < -band, 1, 0))
     np.testing.assert_array_equal(cubic_mode_verdict(*c), expected)
+
+
+@pytest.mark.parametrize("m_max", [1, 0, 2.5])
+def test_target_verdict_grid_takes_the_report_m_max_rule(m_max):
+    with pytest.raises(ValueError, match="m_max must be an integer >= 2"):
+        target_verdict_grid(LIGHT, np.array([3.0]), np.array([3.5]), 2.0, m_max=m_max)
