@@ -6,8 +6,9 @@ goes to CSV files; plots to dependency-free SVG.  A metadata record (config
 hash, version, wall time; for ``simulate``, ``stability``, ``weakcross`` and
 ``phase-diagram`` also the wall time of each stage, and for ``simulate`` and
 each of ``weakcross``'s overlay runs the run counters) is printed to stderr
-for every run.  Exit code 2 flags configuration errors, 3 numerical failures
-(with the error name in a JSON record on stderr).
+for every run.  Exit code 2 flags configuration errors and failed writes, 3
+numerical failures (with the error name in a JSON record on stderr); a
+command whose write fails leaves none of its files behind.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .model import (
     curve_c2,
     to_phase_point,
 )
-from .output import SvgPlot, config_hash, json_canonical, write_csv
+from .output import SvgPlot, config_hash, fmt_value, json_canonical, write_csv
 from .particles import (
     Morphology,
     check_morphology_counts,
@@ -141,6 +143,23 @@ class _Stages:
         return {"stages_s": {name: round(seconds, 6) for name, seconds in self.seconds.items()}}
 
 
+def _write_all(writes):
+    """Call ``write(path, *args)`` for each ``(write, path, *args)`` in turn: a command writes all its files or none.
+
+    If one call raises OSError, the files already written are removed and the
+    error propagates (exit 2).
+    """
+    written = []
+    try:
+        for write, path, *args in writes:
+            write(path, *args)
+            written.append(path)
+    except OSError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
 def cmd_region(ns) -> None:
     if ns.A is None or ns.B is None or ns.M is None:
         raise ValueError("region requires -A, -B and -M")
@@ -174,14 +193,16 @@ def cmd_lambda(ns) -> None:
         raise ValueError(f"--r-max must be finite and > 0, got {r_max}")
     rs = np.linspace(0.0, r_max, ns.n_samples)
     rows = [(float(r), float(prof1.value(r)), float(prof2.value(r))) for r in rs]
+    writes = []
     if ns.out_csv:
-        write_csv(ns.out_csv, ("r", "Lambda1", "Lambda2"), rows)
+        writes.append((write_csv, ns.out_csv, ("r", "Lambda1", "Lambda2"), rows))
     if ns.out_svg:
         plot = SvgPlot((0.0, r_max), _lambda_y_range(prof1, prof2, rs))
         plot.axes("r", "Lambda")
         plot.polyline(rs, [prof1.value(r) for r in rs], color="#1f77b4")
         plot.polyline(rs, [prof2.value(r) for r in rs], color="#d62728")
-        plot.save(ns.out_svg)
+        writes.append((plot.save, ns.out_svg))
+    _write_all(writes)
     emit(
         {
             "kind": cfg.kind.value,
@@ -272,19 +293,15 @@ def cmd_simulate(ns) -> dict:
     snapshot_rows: list = []
     for snap in [start, *diag.stop_states]:
         _write_snapshot(snapshot_rows, snap)
-    write_csv(
-        f"{ns.out}_snapshots.csv",
-        ("t", "species", "particle_id", "x", "y"),
-        snapshot_rows,
-    )
     diag_rows = [
         (t, e, c[0], c[1], d_over_R, speed)
         for t, e, c, d_over_R, speed in zip(diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed)
     ]
-    write_csv(
-        f"{ns.out}_diagnostics.csv",
-        ("t", "E", "com_x", "com_y", "d_over_R", "max_speed"),
-        diag_rows,
+    _write_all(
+        [
+            (write_csv, f"{ns.out}_snapshots.csv", ("t", "species", "particle_id", "x", "y"), snapshot_rows),
+            (write_csv, f"{ns.out}_diagnostics.csv", ("t", "E", "com_x", "com_y", "d_over_R", "max_speed"), diag_rows),
+        ]
     )
     m: Morphology = morphology(state)
     stages.done("write")
@@ -356,10 +373,11 @@ def cmd_weakcross(ns) -> dict:
             overlay_runs.append(_run_counters(diag))
         stages.done("overlay")
     # every overlay run has succeeded before any file is written
+    writes = []
     if ns.out_csv:
-        write_csv(ns.out_csv, ("ratio_AB", "d_over_R", "regime", "residual"), rows)
+        writes.append((write_csv, ns.out_csv, ("ratio_AB", "d_over_R", "regime", "residual"), rows))
     if ns.overlay_ratios and ns.overlay_csv:
-        write_csv(ns.overlay_csv, ("ratio_AB", "mass_ratio", "d_over_R_sim"), overlay_rows)
+        writes.append((write_csv, ns.overlay_csv, ("ratio_AB", "mass_ratio", "d_over_R_sim"), overlay_rows))
     if ns.out_svg:
         plot = SvgPlot(
             (ns.ratio_min, ns.ratio_max),
@@ -369,7 +387,8 @@ def cmd_weakcross(ns) -> dict:
         plot.polyline([s.ratio_AB for s in samples], [s.d_over_R for s in samples])
         for ratio, _, sim in overlay_rows:
             plot.circle(ratio, sim, radius_px=3.0)
-        plot.save(ns.out_svg)
+        writes.append((plot.save, ns.out_svg))
+    _write_all(writes)
     emit(
         {
             "n_points": len(samples),
@@ -400,46 +419,62 @@ def cmd_phase_diagram(ns) -> dict:
     verdict_heavy = target_verdict_grid(
         EquilibriumKind.TARGET_HEAVY_IN, A, B, ns.M, ns.m_max
     )
-    # one row per grid point, row-major; the existence columns follow EquilibriumKind's order
-    masks = [existence_region_mask(kind, codes) for kind in EquilibriumKind]
-    a, b, *rest = (x.ravel().tolist() for x in (A, B, *masks, verdict_light, verdict_heavy))
-    rows = list(zip(a, b, [_REGION_NAMES[code] for code in codes.ravel().tolist()], *rest))
     stages.done("sweep")
+    writes = []
     if ns.out_csv:
-        write_csv(
-            ns.out_csv,
-            (
-                "A",
-                "B",
-                "region",
-                "exists_target_light",
-                "exists_target_heavy",
-                "exists_overlap_light",
-                "exists_overlap_heavy",
-                "verdict_target_light",
-                "verdict_target_heavy",
-            ),
-            rows,
+        header = (
+            "A",
+            "B",
+            "region",
+            "exists_target_light",
+            "exists_target_heavy",
+            "exists_overlap_light",
+            "exists_overlap_heavy",
+            "verdict_target_light",
+            "verdict_target_heavy",
         )
+        writes.append((write_csv, ns.out_csv, header, _phase_rows(ax, codes, verdict_light, verdict_heavy)))
     if ns.out_svg:
-        _phase_svg(ns, ax, codes)
+        writes.append((_phase_svg, ns.out_svg, ns, ax, codes))
+    _write_all(writes)
     emit({"grid": ns.grid, "M": ns.M, "csv": ns.out_csv or "", "svg": ns.out_svg or ""})
     stages.done("write")
     return stages.record()
 
 
-def _phase_svg(ns, ax, codes):
+def _phase_rows(ax, codes, verdict_light, verdict_heavy):
+    """The phase diagram's CSV rows, row-major over (A, B), as (A text, B text, text of the other columns).
+
+    A and B take only the axis values, and the other columns depend only on
+    (region code, light verdict, heavy verdict), so each axis value and each
+    distinct key is formatted once.  The existence columns follow
+    EquilibriumKind's order.
+    """
+    axis = [fmt_value(x) for x in ax.tolist()]
+    codes, light, heavy = (np.ravel(x) for x in (codes, verdict_light, verdict_heavy))
+    # verdicts lie in -2..1
+    key = (codes.astype(np.int64) * 4 + light + 2) * 4 + heavy + 2
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    masks = [existence_region_mask(kind, codes[first]).tolist() for kind in EquilibriumKind]
+    tails = [
+        ",".join(map(fmt_value, (_REGION_NAMES[code], *rest)))
+        for code, *rest in zip(codes[first].tolist(), *masks, light[first].tolist(), heavy[first].tolist())
+    ]
+    for a, row_keys in zip(axis, inverse.reshape(len(axis), len(axis)).tolist()):
+        for b, k in zip(axis, row_keys):
+            yield a, b, tails[k]
+
+
+def _phase_svg(path, ns, ax, codes):
     plot = SvgPlot((0.0, ns.extent), (0.0, ns.extent))
     d = ax[1] - ax[0] if len(ax) > 1 else ns.extent
-    for i, a in enumerate(ax):
-        for j, b in enumerate(ax):
-            plot.cell(a, b, d, d, _REGION_COLORS[int(codes[i, j])])
+    plot.cells(ax, ax, d, d, [[_REGION_COLORS[code] for code in column] for column in codes.tolist()])
     bs = np.linspace(1e-3, ns.extent, 400)
     plot.polyline(curve_c1(bs, ns.M), bs, color="#000000", width=2.0)
     plot.polyline(curve_c2(bs, ns.M), bs, color="#000000", width=2.0)
     plot.polyline([0.0, ns.extent], [0.0, ns.extent], color="#000000", width=2.0)
     plot.axes("A", "B")
-    plot.save(ns.out_svg)
+    plot.save(path)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

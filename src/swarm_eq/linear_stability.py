@@ -225,7 +225,8 @@ def rate_unit(kind: EquilibriumKind, p: InteractionParams, m):
 
 
 def closed_form_rates(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
-    """Nontrivial eigenvalues from the reduced quadratic/cubic closed forms."""
+    """Nontrivial eigenvalues of mode m (an integer >= 1) from the reduced quadratic/cubic closed forms."""
+    m = _modes(m).item()
     q = to_phase_point(p)
     return np.roots([1.0, *reduced_coefficients(kind, q.A, q.B, q.M, m)]) * rate_unit(kind, p, m)
 
@@ -295,9 +296,7 @@ class UmRegion:
     """Instability region of boundary mode m for the light-inside target."""
 
     def __init__(self, m: int, M: float):
-        if m < 1:
-            raise ValueError("mode must be >= 1")
-        self.m = int(m)
+        self.m = _modes(m).item()
         self.M = float(M)
 
     @property

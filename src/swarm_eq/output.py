@@ -10,6 +10,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 def fmt_value(x) -> str:
     """Shortest round-trip text for floats; plain str for everything else."""
@@ -72,12 +74,21 @@ class SvgPlot:
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius_px}" fill="{color}"/>'
         )
 
-    def cell(self, x, y, dx, dy, color):
-        px0, py0 = self._px(x - dx / 2, y + dy / 2)
-        px1, py1 = self._px(x + dx / 2, y - dy / 2)
-        self.elements.append(
-            f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
-            f'height="{py1 - py0:.2f}" fill="{color}"/>'
+    def cells(self, xs, ys, dx, dy, colors):
+        """dx-by-dy rects centred on the grid xs x ys, filled with colors[i][j] at (xs[i], ys[j]); xs outer.
+
+        A rect's x and width depend only on its column and its y and height
+        only on its row, so each is formatted once per column or row.
+        """
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        px0, py0 = self._px(xs - dx / 2, ys + dy / 2)
+        px1, py1 = self._px(xs + dx / 2, ys - dy / 2)
+        columns = [(f"{x:.2f}", f"{w:.2f}") for x, w in zip(px0.tolist(), (px1 - px0).tolist())]
+        rows = [(f"{y:.2f}", f"{h:.2f}") for y, h in zip(py0.tolist(), (py1 - py0).tolist())]
+        self.elements.extend(
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{color}"/>'
+            for (x, w), column_colors in zip(columns, colors)
+            for (y, h), color in zip(rows, column_colors)
         )
 
     def text(self, x, y, s, size=12, color="#000000"):

@@ -13,8 +13,11 @@ from hypothesis import strategies as hst
 from conftest import params_from_phase
 from swarm_eq import cli
 from swarm_eq.cli import RunConfig, main
-from swarm_eq.output import fmt_value, write_csv
+from swarm_eq.equilibria import EquilibriumKind, existence_region_mask
+from swarm_eq.model import curve_c1, curve_c2, region_code_grid
+from swarm_eq.output import SvgPlot, fmt_value, write_csv
 from swarm_eq.particles import ParticleState
+from swarm_eq.sweeps import cell_centered_axis, target_verdict_grid
 
 
 def run_cli(capsys, *argv):
@@ -358,6 +361,96 @@ def test_phase_diagram_outputs(tmp_path, capsys):
         "--out-csv", str(csv2),
     )
     assert csv.read_bytes() == csv2.read_bytes()
+
+
+def _phase_diagram_per_cell(M, grid, extent, m_max):
+    """CSV and SVG text of a phase diagram built one grid point at a time: 9 fmt_value columns and one rect each."""
+    ax = cell_centered_axis(grid, 0.0, extent)
+    A, B = np.meshgrid(ax, ax, indexing="ij")
+    codes = region_code_grid(A, B, M)
+    light = target_verdict_grid(EquilibriumKind.TARGET_LIGHT_IN, A, B, M, m_max)
+    heavy = target_verdict_grid(EquilibriumKind.TARGET_HEAVY_IN, A, B, M, m_max)
+    lines = [
+        "A,B,region,exists_target_light,exists_target_heavy,exists_overlap_light,exists_overlap_heavy,"
+        "verdict_target_light,verdict_target_heavy"
+    ]
+    masks = [existence_region_mask(kind, codes) for kind in EquilibriumKind]
+    a, b, *rest = (x.ravel().tolist() for x in (A, B, *masks, light, heavy))
+    names = [cli._REGION_NAMES[code] for code in codes.ravel().tolist()]
+    lines += [",".join(map(fmt_value, row)) for row in zip(a, b, names, *rest)]
+    plot = SvgPlot((0.0, extent), (0.0, extent))
+    d = ax[1] - ax[0] if grid > 1 else extent
+    for i in range(grid):
+        for j in range(grid):
+            px0, py0 = plot._px(ax[i] - d / 2, ax[j] + d / 2)
+            px1, py1 = plot._px(ax[i] + d / 2, ax[j] - d / 2)
+            plot.elements.append(
+                f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
+                f'height="{py1 - py0:.2f}" fill="{cli._REGION_COLORS[int(codes[i, j])]}"/>'
+            )
+    bs = np.linspace(1e-3, extent, 400)
+    plot.polyline(curve_c1(bs, M), bs, color="#000000", width=2.0)
+    plot.polyline(curve_c2(bs, M), bs, color="#000000", width=2.0)
+    plot.polyline([0.0, extent], [0.0, extent], color="#000000", width=2.0)
+    plot.axes("A", "B")
+    return "\n".join(lines) + "\n", plot.to_string()
+
+
+@pytest.mark.parametrize(
+    "M, grid, extent, m_max", [(2.0, 1, 5.0, 32), (1.0, 7, 2.5, 32), (4.0, 33, 5.0, 5), (1.5, 200, 5.0, 32)]
+)
+def test_phase_diagram_files_match_a_per_cell_reference(tmp_path, capsys, M, grid, extent, m_max):
+    csv, svg = tmp_path / "pd.csv", tmp_path / "pd.svg"
+    code, out, _ = run_cli(
+        capsys, "phase-diagram", "-M", repr(M), "--grid", str(grid), "--extent", repr(extent),
+        "--m-max", str(m_max), "--out-csv", str(csv), "--out-svg", str(svg),
+    )
+    assert code == 0
+    assert last_json(out) == {"grid": grid, "M": M, "csv": str(csv), "svg": str(svg)}
+    csv_text, svg_text = _phase_diagram_per_cell(M, grid, extent, m_max)
+    assert csv.read_bytes() == csv_text.encode()
+    assert svg.read_bytes() == svg_text.encode()
+
+
+def test_phase_diagram_svg_places_each_axis_value_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    px = SvgPlot._px
+
+    def counted(self, x, y):
+        calls.append(1)
+        return px(self, x, y)
+
+    monkeypatch.setattr(SvgPlot, "_px", counted)
+    grid = 50
+    code, _, _ = run_cli(capsys, "phase-diagram", "--grid", str(grid), "--m-max", "4", "--out-svg", str(tmp_path / "pd.svg"))
+    assert code == 0
+    # the two 400-point boundary curves, the diagonal and the axes take 804 calls at any grid;
+    # placing the cells one at a time took 2 grid^2 more
+    assert len(calls) <= 4 * grid + 820
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "12", "--N2", "12", "--t-end", "0.5",
+          "--out", "{d}/s"], ["s_snapshots.csv", "s_diagnostics.csv"]),
+        (["phase-diagram", "--grid", "5", "--m-max", "4", "--out-csv", "{d}/pd.csv", "--out-svg", "{d}/pd.svg"],
+         ["pd.csv", "pd.svg"]),
+        (["lambda", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--n-samples", "20",
+          "--out-csv", "{d}/lam.csv", "--out-svg", "{d}/lam.svg"], ["lam.csv", "lam.svg"]),
+        (["weakcross", "--n-points", "3", "--overlay-ratios", "6", "--overlay-t-end", "0.5", "--overlay-N", "24",
+          "--out-csv", "{d}/wc.csv", "--overlay-csv", "{d}/ov.csv", "--out-svg", "{d}/wc.svg"],
+         ["wc.csv", "ov.csv", "wc.svg"]),
+    ],
+    ids=["simulate", "phase-diagram", "lambda", "weakcross"],
+)
+def test_a_failed_write_leaves_none_of_the_command_files(tmp_path, capsys, argv, outputs):
+    # the last target is a directory, so the command's last write fails
+    (tmp_path / outputs[-1]).mkdir()
+    code, out, err = run_cli(capsys, *(arg.format(d=tmp_path) for arg in argv))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "IsADirectoryError"
+    assert [path.name for path in tmp_path.iterdir()] == [outputs[-1]]
 
 
 def test_config_round_trip(rng):

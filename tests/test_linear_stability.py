@@ -349,6 +349,16 @@ def test_modes_must_be_integers_from_one(m):
         mode_spectrum(LIGHT, p, m)
 
 
+@pytest.mark.parametrize("m", [2.5, 0, True])
+def test_closed_form_rates_and_mode_regions_take_only_integer_modes_from_one(m):
+    # at (3, 3.5, 2) mode 2.5 used to give three rates and m = 0 the rates [-11, -8, 0];
+    # region_Um(2.5, M) used to be U_2
+    with pytest.raises(ValueError, match="modes must be integers >= 1"):
+        closed_form_rates(LIGHT, params_from_phase(3.0, 3.5), m)
+    with pytest.raises(ValueError, match="modes must be integers >= 1"):
+        region_Um(m, 2.0)
+
+
 @pytest.mark.parametrize("m_max", [2.5, 1, 0, np.array([4, 5])])
 def test_report_m_max_must_be_an_integer_from_two(m_max):
     with pytest.raises(ValueError, match="m_max must be an integer >= 2"):
