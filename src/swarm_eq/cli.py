@@ -87,9 +87,6 @@ class RunConfig:
         return cls(command=command, values=data)
 
 
-_PARAM_FLAGS = ("a_s", "a_c", "b_s", "b_c", "M1", "M2", "eta", "A", "B", "M")
-
-
 def add_param_flags(sub):
     sub.add_argument("-A", type=float, help="cross/self repulsion ratio (shorthand params)")
     sub.add_argument("-B", type=float, help="cross/self attraction ratio (shorthand params)")
@@ -443,7 +440,7 @@ def cmd_phase_diagram(ns) -> dict:
 
 
 def _phase_rows(ax, codes, verdict_light, verdict_heavy):
-    """The phase diagram's CSV rows, row-major over (A, B), as (A text, B text, text of the other columns).
+    """The phase diagram's CSV rows as text, row-major over (A, B).
 
     A and B take only the axis values, and the other columns depend only on
     (region code, light verdict, heavy verdict), so each axis value and each
@@ -462,7 +459,7 @@ def _phase_rows(ax, codes, verdict_light, verdict_heavy):
     ]
     for a, row_keys in zip(axis, inverse.reshape(len(axis), len(axis)).tolist()):
         for b, k in zip(axis, row_keys):
-            yield a, b, tails[k]
+            yield f"{a},{b},{tails[k]}"
 
 
 def _phase_svg(path, ns, ax, codes):

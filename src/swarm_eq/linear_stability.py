@@ -103,27 +103,15 @@ def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
     Q[:, 3, 0], Q[:, 3, 2], Q[:, 3, 4] = s1 * pw(r1 / r0, -2), -s1, c2 * pw(r2 / r1, 2)
     Q[:, 4, 0], Q[:, 4, 2], Q[:, 4, 4] = -c1 * pw(r2 / r0, -2), c1 * pw(r2 / r1, -2), -s2
     Q[:, 5, 0], Q[:, 5, 2], Q[:, 5, 4] = c1 * pw(r2 / r0, -2), -c1 * pw(r2 / r1, -2), s2
-    if 1 in modes:  # mode 1 fills the same 18 entries by its own formulas
-        Q1 = np.zeros((6, 6))
-        Q1[0, 0] = -a_s * pi * rho1 + b_s * rho1 * pi * r0**2
-        Q1[0, 2] = -a_s * rho1 * pi * (r1 / r0) ** 3 - b_s * rho1 * pi * r1**3 / r0
-        Q1[0, 4] = M2 * a_c * r2 / r0**3 + M2 * b_c * r2 / r0
-        Q1[1, 0] = a_s * pi * rho1 - b_s * rho1 * pi * r0**2
-        Q1[1, 2] = -a_s * pi * rho1 * (r1 / r0) ** 3 + b_s * rho1 * pi * r1**3 / r0
-        Q1[1, 4] = M2 * a_c * r2 / r0**3 - M2 * b_c * r2 / r0
-        Q1[2, 0] = -a_s * pi * rho1 * r0 / r1 + b_s * rho1 * pi * r0**3 / r1
-        Q1[2, 2] = -a_s * pi * rho1 - b_s * rho1 * pi * r1**2
-        Q1[2, 4] = M2 * a_c * r2 / r1**3 + b_c * M2 * r2 / r1
-        Q1[3, 0] = a_s * pi * rho1 * r0 / r1 - b_s * rho1 * pi * r0**3 / r1
-        Q1[3, 2] = -a_s * pi * rho1 + b_s * pi * rho1 * r1**2
-        Q1[3, 4] = M2 * a_c * r2 / r1**3 - M2 * b_c * r2 / r1
-        Q1[4, 0] = -a_c * pi * rho1 * r0 / r2 + b_c * pi * rho1 * r0**3 / r2
-        Q1[4, 2] = a_c * pi * rho1 * r1 / r2 - b_c * rho1 * pi * r1**3 / r2
-        Q1[4, 4] = -M1 * b_c
-        Q1[5, 0] = a_c * pi * rho1 * r0 / r2 - b_c * rho1 * pi * r0**3 / r2
-        Q1[5, 2] = -a_c * pi * rho1 * r1 / r2 + b_c * rho1 * pi * r1**3 / r2
-        Q1[5, 4] = M1 * b_c
-        Q[m == 1] = Q1
+    if 1 in modes:
+        # mode 1 also moves each perturbed disk's first moment by pi R_l^3 eps_N (see
+        # ``attraction_integral``): +b rho pi R_l^3 / R_j on boundary j's normal row, minus on its
+        # tangential row; the annulus is the disk r0 minus the disk r1, so r1 enters at -rho1
+        R = np.array([r0, r1, r2])
+        b = np.array([[b_s, b_s, b_c], [b_s, b_s, b_c], [b_c, b_c, b_s]])
+        shift = b * (pi * np.array([rho1, -rho1, rho2]) * R**3) / R[:, None]
+        Q[m == 1, 0::2, 0::2] += shift
+        Q[m == 1, 1::2, 0::2] -= shift
     return Q
 
 
@@ -166,15 +154,14 @@ def reduced_coefficients(kind: EquilibriumKind, A, B, M, m):
     Mode 1: (c1, c0) of mu^2 + c1 mu + c0; modes m >= 2: (c2, c1, c0) of
     mu^3 + c2 mu^2 + c1 mu + c0, also per mode for a float A, B and an array
     m of modes >= 2 (c2 does not depend on m).  Its roots times ``rate_unit``
-    are the nontrivial rates; the heavy-inside cubic is the light-inside one
-    under M -> 1/M.
+    are the nontrivial rates.  The heavy-inside polynomials, mode 1 included,
+    are the light-inside ones under M -> 1/M; with the mode-1 unit b_s times
+    the core species' mass, the heavy quadratic's (c1, c0) are 1/M and 1/M^2
+    times those in units of b_s M2, and its rates are the same.
     """
-    light = EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN
+    M_eff = M if EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN else 1.0 / M
     if np.ndim(m) == 0 and m == 1:
-        if light:
-            return M + 2.0 * B + M * B, -M * (M + 1.0) * (A - B) * (M + B) / (M + A)
-        return 1.0 + B + 2.0 * M * B, -(M + 1.0) * (A - B) * (1.0 + M * B) / (1.0 + M * A)
-    M_eff = M if light else 1.0 / M
+        return M_eff + 2.0 * B + M_eff * B, -M_eff * (M_eff + 1.0) * (A - B) * (M_eff + B) / (M_eff + A)
     C = curve_c2(B, M_eff)
     ratio = (A / (M_eff + A)) ** m
     c2 = 2.0 + 1.0 / C
@@ -186,8 +173,9 @@ def reduced_coefficients(kind: EquilibriumKind, A, B, M, m):
 def mode1_quadratic(kind: EquilibriumKind, q: PhasePoint, scale: float) -> tuple[tuple[float, float, float], np.ndarray]:
     """Coefficients (1, c1, c0) and roots of the mode-1 reduced quadratic.
 
-    ``scale`` is b_s * M2 in physical units; both roots are real, one always
-    negative, the other negative exactly when B > A.
+    ``scale`` is ``rate_unit(kind, p, 1)`` (b_s times the core species' mass)
+    for physical rates; both roots are real, one always negative, the other
+    negative exactly when B > A.
     """
     lin, const = reduced_coefficients(kind, q.A, q.B, q.M, 1)
     lin, const = scale * lin, scale**2 * const
@@ -219,8 +207,13 @@ def cubic_scale(kind: EquilibriumKind, p: InteractionParams) -> float:
 
 
 def rate_unit(kind: EquilibriumKind, p: InteractionParams, m):
-    """Physical rate per unit root of the mode-m reduced polynomial, per mode for an array m."""
-    unit = np.where(np.equal(m, 1), p.b_s * p.M2, cubic_scale(kind, p))
+    """Physical rate per unit root of the mode-m reduced polynomial, per mode for an array m.
+
+    Mode 1: b_s times the core species' mass (b_s M2 light inside, b_s M1
+    heavy inside); modes >= 2: ``cubic_scale``.
+    """
+    light = EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN
+    unit = np.where(np.equal(m, 1), p.b_s * (p.M2 if light else p.M1), cubic_scale(kind, p))
     return unit if np.ndim(m) else float(unit)
 
 

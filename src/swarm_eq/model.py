@@ -82,10 +82,6 @@ class InteractionParams:
         """Cross attraction after eta scaling."""
         return self.eta * self.b_c
 
-    @property
-    def mass_ratio(self) -> float:
-        return self.M1 / self.M2
-
 
 @dataclass(frozen=True)
 class PhasePoint:

@@ -24,13 +24,16 @@ def fmt_value(x) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows of mixed scalars with fixed column order and LF newlines."""
+    """Write rows of mixed scalars with fixed column order and LF newlines.
+
+    A row that is a str is taken as the row's text, already formatted.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(fmt_value, row)) + "\n")
+            fh.write((row if isinstance(row, str) else ",".join(map(fmt_value, row))) + "\n")
 
 
 def json_canonical(obj) -> str:
@@ -43,7 +46,7 @@ def config_hash(config: dict) -> str:
 
 
 class SvgPlot:
-    """Tiny data-space SVG canvas (polyline/circle/rect/text), no dependencies."""
+    """Tiny data-space SVG canvas (polylines, circles, grid cells, labelled axes), no dependencies."""
 
     def __init__(self, x_range, y_range, width=640, height=480, margin=56):
         self.x0, self.x1 = map(float, x_range)
@@ -89,12 +92,6 @@ class SvgPlot:
             f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{color}"/>'
             for (x, w), column_colors in zip(columns, colors)
             for (y, h), color in zip(rows, column_colors)
-        )
-
-    def text(self, x, y, s, size=12, color="#000000"):
-        px, py = self._px(x, y)
-        self.elements.append(
-            f'<text x="{px:.2f}" y="{py:.2f}" font-size="{size}" fill="{color}">{s}</text>'
         )
 
     def axes(self, xlabel="", ylabel=""):

@@ -100,7 +100,7 @@ def target_verdict_grid(kind: EquilibriumKind, A, B, M: float, m_max: int = DEFA
         return verdict.reshape(shape)
     Ae, Be = A[exists], B[exists]
 
-    # mode 1: reduced quadratic, unit b_s M2 scale; both roots are real
+    # mode 1: reduced quadratic, in units of b_s times the core species' mass; both roots are real
     lin, const = reduced_coefficients(kind, Ae, Be, M, 1)
     max_re = 0.5 * (-lin + np.sqrt(lin * lin - 4.0 * const))
     v = _band_verdict(max_re / np.maximum(1.0, np.abs(lin)))

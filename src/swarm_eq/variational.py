@@ -168,10 +168,8 @@ def lambda_quadrature_oracle(cfg: EquilibriumConfig, species: int, r: float) -> 
     return total
 
 
-def f_of_A(A: float, M: float) -> float:
-    """Threshold function whose level set bounds the light-inside non-minimizer set."""
-    if A <= 1.0:
-        raise FOutOfRange(f"boundary defined for A > 1, got A={A}")
+def _threshold_f(A: float, M: float) -> float:
+    """f(A) at mass ratio M; the heavy-inside threshold function is f at M -> 1/M."""
     return (
         (A * M + 1.0)
         / (A + M)
@@ -180,14 +178,11 @@ def f_of_A(A: float, M: float) -> float:
     )
 
 
-def heavy_g_of_A(A: float, M: float) -> float:
-    """Heavy-inside analogue of f_of_A."""
-    return (
-        (A + M)
-        / (A * M + 1.0)
-        * (1.0 + A / M) ** (M / A)
-        * (1.0 + 1.0 / (A * M)) ** (-A * M)
-    )
+def f_of_A(A: float, M: float) -> float:
+    """Threshold function whose level set bounds the light-inside non-minimizer set."""
+    if A <= 1.0:
+        raise FOutOfRange(f"boundary defined for A > 1, got A={A}")
+    return _threshold_f(A, M)
 
 
 def target_nonminimizer_boundary(A: float, M: float) -> float:
@@ -206,10 +201,13 @@ def target_nonminimizer_boundary(A: float, M: float) -> float:
 
 
 def heavy_nonminimizer_boundary(A: float, M: float) -> float:
-    """B-threshold above which the heavy-inside target fails the class-B test."""
+    """B-threshold above which the heavy-inside target fails the class-B test.
+
+    Uses g(A) = f(A) at M -> 1/M, with no A > 1 restriction.
+    """
     if abs(M - 1.0) < 1e-12:
         raise DegenerateMassRatio("threshold undefined at M = 1")
-    g = heavy_g_of_A(A, M)
+    g = _threshold_f(A, 1.0 / M)
     if not (1.0 / M < g < M):
         raise FOutOfRange(f"g(A)={g} outside (1/M, M)=({1.0/M}, {M})")
     return (M - g) / (g * M - 1.0)

@@ -429,6 +429,25 @@ def test_phase_diagram_svg_places_each_axis_value_once(tmp_path, capsys, monkeyp
     assert len(calls) <= 4 * grid + 820
 
 
+def test_phase_diagram_csv_formats_each_axis_value_and_tail_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return fmt_value(x)
+
+    monkeypatch.setattr(cli, "fmt_value", counted)
+    monkeypatch.setattr("swarm_eq.output.fmt_value", counted)
+    grid = 50
+    csv = tmp_path / "pd.csv"
+    code, _, _ = run_cli(capsys, "phase-diagram", "--grid", str(grid), "--m-max", "4", "--out-csv", str(csv))
+    assert code == 0
+    tails = {line.split(",", 2)[2] for line in csv.read_text().splitlines()[1:]}
+    # one call per axis value and one per column of each distinct tail; formatting every cell
+    # of every row took 3 grid^2 calls
+    assert len(calls) <= grid + 8 * len(tails) + 16
+
+
 @pytest.mark.parametrize(
     "argv, outputs",
     [

@@ -19,10 +19,11 @@ from swarm_eq.linear_stability import (
     cubic_scale,
     mode1_quadratic,
     mode_spectrum,
+    rate_unit,
     region_Um,
     stability_report,
 )
-from swarm_eq.model import InteractionParams, PhasePoint, RegionId, classify_region, to_phase_point
+from swarm_eq.model import InteractionParams, PhasePoint, RegionId, classify_region, target_geometry, to_phase_point
 from swarm_eq.sweeps import um_member_grid
 
 LIGHT = EquilibriumKind.TARGET_LIGHT_IN
@@ -371,3 +372,69 @@ def test_verdict_of_takes_only_the_report_modes():
     for m in (0, -1, 9, 2.5):
         with pytest.raises(ValueError, match="not one of the report's modes 1..8"):
             rep.verdict_of(m)
+
+
+def _mode1_entries_written_out(a_s, a_c, b_s, b_c, M1, M2):
+    """Mode-1 matrix with its 18 nonzero entries written out one by one (species 1 in the annulus)."""
+    r2sq, r1sq, r0sq, rho1, _ = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
+    r2, r1, r0 = math.sqrt(r2sq), math.sqrt(r1sq), math.sqrt(r0sq)
+    pi = math.pi
+    Q1 = np.zeros((6, 6))
+    Q1[0, 0] = -a_s * pi * rho1 + b_s * rho1 * pi * r0**2
+    Q1[0, 2] = -a_s * rho1 * pi * (r1 / r0) ** 3 - b_s * rho1 * pi * r1**3 / r0
+    Q1[0, 4] = M2 * a_c * r2 / r0**3 + M2 * b_c * r2 / r0
+    Q1[1, 0] = a_s * pi * rho1 - b_s * rho1 * pi * r0**2
+    Q1[1, 2] = -a_s * pi * rho1 * (r1 / r0) ** 3 + b_s * rho1 * pi * r1**3 / r0
+    Q1[1, 4] = M2 * a_c * r2 / r0**3 - M2 * b_c * r2 / r0
+    Q1[2, 0] = -a_s * pi * rho1 * r0 / r1 + b_s * rho1 * pi * r0**3 / r1
+    Q1[2, 2] = -a_s * pi * rho1 - b_s * rho1 * pi * r1**2
+    Q1[2, 4] = M2 * a_c * r2 / r1**3 + b_c * M2 * r2 / r1
+    Q1[3, 0] = a_s * pi * rho1 * r0 / r1 - b_s * rho1 * pi * r0**3 / r1
+    Q1[3, 2] = -a_s * pi * rho1 + b_s * pi * rho1 * r1**2
+    Q1[3, 4] = M2 * a_c * r2 / r1**3 - M2 * b_c * r2 / r1
+    Q1[4, 0] = -a_c * pi * rho1 * r0 / r2 + b_c * pi * rho1 * r0**3 / r2
+    Q1[4, 2] = a_c * pi * rho1 * r1 / r2 - b_c * rho1 * pi * r1**3 / r2
+    Q1[4, 4] = -M1 * b_c
+    Q1[5, 0] = a_c * pi * rho1 * r0 / r2 - b_c * rho1 * pi * r0**3 / r2
+    Q1[5, 2] = -a_c * pi * rho1 * r1 / r2 + b_c * rho1 * pi * r1**3 / r2
+    Q1[5, 4] = M1 * b_c
+    return Q1
+
+
+def _seeded_params(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        a_s, b_s, M2 = rng.uniform(0.3, 3.0, 3)
+        A, B, eta = rng.uniform(0.05, 6.0), rng.uniform(0.05, 6.0), rng.uniform(0.3, 1.0)
+        M = rng.choice([1.0, rng.uniform(1.0, 5.0)])
+        yield InteractionParams(a_s=a_s, a_c=A * a_s / eta, b_s=b_s, b_c=B * b_s / eta, M1=M * M2, M2=M2, eta=eta)
+
+
+def test_mode1_matrix_is_the_general_one_plus_the_first_moment_shift():
+    checked = {LIGHT: 0, HEAVY: 0}
+    for p in _seeded_params(1501, 300):
+        for kind, (M_ann, M_core) in ((LIGHT, (p.M1, p.M2)), (HEAVY, (p.M2, p.M1))):
+            try:
+                Q1 = build_Q(kind, p, 1)
+            except EquilibriumMissing:
+                continue
+            expected = _mode1_entries_written_out(p.a_s, p.ac_eff, p.b_s, p.bc_eff, M_ann, M_core)
+            np.testing.assert_allclose(Q1, expected, rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+            # in a stack of modes, mode 1 gets the same matrix
+            assert np.array_equal(build_Q(kind, p, [1, 2, 3])[0], Q1)
+            checked[kind] += 1
+    assert min(checked.values()) >= 100
+
+
+def test_heavy_mode1_rates_are_the_light_quadratic_at_inverse_mass_ratio():
+    for p in _seeded_params(1502, 300):
+        q = to_phase_point(p)
+        A, B, M = q.A, q.B, q.M
+        # the heavy-inside quadratic as written out in units of b_s M2
+        lin, const = 1.0 + B + 2.0 * M * B, -(M + 1.0) * (A - B) * (1.0 + M * B) / (1.0 + M * A)
+        expected = np.sort(np.roots([1.0, lin, const]).real) * (p.b_s * p.M2)
+        atol = 1e-14 * np.abs(expected).max()
+        np.testing.assert_allclose(np.sort(closed_form_rates(HEAVY, p, 1).real), expected, rtol=0, atol=atol)
+        assert rate_unit(HEAVY, p, 1) == p.b_s * p.M1
+        _, roots = mode1_quadratic(HEAVY, q, rate_unit(HEAVY, p, 1))
+        np.testing.assert_allclose(roots, expected, rtol=0, atol=atol)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -20,3 +22,56 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(swarm_eq.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _top_level_reads(tree):
+    """Per top-level statement of a module: (the statement, names it defines, names and attributes it reads,
+    attributes it reads)."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            defined = set()
+        nodes = list(ast.walk(stmt))
+        names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        out.append((stmt, defined, names | attributes, attributes))
+    return out
+
+
+def test_every_module_level_name_and_method_is_used():
+    # a top-level function, class or assigned name must be read somewhere in src/, tests/ or bench/
+    # outside its own definition, and a method must be reached as an attribute somewhere; dunders
+    # are called by Python itself, and a method that overrides a base-class attribute by its base
+    root = Path(__file__).resolve().parents[1]
+    files = [path for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))]
+    reads = {path: _top_level_reads(ast.parse(path.read_text())) for path in files}
+    attributes = set().union(*(attrs for stmts in reads.values() for *_, attrs in stmts))
+    unused = []
+    for path in sorted((root / "src" / "swarm_eq").glob("*.py")):
+        module = importlib.import_module("swarm_eq" if path.stem == "__init__" else f"swarm_eq.{path.stem}")
+        for stmt, defined, *_ in reads[path]:
+            for name in sorted(defined):
+                read = (
+                    name in loaded
+                    for p, stmts in reads.items()
+                    for _, own, loaded, _ in stmts
+                    if not (p == path and name in own)
+                )
+                if not name.startswith("__") and not any(read):
+                    unused.append(f"{path.stem}.{name}")
+            if isinstance(stmt, ast.ClassDef):
+                bases = getattr(module, stmt.name).__mro__[1:]
+                unused += [
+                    f"{path.stem}.{stmt.name}.{item.name}"
+                    for item in stmt.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("__")
+                    and item.name not in attributes
+                    and not any(hasattr(base, item.name) for base in bases)
+                ]
+    assert unused == []

@@ -11,6 +11,7 @@ from swarm_eq.errors import (
     DegenerateMassRatio,
     FOutOfRange,
     QuadratureNonConvergence,
+    SwarmEqError,
 )
 from swarm_eq.model import InteractionParams, PhasePoint, RegionId, classify_region
 from swarm_eq.variational import (
@@ -398,3 +399,39 @@ def test_energy_is_second_variation_functional(rng):
     p = params_from_phase(0.5, 2.0)
     t1, t2 = admissible_perturbation(rng, grid)
     assert second_variation(grid, t1, t2, p) == grid_interaction_energy(grid, t1, t2, p)
+
+
+def _heavy_g_written_out(A, M):
+    """The heavy-inside threshold function as once written out on its own."""
+    return (A + M) / (A * M + 1.0) * (1.0 + A / M) ** (M / A) * (1.0 + 1.0 / (A * M)) ** (-A * M)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ArithmeticError, SwarmEqError) as exc:
+        return type(exc)
+
+
+def test_heavy_threshold_is_the_light_threshold_function_at_inverse_mass_ratio():
+    rng = np.random.default_rng(1503)
+    A_values = np.concatenate([rng.uniform(0.0, 1.0, 1000), rng.uniform(1.0, 8.0, 1000), [0.0, 1.0]])
+    below_one = 0
+    for A in A_values.tolist():
+        for M in (1.0, 1.0 + 1e-13, 2.0, float(rng.uniform(1.0, 5.0))):
+            got = _outcome(heavy_nonminimizer_boundary, A, M)
+            if abs(M - 1.0) < 1e-12:
+                assert got is DegenerateMassRatio
+                continue
+            g = _outcome(_heavy_g_written_out, A, M)
+            if isinstance(g, type):
+                assert got is g, (A, M)
+            elif not 1.0 / M < g < M:
+                assert got is FOutOfRange, (A, M)
+            else:
+                # one-ulp input changes move g by up to max(1, A M, M/A) ulps, and B by its condition number in g
+                cond = max(1.0, A * M, M / A) * max(1.0, (M * M - 1.0) * g / abs((g * M - 1.0) * (M - g)))
+                assert got == pytest.approx((M - g) / (g * M - 1.0), rel=1e-14 * cond), (A, M)
+                below_one += A <= 1.0
+    # the heavy threshold has no A > 1 restriction
+    assert below_one >= 1000
