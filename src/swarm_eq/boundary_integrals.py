@@ -3,12 +3,17 @@
 The perturbed boundary of mode m is  p(theta) = R e^{i theta} (1 +
 eps_N cos(m theta) + i eps_T sin(m theta)), written once in
 ``PerturbedDisk.boundary_point`` and ``boundary_derivative`` over floats or
-numpy arrays of angles; the contour oracles evaluate it on whole grids of
-angles.  The closed forms here are exact
-to first order in the eps amplitudes; each is paired with an oracle that
-integrates the defining expression numerically over the true perturbed
-domain (exact boundary element, no truncation) so agreement degrades only at
-O(eps^2).
+numpy arrays of angles.  The closed forms here are exact to first order in
+the eps amplitudes; each is paired with an oracle that integrates the
+defining expression numerically over the true perturbed domain (exact
+boundary element, no truncation), so agreement degrades only at O(eps^2).
+
+Every oracle is one call of ``quadrature.periodic_trapezoid`` on an
+integrand evaluated over whole arrays of angles: the plain rule where the
+integrand is smooth, and nodes clustered at phi = 0 (the contour integrals)
+or at the probe's angle (repulsion on its own boundary) where it has a log
+singularity or a sharp peak.  Their tolerances are 1e-10 absolute or 1e-11
+relative.
 
 Geometric results are returned as (x, y) vectors; the circle-harmonic
 contour integrals, which are genuinely complex-valued, return complex.
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularAlpha, ZeroMode
-from .quadrature import periodic_trapezoid, quad_complex
+from .quadrature import periodic_trapezoid
 
 #: Amplitudes above this leave the first-order regime the formulas target.
 EPS_MAX = 0.05
@@ -152,49 +157,54 @@ def same_circle_rational_part(R: float, m: int, eps_N: float, eps_T: float, thet
 # Quadrature oracles
 
 
+def _contour_distance(alpha, phi):
+    """1 + alpha^2 - 2 alpha cos(phi), written without cancellation at alpha = 1 and phi = 0."""
+    return (1.0 - alpha) ** 2 + 4.0 * alpha * np.sin(0.5 * phi) ** 2
+
+
 def oracle_log_contour(alpha: float, mu: int, theta0: float, tol: float = 1e-10) -> complex:
-    """Numerical value of the defining log integral, with a graded rule at alpha = 1."""
+    """Numerical value of the defining log integral, with nodes clustered at the singularity phi = 0."""
     if mu == 0:
         raise ZeroMode("log contour integral requires mu != 0")
 
     def f(phi):
-        return math.log(1.0 + alpha * alpha - 2.0 * alpha * math.cos(phi)) * cmath.exp(1j * mu * phi)
+        return np.log(_contour_distance(alpha, phi)) * np.exp(1j * mu * phi)
 
-    points = [0.0] if abs(alpha - 1.0) < 1e-3 else None
-    val = quad_complex(f, -math.pi, math.pi, points=points, epsabs=tol)
-    return cmath.exp(1j * mu * theta0) * val
+    return cmath.exp(1j * mu * theta0) * complex(periodic_trapezoid(f, tol, cluster_at=0.0))
 
 
 def oracle_rational_contour(alpha: float, mu: int, theta0: float, tol: float = 1e-10) -> complex:
-    """Numerical value of the defining rational integral (alpha bounded away from 1)."""
+    """Numerical value of the defining rational integral, with nodes clustered at its peak phi = 0."""
 
     def f(phi):
-        return cmath.exp(1j * mu * phi) / (1.0 + alpha * alpha - 2.0 * alpha * math.cos(phi))
+        return np.exp(1j * mu * phi) / _contour_distance(alpha, phi)
 
-    val = quad_complex(f, -math.pi, math.pi, epsabs=tol)
-    return cmath.exp(1j * mu * theta0) * val
+    return cmath.exp(1j * mu * theta0) * complex(periodic_trapezoid(f, tol, cluster_at=0.0))
 
 
-def perturbed_area(disk: PerturbedDisk, n: int = 4096) -> float:
+def perturbed_area(disk: PerturbedDisk) -> float:
     """Exact area of the perturbed domain by a contour quadrature."""
 
     def f(theta):
         p, dp = disk.boundary_point(theta), disk.boundary_derivative(theta)
         return 0.5 * (p.real * dp.imag - p.imag * dp.real)
 
-    return periodic_trapezoid(f, n)
+    return periodic_trapezoid(f)
 
 
-def perturbed_moment(disk: PerturbedDisk, n: int = 4096) -> np.ndarray:
-    """Exact first moment (integral of y over the domain) by contour quadrature."""
+def perturbed_moment(disk: PerturbedDisk) -> np.ndarray:
+    """Exact first moment (integral of y over the domain) by contour quadrature.
 
-    def fx(theta):
-        return 0.5 * disk.boundary_point(theta).real ** 2 * disk.boundary_derivative(theta).imag
+    The x and y parts are the real and imaginary parts of one integrand, so
+    the boundary is evaluated once per node set.
+    """
 
-    def fy(theta):
-        return -0.5 * disk.boundary_point(theta).imag ** 2 * disk.boundary_derivative(theta).real
+    def f(theta):
+        p, dp = disk.boundary_point(theta), disk.boundary_derivative(theta)
+        return 0.5 * (p.real**2 * dp.imag - 1j * p.imag**2 * dp.real)
 
-    return np.array([periodic_trapezoid(fx, n), periodic_trapezoid(fy, n)])
+    val = periodic_trapezoid(f)
+    return np.array([val.real, val.imag])
 
 
 def oracle_attraction(x, disk: PerturbedDisk) -> np.ndarray:
@@ -209,8 +219,8 @@ def oracle_repulsion(probe: PerturbedDisk, theta0: float, domain: PerturbedDisk,
 
     Gauss' theorem turns the domain integral into -oint ln|x - y| n dS with
     the exact (untruncated) boundary element n dS = -i p'(theta) dtheta.  When
-    the probe sits on the integration boundary the integrable log singularity
-    at theta = theta0 is handled with a graded adaptive rule.
+    the probe sits on the integration boundary the rule clusters its nodes at
+    the integrable log singularity theta = theta0.
     """
     x = probe.boundary_point(theta0)
     if same_boundary is None:
@@ -221,12 +231,7 @@ def oracle_repulsion(probe: PerturbedDisk, theta0: float, domain: PerturbedDisk,
         )
 
     def f(theta):
-        y = domain.boundary_point(theta)
         ndS = -1j * domain.boundary_derivative(theta)
-        return -math.log(abs(x - y)) * ndS
+        return -np.log(np.abs(x - domain.boundary_point(theta))) * ndS
 
-    if same_boundary:
-        val = quad_complex(f, theta0 - math.pi, theta0 + math.pi, points=[theta0], epsabs=tol)
-    else:
-        val = quad_complex(f, 0.0, 2.0 * math.pi, epsabs=tol)
-    return _as_vec(val)
+    return _as_vec(periodic_trapezoid(f, tol, cluster_at=theta0 if same_boundary else None))

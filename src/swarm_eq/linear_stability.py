@@ -40,8 +40,9 @@ CROSSCHECK_RTOL = 1e-8
 DEFAULT_M_MAX = 32
 
 _NESTING_NOTE = (
-    "stable-mode regions are nested (mode n stable implies every mode > n stable "
-    "at the same point), so modes beyond m_max cannot flip an all-stable verdict"
+    "stable-mode regions are nested from mode 2 on (mode n >= 2 stable implies every mode > n stable "
+    "at the same point; each report checks it, and mode 1 is exempt), so modes beyond m_max cannot "
+    "flip an all-stable verdict"
 )
 
 
@@ -343,12 +344,21 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
 
     One equilibrium build and one stacked eigensolve cover all the modes.
     Stable overall only when every mode is stable; nesting of the per-mode
-    stable regions makes m_max = 32 conclusive for all higher modes.  The
-    verdict is cross-checked against the analytic region result (light
-    inside: stable exactly on D4 and D5; heavy inside: never stable).
+    stable regions makes m_max = 32 conclusive for all higher modes.  Two
+    checks raise SpectrumMismatch: a stable mode m >= 2 below an unstable
+    one breaks nesting (marginal modes count as neither, and mode 1, which
+    can be stable below unstable modes, is exempt), and the verdict must
+    match the analytic region result (light inside: stable exactly on D4 and
+    D5; heavy inside: never stable).
     """
     kind, m_max = EquilibriumKind(kind), checked_m_max(m_max)
     modes = mode_spectrum(kind, p, range(1, m_max + 1))
+    lowest_stable = min((s.m for s in modes[1:] if s.verdict == "stable"), default=math.inf)
+    unstable_above = [s.m for s in modes if s.m > lowest_stable and s.verdict == "unstable"]
+    if unstable_above:
+        raise SpectrumMismatch(
+            f"stable modes are not nested: mode {lowest_stable} is stable and mode {unstable_above[0]} unstable"
+        )
     verdicts = {s.verdict for s in modes}
     overall = "unstable" if "unstable" in verdicts else "stable" if verdicts == {"stable"} else "marginal"
     growth = [max(s.nontrivial.real) if s.verdict == "unstable" else -math.inf for s in modes]

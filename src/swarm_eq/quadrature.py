@@ -1,17 +1,24 @@
 """Quadrature helpers backing the independent oracles.
 
 All routines here evaluate defining integrals numerically and deliberately
-avoid the closed forms they are used to verify.  Disk integrals are taken in
-polar coordinates around the evaluation point: the radial part along each
-ray is an elementary antiderivative of the kernel, and the angular part is
-numerical (adaptive ``quad`` in ``disk_kernel_integral``, fixed rules in
-``disk_repulsion_batch``).  Contour integrals use periodic trapezoid rules,
-or adaptive ``quad`` with graded panels at integrable log singularities.
+avoid the closed forms they are used to verify.  Every oracle integral is
+one-dimensional and periodic, and all of them go through one rule,
+``periodic_trapezoid``: the trapezoid rule over a full period with the
+integrand evaluated on whole arrays of angles.  On a smooth periodic
+integrand it converges geometrically (Trefethen & Weideman, SIAM Review 56,
+2014).  At an integrable log singularity or a sharp peak the caller names the
+angle, and the sin^4 substitution ``_cluster`` gathers the nodes there, which
+keeps a fast algebraic rate (Sidi 1993).
 
-Every adaptive call checks QUADPACK's error estimate against the requested
-tolerance and raises ``QuadratureNonConvergence`` when it is exceeded.
-scipy is imported inside the helpers, so importing the package does not
-load it.
+Disk integrals are taken in polar coordinates around the evaluation point:
+the radial part along each ray is an elementary antiderivative of the
+kernel, and the angular part is ``periodic_trapezoid`` in
+``disk_kernel_integral`` and fixed rules in ``disk_repulsion_batch``.
+
+The rule doubles its nodes from N_START, evaluating only the new midpoints,
+until two successive estimates agree within max(tol, REL_TOL*|estimate|).
+It raises ``QuadratureNonConvergence`` on a non-finite sum or past N_MAX
+nodes.  Everything here is numpy: running an oracle loads no scipy.
 """
 
 from __future__ import annotations
@@ -22,33 +29,57 @@ import numpy as np
 
 from .errors import QuadratureNonConvergence
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
+#: Nodes of the rule's first estimate; each refinement doubles them.
+N_START = 64
+
+#: The rule raises rather than refine past this many nodes.
+N_MAX = 2**16
+
+#: Relative part of the stopping test |I_2n - I_n| <= max(tol, REL_TOL*|I_2n|).
+REL_TOL = 1e-11
 
 
-def _checked_quad(f, a, b, what, **kw):
-    """``scipy.integrate.quad`` whose error estimate must meet its own tolerance."""
-    from scipy.integrate import quad
-
-    val, err = quad(f, a, b, **kw)
-    if not (math.isfinite(val) and err <= max(kw["epsabs"], kw["epsrel"] * abs(val))):
-        raise QuadratureNonConvergence(f"{what}: value {val} with error estimate {err}")
-    return val
+def _cluster(s):
+    """psi(s) = s - (2/3pi) sin 2pi s + (1/12pi) sin 4pi s on [0, 1] and psi' = (8/3) sin^4(pi s)."""
+    psi = s - (2.0 / (3.0 * math.pi)) * np.sin(2.0 * math.pi * s) + np.sin(4.0 * math.pi * s) / (12.0 * math.pi)
+    return psi, (8.0 / 3.0) * np.sin(math.pi * s) ** 4
 
 
-def _ray_disk_bounds(x, center, R, phi):
-    """Intersection interval [t_lo, t_hi] of the ray x + t*(cos phi, sin phi) with the disk."""
-    ex, ey = math.cos(phi), math.sin(phi)
-    dx, dy = center[0] - x[0], center[1] - x[1]
-    b = ex * dx + ey * dy
-    c = dx * dx + dy * dy - R * R
-    disc = b * b - c
-    if disc <= 0.0:
-        return None
-    root = math.sqrt(disc)
-    t_lo, t_hi = b - root, b + root
-    if t_hi <= 0.0:
-        return None
-    return (max(t_lo, 0.0), t_hi)
+def periodic_trapezoid(f, tol=1e-12, cluster_at=None):
+    """Integral of a 2*pi-periodic f over one period, by the trapezoid rule with doubling.
+
+    ``f`` maps an array of angles to an array of real or complex values.  The
+    rule starts at N_START nodes and doubles, evaluating only the new
+    midpoints, until |I_2n - I_n| <= max(tol, REL_TOL*|I_2n|); it returns
+    I_2n.  ``cluster_at`` names the angle of an integrable singularity or a
+    sharp peak of f: the rule then integrates over s in [0, 1) with
+    theta = cluster_at + 2*pi*psi(s) and weight 2*pi*psi'(s), which vanishes
+    to fourth order at s = 0, so f is never evaluated at cluster_at itself.
+    Raises ``QuadratureNonConvergence``, with the last estimate, on a
+    non-finite sum or when n would pass N_MAX.  The error estimate assumes f
+    continuous: across a jump the difference stays O(1/n) and the rule
+    raises, but a piecewise-constant step can give two equal estimates and be
+    accepted.
+    """
+    if cluster_at is None:
+        def g(s):
+            return f(2.0 * math.pi * s)
+    else:
+        def g(s):
+            psi, dpsi = _cluster(s)
+            return f(cluster_at + 2.0 * math.pi * psi) * dpsi
+
+    n = N_START
+    total = np.sum(g(np.arange(0 if cluster_at is None else 1, n) / n))
+    estimate = 2.0 * math.pi * total / n
+    while np.isfinite(estimate) and n < N_MAX:
+        total += np.sum(g((np.arange(n) + 0.5) / n))
+        n *= 2
+        previous, estimate = estimate, 2.0 * math.pi * total / n
+        if abs(estimate - previous) <= max(tol, REL_TOL * abs(estimate)):
+            return estimate
+    reason = "non-finite sum" if not np.isfinite(estimate) else f"no convergence within {N_MAX} nodes"
+    raise QuadratureNonConvergence(f"periodic trapezoid rule: {reason}; last estimate {estimate} at n = {n}")
 
 
 def disk_kernel_integral(x, center, R, a_log, b_quad):
@@ -57,61 +88,35 @@ def disk_kernel_integral(x, center, R, a_log, b_quad):
     Polar coordinates around x.  The radial part along each ray is exact:
     r*(-a ln r + b r^2/2) has the antiderivative
     G(r) = -a (r^2/2 ln r - r^2/4) + b r^4/8 with G(0) = 0, so a ray that
-    crosses the disk on [t_lo, t_hi] contributes G(t_hi) - G(t_lo).  The
-    angular integral is one adaptive ``quad``: over [0, 2 pi] for interior
-    points, and for exterior points over the window phi_c +- half that the
-    disk subtends, with phi = phi_c + half*sin(u), which removes the
-    square-root behavior of the chord at the window's edges.  Raises
-    ``QuadratureNonConvergence`` when ``quad``'s error estimate exceeds
-    max(epsabs, epsrel*|value|).
+    crosses the disk on [t_lo, t_hi] contributes G(t_hi) - G(t_lo); it is
+    evaluated on whole arrays of rays.  The angular integral is
+    ``periodic_trapezoid`` to 1e-12 absolute or 1e-11 relative: over
+    [0, 2 pi) for interior points, and for exterior points over the window
+    phi_c +- half that the disk subtends, with phi = phi_c + half*sin(u) over
+    a full period of u (which sweeps the window twice, hence the weight
+    half*|cos u|/2).  That substitution removes the square-root behavior of
+    the chord at the window's edges.
     """
-    x = (float(x[0]), float(x[1]))
-    center = (float(center[0]), float(center[1]))
+    dx, dy = float(center[0]) - float(x[0]), float(center[1]) - float(x[1])
+    c = dx * dx + dy * dy - R * R
 
     def G(r):
-        if r == 0.0:
-            return 0.0
         r2 = r * r
-        return -a_log * r2 * (0.5 * math.log(r) - 0.25) + 0.125 * b_quad * r2 * r2
+        return -a_log * r2 * (0.5 * np.log(np.where(r > 0.0, r, 1.0)) - 0.25) + 0.125 * b_quad * r2 * r2
 
     def radial(phi):
-        bounds = _ray_disk_bounds(x, center, R, phi)
-        if bounds is None:
-            return 0.0
-        return G(bounds[1]) - G(bounds[0])
+        b = dx * np.cos(phi) + dy * np.sin(phi)
+        root = np.sqrt(np.maximum(b * b - c, 0.0))
+        t_hi = np.maximum(b + root, 0.0)
+        return G(t_hi) - G(np.clip(b - root, 0.0, t_hi))
 
-    dist = math.hypot(x[0] - center[0], x[1] - center[1])
+    dist = math.hypot(dx, dy)
     if dist < R:
-        return _checked_quad(radial, 0.0, 2.0 * math.pi, "disk kernel integral", **_QUAD_KW)
+        return periodic_trapezoid(radial)
     # integrand supported on the angular window subtended by the disk
-    phi_c = math.atan2(center[1] - x[1], center[0] - x[0])
+    phi_c = math.atan2(dy, dx)
     half = math.asin(min(1.0, R / dist))
-
-    def window(u):
-        return radial(phi_c + half * math.sin(u)) * half * math.cos(u)
-
-    return _checked_quad(window, -0.5 * math.pi, 0.5 * math.pi, "disk kernel integral", **_QUAD_KW)
-
-
-def periodic_trapezoid(f, n=512):
-    """Trapezoid rule over [0, 2*pi) for a smooth periodic integrand (spectral accuracy)."""
-    theta = np.arange(n) * (2.0 * math.pi / n)
-    return np.sum(f(theta)) * (2.0 * math.pi / n)
-
-
-def quad_complex(f, a, b, points=None, epsabs=1e-12):
-    """Adaptive quadrature of a complex-valued integrand.
-
-    The real and imaginary parts are separate ``quad`` calls; each must meet
-    max(epsabs, epsrel*|part|) by its error estimate, or
-    ``QuadratureNonConvergence`` is raised.
-    """
-    kw = dict(epsabs=epsabs, epsrel=1e-11, limit=400)
-    if points is not None:
-        kw["points"] = points
-    re = _checked_quad(lambda t: f(t).real, a, b, "complex quadrature, real part", **kw)
-    im = _checked_quad(lambda t: f(t).imag, a, b, "complex quadrature, imaginary part", **kw)
-    return complex(re, im)
+    return periodic_trapezoid(lambda u: radial(phi_c + half * np.sin(u)) * (0.5 * half) * np.abs(np.cos(u)))
 
 
 def disk_repulsion_batch(X, center, R, n_theta=512):

@@ -145,7 +145,7 @@ def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
 
 
 def lambda_quadrature_oracle(cfg: EquilibriumConfig, species: int, r: float) -> float:
-    """Lambda_species(r) by adaptive 2-D polar quadrature of the defining convolutions.
+    """Lambda_species(r) by 2-D polar quadrature of the defining convolutions (``disk_kernel_integral``).
 
     Independent of the closed-form profile; refuses radii within
     ``BREAKPOINT_GUARD`` of a breakpoint where the integrand family changes.
@@ -169,13 +169,14 @@ def lambda_quadrature_oracle(cfg: EquilibriumConfig, species: int, r: float) -> 
 
 
 def _threshold_f(A: float, M: float) -> float:
-    """f(A) at mass ratio M; the heavy-inside threshold function is f at M -> 1/M."""
-    return (
-        (A * M + 1.0)
-        / (A + M)
-        * (1.0 + A * M) ** (1.0 / (A * M))
-        * (1.0 + M / A) ** (-A / M)
-    )
+    """f(A) at mass ratio M; the heavy-inside threshold function is f at M -> 1/M.
+
+    f = (AM + 1)/(A + M) (1 + x)^(1/x) (1 + y)^(-1/y) with x = AM, y = M/A; the
+    two powers are taken as exp(log1p(x)/x - log1p(y)/y), which keeps the
+    rounding of 1 + x out of a large exponent.
+    """
+    x, y = A * M, M / A
+    return (x + 1.0) / (A + M) * math.exp(math.log1p(x) / x - math.log1p(y) / y)
 
 
 def f_of_A(A: float, M: float) -> float:

@@ -259,3 +259,69 @@ def test_perturbed_disk_validation():
         PerturbedDisk(-1.0, 2)
     with pytest.raises(ValueError):
         PerturbedDisk(1.0, 0)
+
+
+_QUAD = dict(epsabs=1e-13, epsrel=1e-13, limit=1000)
+
+
+def _quad_complex(f, a, b, points=None):
+    """scipy's adaptive quad on the real and imaginary parts, as the oracles once integrated."""
+    from scipy.integrate import quad
+
+    kw = dict(_QUAD, points=points) if points is not None else _QUAD
+    return complex(quad(lambda t: f(t).real, a, b, **kw)[0], quad(lambda t: f(t).imag, a, b, **kw)[0])
+
+
+def _agrees(value, reference):
+    return abs(value - reference) <= 1e-11 * max(1.0, abs(reference))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_repulsion_oracle_agrees_with_adaptive_quad(m):
+    t0 = 0.41
+    for eps in (0.01, 0.05):
+        probe = PerturbedDisk(1.1, m, eps, 0.8 * eps)
+        for ratio in (0.5, 0.97, 1.0, 1.0 / 0.97):
+            domain = probe if ratio == 1.0 else PerturbedDisk(1.1 * ratio, m, 0.7 * eps, 0.3 * eps)
+            x = probe.boundary_point(t0)
+
+            def f(t):
+                return -math.log(abs(x - domain.boundary_point(t))) * (-1j * domain.boundary_derivative(t))
+
+            if ratio == 1.0:
+                reference = _quad_complex(f, t0 - math.pi, t0 + math.pi, points=[t0])
+            else:
+                reference = _quad_complex(f, 0.0, 2.0 * math.pi)
+            value = oracle_repulsion(probe, t0, domain)
+            assert _agrees(complex(*value), reference), (m, eps, ratio)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0 - 1e-4, 1.0, 1.0 + 1e-4, 1.6])
+def test_contour_oracles_agree_with_adaptive_quad(alpha):
+    theta0 = 0.37
+    for mu in (-3, 1, 5):
+        def dist(phi):
+            return (1.0 - alpha) ** 2 + 4.0 * alpha * math.sin(0.5 * phi) ** 2
+
+        log_ref = _quad_complex(lambda p: math.log(dist(p)) * cmath.exp(1j * mu * p), -math.pi, math.pi, [0.0])
+        assert _agrees(oracle_log_contour(alpha, mu, theta0), cmath.exp(1j * mu * theta0) * log_ref)
+        if alpha != 1.0:
+            rat_ref = _quad_complex(lambda p: cmath.exp(1j * mu * p) / dist(p), -math.pi, math.pi, [0.0])
+            assert _agrees(oracle_rational_contour(alpha, mu, theta0), cmath.exp(1j * mu * theta0) * rat_ref)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_attraction_oracle_agrees_with_adaptive_quad(m):
+    from scipy.integrate import quad
+
+    x = np.array([1.4, 0.6])
+    for eps in (0.0, 0.01, 0.05):
+        d = PerturbedDisk(1.2, m, eps, 0.7 * eps)
+
+        def part(g):
+            return quad(lambda t: g(d.boundary_point(t), d.boundary_derivative(t)), 0.0, 2.0 * math.pi, **_QUAD)[0]
+
+        area = part(lambda p, dp: 0.5 * (p.real * dp.imag - p.imag * dp.real))
+        moment = np.array([part(lambda p, dp: 0.5 * p.real**2 * dp.imag), part(lambda p, dp: -0.5 * p.imag**2 * dp.real)])
+        reference = x * area - moment
+        assert np.max(np.abs(oracle_attraction(x, d) - reference)) <= 1e-11 * max(1.0, np.max(np.abs(reference)))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -96,6 +97,29 @@ def test_exit_code_numerical_error(capsys):
     assert code == 3
     assert json.loads(err.strip().splitlines()[-1])["error"] == "EquilibriumMissing"
 
+
+
+def test_stability_non_nested_modes_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch):
+    # mode 3 unstable above a stable mode 2 breaks nesting; stability_report raises before anything is written
+    from swarm_eq import linear_stability
+
+    exact = linear_stability.mode_spectrum
+
+    def non_nested(kind, p, m):
+        spectra = exact(kind, p, m)
+        return tuple(dataclasses.replace(s, verdict="unstable") if s.m == 3 else s for s in spectra)
+
+    monkeypatch.setattr(linear_stability, "mode_spectrum", non_nested)
+    code, out, err = run_cli(
+        capsys, "stability", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2",
+        "--out-csv", str(tmp_path / "modes.csv"),
+    )
+    assert code == 3
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "SpectrumMismatch"
+    assert "mode 2 is stable and mode 3 unstable" in record["message"]
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 def test_simulate_determinism(tmp_path, capsys):
     args = [

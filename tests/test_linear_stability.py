@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -260,6 +261,27 @@ def test_cross_check_catches_perturbed_closed_form(monkeypatch):
         with pytest.raises(SpectrumMismatch, match="coefficients disagree at mode 2"):
             mode_spectrum(LIGHT, params_from_phase(*point), 2)
 
+
+
+def test_nesting_holds_from_mode_2_and_mode_1_is_exempt(monkeypatch):
+    # heavy inside at this point: mode 1 stable, mode 2 unstable, every mode from 3 on stable
+    rep = stability_report(HEAVY, params_from_phase(2.976, 3.342, 1.425), 32)
+    assert [s.verdict[0] for s in rep.modes[:4]] == ["s", "u", "s", "s"]
+    assert "mode 1 is exempt" in rep.guarantee
+    exact = linear_stability.mode_spectrum
+
+    def relabel(verdicts):
+        def patched(kind, p, m):
+            return tuple(dataclasses.replace(s, verdict=v) for s, v in zip(exact(kind, p, m), verdicts))
+        return patched
+
+    point = params_from_phase(3.0, 3.5, 2.0)
+    # marginal counts as neither stable nor unstable
+    monkeypatch.setattr(linear_stability, "mode_spectrum", relabel(["stable", "marginal", "stable"]))
+    assert stability_report(LIGHT, point, 3).overall == "marginal"
+    monkeypatch.setattr(linear_stability, "mode_spectrum", relabel(["stable", "stable", "marginal", "unstable"]))
+    with pytest.raises(SpectrumMismatch, match="mode 2 is stable and mode 4 unstable"):
+        stability_report(LIGHT, point, 4)
 
 def test_crosscheck_margin_reads_the_coefficient_residual(monkeypatch):
     p = params_from_phase(1.3, 2.5, 3.0)

@@ -24,6 +24,48 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+
+def test_no_module_imports_scipy_integrate():
+    # every quadrature in the package is the numpy rule quadrature.periodic_trapezoid
+    offenders = []
+    for path in sorted((Path(swarm_eq.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.stem}: {name}" for name in names if name.startswith("scipy.integrate")]
+    assert offenders == []
+
+
+def test_oracles_load_no_scipy():
+    code = """
+import sys
+import numpy as np
+from swarm_eq import boundary_integrals as bi
+from swarm_eq.equilibria import build_equilibrium
+from swarm_eq.model import InteractionParams
+from swarm_eq.quadrature import disk_kernel_integral
+from swarm_eq.variational import lambda_quadrature_oracle
+
+probe = bi.PerturbedDisk(1.2, 3, 0.01, 0.008)
+bi.oracle_log_contour(1.0, 2, 0.3)
+bi.oracle_rational_contour(0.9, 2, 0.3)
+bi.oracle_attraction(np.array([1.5, -0.4]), probe)
+bi.oracle_repulsion(probe, 0.41, probe)
+bi.oracle_repulsion(probe, 0.41, bi.PerturbedDisk(0.9, 3, 0.007, 0.003))
+disk_kernel_integral((0.2, 0.1), (0.0, 0.0), 1.0, 1.0, 1.0)
+disk_kernel_integral((2.0, 0.1), (0.0, 0.0), 1.0, 1.0, 1.0)
+cfg = build_equilibrium("target-light", InteractionParams(a_s=1.0, a_c=3.0, b_s=1.0, b_c=3.5, M1=2.0, M2=1.0))
+lambda_quadrature_oracle(cfg, 1, 0.5 * cfg.radii[-1])
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(swarm_eq.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
 def _top_level_reads(tree):
     """Per top-level statement of a module: (the statement, names it defines, names and attributes it reads,
     attributes it reads)."""

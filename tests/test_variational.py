@@ -16,6 +16,7 @@ from swarm_eq.errors import (
 from swarm_eq.model import InteractionParams, PhasePoint, RegionId, classify_region
 from swarm_eq.variational import (
     PerturbationGrid,
+    _threshold_f,
     attraction_term,
     f_of_A,
     grid_interaction_energy,
@@ -435,3 +436,18 @@ def test_heavy_threshold_is_the_light_threshold_function_at_inverse_mass_ratio()
                 below_one += A <= 1.0
     # the heavy threshold has no A > 1 restriction
     assert below_one >= 1000
+
+
+def test_threshold_function_keeps_its_digits_at_small_A():
+    # against 50-digit arithmetic on the same float inputs; float powers of 1 + AM lost up to 4.4e-12 here
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(1604)
+    worst = 0.0
+    for A in np.exp(rng.uniform(math.log(1e-4), 0.0, 400)).tolist():
+        M0 = float(rng.uniform(1.0, 5.0))
+        for M in (M0, 1.0 / M0):
+            a, m = mpmath.mpf(A), mpmath.mpf(M)
+            exact = (a * m + 1) / (a + m) * (1 + a * m) ** (1 / (a * m)) * (1 + m / a) ** (-a / m)
+            worst = max(worst, float(abs(_threshold_f(A, M) - exact) / exact))
+    assert worst <= 1e-14
