@@ -9,11 +9,11 @@ defining expression numerically over the true perturbed domain (exact
 boundary element, no truncation), so agreement degrades only at O(eps^2).
 
 Every oracle is one call of ``quadrature.periodic_trapezoid`` on an
-integrand evaluated over whole arrays of angles: the plain rule where the
-integrand is smooth, and nodes clustered at phi = 0 (the contour integrals)
-or at the probe's angle (repulsion on its own boundary) where it has a log
-singularity or a sharp peak.  Their tolerances are 1e-10 absolute or 1e-11
-relative.
+integrand evaluated over whole arrays of angles: the plain rule for the
+smooth area and moment integrands, and nodes clustered at phi = 0 (the
+contour integrals) or at the probe's angle (repulsion) where the integrand
+has a log singularity or a sharp peak.  The contour and repulsion oracles
+ask the rule for ``quadrature.ORACLE_TOL`` absolute or 1e-11 relative.
 
 Geometric results are returned as (x, y) vectors; the circle-harmonic
 contour integrals, which are genuinely complex-valued, return complex.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularAlpha, ZeroMode
-from .quadrature import periodic_trapezoid
+from .quadrature import ORACLE_TOL, periodic_trapezoid
 
 #: Amplitudes above this leave the first-order regime the formulas target.
 EPS_MAX = 0.05
@@ -162,7 +162,7 @@ def _contour_distance(alpha, phi):
     return (1.0 - alpha) ** 2 + 4.0 * alpha * np.sin(0.5 * phi) ** 2
 
 
-def oracle_log_contour(alpha: float, mu: int, theta0: float, tol: float = 1e-10) -> complex:
+def oracle_log_contour(alpha: float, mu: int, theta0: float) -> complex:
     """Numerical value of the defining log integral, with nodes clustered at the singularity phi = 0."""
     if mu == 0:
         raise ZeroMode("log contour integral requires mu != 0")
@@ -170,16 +170,16 @@ def oracle_log_contour(alpha: float, mu: int, theta0: float, tol: float = 1e-10)
     def f(phi):
         return np.log(_contour_distance(alpha, phi)) * np.exp(1j * mu * phi)
 
-    return cmath.exp(1j * mu * theta0) * complex(periodic_trapezoid(f, tol, cluster_at=0.0))
+    return cmath.exp(1j * mu * theta0) * complex(periodic_trapezoid(f, ORACLE_TOL, cluster_at=0.0))
 
 
-def oracle_rational_contour(alpha: float, mu: int, theta0: float, tol: float = 1e-10) -> complex:
+def oracle_rational_contour(alpha: float, mu: int, theta0: float) -> complex:
     """Numerical value of the defining rational integral, with nodes clustered at its peak phi = 0."""
 
     def f(phi):
         return np.exp(1j * mu * phi) / _contour_distance(alpha, phi)
 
-    return cmath.exp(1j * mu * theta0) * complex(periodic_trapezoid(f, tol, cluster_at=0.0))
+    return cmath.exp(1j * mu * theta0) * complex(periodic_trapezoid(f, ORACLE_TOL, cluster_at=0.0))
 
 
 def perturbed_area(disk: PerturbedDisk) -> float:
@@ -213,25 +213,19 @@ def oracle_attraction(x, disk: PerturbedDisk) -> np.ndarray:
     return x * perturbed_area(disk) - perturbed_moment(disk)
 
 
-def oracle_repulsion(probe: PerturbedDisk, theta0: float, domain: PerturbedDisk,
-                     same_boundary: bool | None = None, tol: float = 1e-10) -> np.ndarray:
+def oracle_repulsion(probe: PerturbedDisk, theta0: float, domain: PerturbedDisk) -> np.ndarray:
     """Newtonian integral over the true perturbed domain, via its boundary.
 
     Gauss' theorem turns the domain integral into -oint ln|x - y| n dS with
-    the exact (untruncated) boundary element n dS = -i p'(theta) dtheta.  When
-    the probe sits on the integration boundary the rule clusters its nodes at
-    the integrable log singularity theta = theta0.
+    the exact (untruncated) boundary element n dS = -i p'(theta) dtheta.  The
+    rule clusters its nodes at theta = theta0, where the integrand has an
+    integrable log singularity when the probe sits on the domain's boundary
+    and a sharp peak when it sits close to it.
     """
     x = probe.boundary_point(theta0)
-    if same_boundary is None:
-        same_boundary = (
-            probe.R == domain.R
-            and probe.eps_N == domain.eps_N
-            and probe.eps_T == domain.eps_T
-        )
 
     def f(theta):
         ndS = -1j * domain.boundary_derivative(theta)
         return -np.log(np.abs(x - domain.boundary_point(theta))) * ndS
 
-    return _as_vec(periodic_trapezoid(f, tol, cluster_at=theta0 if same_boundary else None))
+    return _as_vec(periodic_trapezoid(f, ORACLE_TOL, cluster_at=theta0))

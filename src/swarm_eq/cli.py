@@ -173,7 +173,8 @@ def cmd_equilibrium(ns) -> None:
             "exists": cfg.exists,
             "reason": cfg.reason,
             "boundary_degenerate": cfg.boundary_degenerate,
-            "radii": list(cfg.radii),
+            # a state that does not exist can have an undefined radius: null, not the invalid NaN
+            "radii": [r if math.isfinite(r) else None for r in cfg.radii],
             "densities": [list(d) for d in cfg.densities],
             "region": classify_region(to_phase_point(p)).value,
         }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_integrals import PerturbedDisk, attraction_integral, repulsion_integral
+from .boundary_integrals import EPS_MAX, PerturbedDisk, attraction_integral, repulsion_integral
 from .equilibria import EquilibriumConfig, EquilibriumKind, build_equilibrium, existence_region_mask
 from .errors import EquilibriumMissing, SpectrumMismatch
 from .model import (
@@ -396,14 +396,16 @@ def _assembly_geometry(kind: EquilibriumKind, cfg: EquilibriumConfig):
 
 
 def build_Q_from_integrals(
-    kind: EquilibriumKind, p: InteractionParams, m: int, theta0: float | None = None, h: float = 0.01
+    kind: EquilibriumKind, p: InteractionParams, m: int, theta0: float | None = None
 ) -> np.ndarray:
     """Reassemble the mode-m matrix from the perturbed-domain integral formulas.
 
     Independent of the printed matrix entries: boundary velocities are built
     from the first-order attraction/repulsion integrals, the equilibrium
     baseline is subtracted, and the normal/tangential responses are read off
-    at angle theta0 (any angle with cos(m theta0) sin(m theta0) != 0).
+    at angle theta0 (any angle with cos(m theta0) sin(m theta0) != 0).  The
+    integrals are affine in the amplitudes, so each column is an exact
+    difference quotient at the largest amplitude ``PerturbedDisk`` accepts.
     """
     kind, cfg = _require_target(kind, p)
     if theta0 is None:
@@ -446,6 +448,6 @@ def build_Q_from_integrals(
     Q = np.zeros((6, 6))
     for col in range(6):
         eps = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        eps[col // 2][col % 2] = h
-        Q[:, col] = (responses(tuple(tuple(e) for e in eps)) - base) / h
+        eps[col // 2][col % 2] = EPS_MAX
+        Q[:, col] = (responses(tuple(tuple(e) for e in eps)) - base) / EPS_MAX
     return Q

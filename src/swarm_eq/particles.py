@@ -455,6 +455,8 @@ def init_random_disk(
     params: InteractionParams, n1: int, n2: int, radius: float, seed: int
 ) -> ParticleState:
     """Both species uniformly random in a disk around the origin (seeded)."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     rng = np.random.default_rng(seed)
 
     def sample(n):

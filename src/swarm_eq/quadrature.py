@@ -8,12 +8,17 @@ integrand evaluated on whole arrays of angles.  On a smooth periodic
 integrand it converges geometrically (Trefethen & Weideman, SIAM Review 56,
 2014).  At an integrable log singularity or a sharp peak the caller names the
 angle, and the sin^4 substitution ``_cluster`` gathers the nodes there, which
-keeps a fast algebraic rate (Sidi 1993).
+keeps a fast algebraic rate (Sidi 1993).  The same substitution integrates an
+integrand that is analytic on arcs but changes form between them: the caller
+maps the arcs onto one period and clusters the nodes at their ends, where the
+weight vanishes to fourth order (``weak_cross.cross_condition_residual``).
 
-Disk integrals are taken in polar coordinates around the evaluation point:
-the radial part along each ray is an elementary antiderivative of the
-kernel, and the angular part is ``periodic_trapezoid`` in
-``disk_kernel_integral`` and fixed rules in ``disk_repulsion_batch``.
+``disk_kernel_integral`` takes a disk integral in polar coordinates around
+the evaluation point: the radial part along each ray is an elementary
+antiderivative of the kernel, and the angular part is ``periodic_trapezoid``.
+The contour, repulsion and cross-force oracles of ``boundary_integrals`` and
+``weak_cross`` call the rule directly at one tolerance, ``ORACLE_TOL``; the
+disk kernel and the area and moment integrals use the rule's default.
 
 The rule doubles its nodes from N_START, evaluating only the new midpoints,
 until two successive estimates agree within max(tol, REL_TOL*|estimate|).
@@ -38,6 +43,9 @@ N_MAX = 2**16
 #: Relative part of the stopping test |I_2n - I_n| <= max(tol, REL_TOL*|I_2n|).
 REL_TOL = 1e-11
 
+#: Absolute tolerance the contour, repulsion and cross-force oracles pass to the rule.
+ORACLE_TOL = 1e-10
+
 
 def _cluster(s):
     """psi(s) = s - (2/3pi) sin 2pi s + (1/12pi) sin 4pi s on [0, 1] and psi' = (8/3) sin^4(pi s)."""
@@ -52,9 +60,10 @@ def periodic_trapezoid(f, tol=1e-12, cluster_at=None):
     rule starts at N_START nodes and doubles, evaluating only the new
     midpoints, until |I_2n - I_n| <= max(tol, REL_TOL*|I_2n|); it returns
     I_2n.  ``cluster_at`` names the angle of an integrable singularity or a
-    sharp peak of f: the rule then integrates over s in [0, 1) with
-    theta = cluster_at + 2*pi*psi(s) and weight 2*pi*psi'(s), which vanishes
-    to fourth order at s = 0, so f is never evaluated at cluster_at itself.
+    sharp peak of f, or the seam of arcs mapped onto one period: the rule
+    then integrates over s in [0, 1) with theta = cluster_at + 2*pi*psi(s)
+    and weight 2*pi*psi'(s), which vanishes to fourth order at s = 0, so f
+    is never evaluated at cluster_at itself.
     Raises ``QuadratureNonConvergence``, with the last estimate, on a
     non-finite sum or when n would pass N_MAX.  The error estimate assumes f
     continuous: across a jump the difference stays O(1/n) and the rule
@@ -117,61 +126,3 @@ def disk_kernel_integral(x, center, R, a_log, b_quad):
     phi_c = math.atan2(dy, dx)
     half = math.asin(min(1.0, R / dist))
     return periodic_trapezoid(lambda u: radial(phi_c + half * np.sin(u)) * (0.5 * half) * np.abs(np.cos(u)))
-
-
-def disk_repulsion_batch(X, center, R, n_theta=512):
-    """Newtonian repulsion integral of a uniform disk at many points, by ray quadrature.
-
-    Returns an (n, 2) array of  int_{|y-center|<R} (x-y)/|x-y|^2 dy  for the
-    rows x of X.  In polar coordinates around x the radial part is exact
-    (the integrand reduces to the chord length per direction); the angular
-    integral uses a periodic trapezoid rule for interior points and a
-    sin-substituted Gauss rule over the visible window for exterior points,
-    which removes the square-root edge behavior.
-    """
-    X = np.asarray(X, dtype=float)
-    center = np.asarray(center, dtype=float)
-    out = np.zeros_like(X)
-    d = X - center[None, :]
-    dist = np.hypot(d[:, 0], d[:, 1])
-    inside = dist < R
-
-    if np.any(inside):
-        Xi = X[inside]
-        theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-        e = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (t, 2)
-        delta = center[None, :] - Xi  # (n, 2)
-        b = delta @ e.T  # (n, t)
-        c = np.sum(delta * delta, axis=1)[:, None] - R * R
-        root = np.sqrt(np.maximum(b * b - c, 0.0))
-        chord = b + root  # t_hi, t_lo = 0 for interior points
-        # integral = -sum_phi e(phi) * chord(phi) dphi  (sign: integrand is (x-y)/|x-y|^2)
-        w = 2.0 * math.pi / n_theta
-        out[inside] = -w * (chord @ e)
-
-    outside = ~inside
-    if np.any(outside):
-        Xo = X[outside]
-        delta = center[None, :] - Xo
-        dist_o = np.hypot(delta[:, 0], delta[:, 1])
-        phi_c = np.arctan2(delta[:, 1], delta[:, 0])
-        half = np.arcsin(np.clip(R / dist_o, 0.0, 1.0))
-        # phi = phi_c + half*sin(u), u in [-pi/2, pi/2]
-        n_u = 64
-        u, wu = np.polynomial.legendre.leggauss(n_u)
-        u = 0.5 * math.pi * u
-        wu = 0.5 * math.pi * wu
-        phi = phi_c[:, None] + half[:, None] * np.sin(u)[None, :]  # (n, u)
-        jac = half[:, None] * np.cos(u)[None, :]
-        ex, ey = np.cos(phi), np.sin(phi)
-        b = delta[:, 0:1] * ex + delta[:, 1:2] * ey
-        c = (dist_o**2 - R * R)[:, None]
-        root = np.sqrt(np.maximum(b * b - c, 0.0))
-        t_lo = np.maximum(b - root, 0.0)
-        t_hi = b + root
-        chord = np.maximum(t_hi - t_lo, 0.0)
-        common = chord * jac * wu[None, :]
-        out[outside, 0] = -np.sum(common * ex, axis=1)
-        out[outside, 1] = -np.sum(common * ey, axis=1)
-
-    return out

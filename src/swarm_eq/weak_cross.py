@@ -9,7 +9,9 @@ ratio A/B: full mixing for A/B <= 1, an implicit overlap branch for
 
 The implicit branch rests on one integral over the lens edge of the two
 disks, written once in closed form (a power series at small d/R); the tests
-hold it to an adaptive-quadrature oracle and to mpmath.
+hold it to an adaptive-quadrature oracle and to mpmath.  The force balance it
+encodes is held to ``cross_condition_residual``, the net cross force between
+the two disks as one boundary integral on the periodic trapezoid rule.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .equilibria import _disk_coeffs
 from .errors import BracketingFailure, OutOfRange
 from .model import InteractionParams
-from .quadrature import disk_repulsion_batch
+from .quadrature import ORACLE_TOL, periodic_trapezoid
 
 #: Solutions on the implicit branch must satisfy the relation to this residual.
 RESIDUAL_TOL = 1e-10
@@ -113,8 +116,8 @@ def d_of_ab_ratio(ratio_AB: float) -> SeparationSolution:
     monotonicity verified by a startup scan; sqrt(A/B) beyond 4.
     """
     ratio = float(ratio_AB)
-    if ratio <= 0.0:
-        raise OutOfRange(f"A/B must be > 0, got {ratio}")
+    if not 0.0 < ratio < math.inf:
+        raise OutOfRange(f"A/B must be finite and > 0, got {ratio}")
     if ratio < 1.0:
         return SeparationSolution(ratio, 0.0, "full-mix", 0.0)
     if ratio == 1.0:
@@ -135,8 +138,8 @@ def d_of_ab_ratio(ratio_AB: float) -> SeparationSolution:
 
 def curve_sample(ratio_min: float, ratio_max: float, n_points: int) -> list[SeparationSolution]:
     """Sample the separation curve on a ratio range (monotone non-decreasing)."""
-    if not (0.0 < ratio_min < ratio_max):
-        raise OutOfRange("need 0 < ratio_min < ratio_max")
+    if not (0.0 < ratio_min < ratio_max < math.inf):
+        raise OutOfRange("need 0 < ratio_min < ratio_max < inf")
     ratios = np.linspace(ratio_min, ratio_max, int(n_points))
     return [d_of_ab_ratio(r) for r in ratios]
 
@@ -178,47 +181,36 @@ def force_balance_residual(d: float, R: float, a_c: float, b_c: float) -> float:
     return out
 
 
-def cross_condition_residual(
-    d_over_R: float, ratio_AB: float, n_r: int = 48, n_t: int = 384
-) -> float:
-    """Net cross force between two offset uniform disks, by 2-D quadrature.
+def cross_condition_residual(d_over_R: float, ratio_AB: float) -> float:
+    """Net cross force between two offset uniform unit disks, by Gauss's theorem.
 
-    Evaluates the double integral of the cross-kernel gradient between unit
-    disks at centre separation d (e1 component; the e2 component vanishes by
-    symmetry) with a_c = ratio_AB and b_c = 1.  Radial panels are split at
-    the second disk's boundary so each integrand piece is smooth.
+    Disk 2 sits at (d, 0) and acts on disk 1 through the cross kernel with
+    a_c = ratio_AB and b_c = 1.  The force on disk 1, the integral of
+    -grad Phi_2 over it, equals -oint Phi_2 n ds over its boundary, where
+    Phi_2 = c0 + c2 rho^2 + cl ln rho is disk 2's potential at distance rho
+    from its centre (``equilibria._disk_coeffs``, inside and outside form).
+    On the unit circle rho^2 = 1 + d^2 - 2 d cos(theta), so the e1 component
+    is the integral of -Phi_2 cos(theta); the e2 component vanishes by
+    symmetry.  Phi_2 changes form where the circle crosses disk 2's edge,
+    |theta| = gamma = acos(d/2), so the even integrand is split there into
+    two arcs, each analytic, both mapped onto one period and summed in one
+    rule with nodes clustered at the arcs' ends.  The log is taken on the
+    outer arc only, where rho >= 1.
     """
-    d = float(d_over_R)
-    a_c, b_c = float(ratio_AB), 1.0
-    R = 1.0
-    center2 = np.array([d, 0.0])
+    d, a_c = float(d_over_R), float(ratio_AB)
+    gamma = math.acos(min(1.0, 0.5 * d))
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    thetas = (np.arange(n_t) + 0.5) * (2.0 * math.pi / n_t)
-    w_theta = 2.0 * math.pi / n_t
+    def minus_potential_cos(theta, inside):
+        c0, c2, cl = _disk_coeffs(1.0, a_c, 1.0, 1.0, inside)
+        rho_sq = (1.0 - d) ** 2 + 4.0 * d * np.sin(0.5 * theta) ** 2
+        potential = c0 + c2 * rho_sq + (0.0 if inside else 0.5 * cl * np.log(rho_sq))
+        return -potential * np.cos(theta)
 
-    xs, ws = [], []
-    for th in thetas:
-        # radius where the ray crosses the boundary of the offset disk
-        b = d * math.cos(th)
-        disc = b * b - (d * d - R * R)
-        crossings = []
-        if disc > 0.0:
-            for root in (b - math.sqrt(disc), b + math.sqrt(disc)):
-                if 0.0 < root < R:
-                    crossings.append(root)
-        segments = [0.0] + sorted(crossings) + [R]
-        for lo, hi in zip(segments[:-1], segments[1:]):
-            if hi <= lo:
-                continue
-            r = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            w = 0.5 * (hi - lo) * weights * r * w_theta
-            xs.append(np.column_stack([r * math.cos(th), r * math.sin(th)]))
-            ws.append(w)
-    X = np.vstack(xs)
-    W = np.concatenate(ws)
+    def f(t):
+        # 2 (int_0^gamma + int_gamma^pi), each arc mapped from t in [0, 2 pi)
+        u = t / (2.0 * math.pi)
+        inner = gamma * minus_potential_cos(gamma * u, True)
+        outer = (math.pi - gamma) * minus_potential_cos(gamma + (math.pi - gamma) * u, False)
+        return (inner + outer) / math.pi
 
-    rep = disk_repulsion_batch(X, center2, R)
-    att = math.pi * R * R * (X - center2[None, :])
-    integrand = a_c * rep[:, 0] - b_c * att[:, 0]
-    return float(np.sum(W * integrand))
+    return float(periodic_trapezoid(f, ORACLE_TOL, cluster_at=0.0))

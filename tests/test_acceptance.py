@@ -276,7 +276,7 @@ def test_criterion_07_appendix_oracles():
             def oracle(e, m=m, rp=rp, rd=rd, case=case):
                 probe = PerturbedDisk(rp, m, e, 0.8 * e)
                 dom = probe if case == "same" else PerturbedDisk(rd, m, 0.7 * e, 0.3 * e)
-                return oracle_repulsion(probe, t0, dom, same_boundary=(case == "same"))
+                return oracle_repulsion(probe, t0, dom)
 
             check(closed, oracle, scale=math.pi * min(rp, rd))
     report(7, time.monotonic() - start, 30.0, f"{cases} oracle cases")

@@ -89,6 +89,34 @@ def test_exit_code_config_error(capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [["--ratio", "inf"], ["--ratio", "nan"], ["--ratio-max", "inf"]])
+def test_weakcross_non_finite_ratio_is_out_of_range(capsys, argv):
+    code, out, err = run_cli(capsys, "weakcross", *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "OutOfRange"
+
+
+def test_equilibrium_undefined_radius_is_null(capsys):
+    # the coexistence radius of this overlap state is undefined, and the state does not exist
+    code, out, _ = run_cli(
+        capsys, "equilibrium", "--kind", "overlap-light",
+        "-A", "2.3328814478582065", "-B", "5.9833991179458055", "-M", "4.92334135510492",
+    )
+    assert code == 0
+    payload = strict_json(out.strip())
+    assert payload["exists"] is False
+    assert payload["radii"][0] is None and payload["radii"][1] == pytest.approx(0.8156, abs=1e-4)
+
+
 def test_exit_code_numerical_error(capsys):
     # D1 point: the target does not exist -> EquilibriumMissing -> exit 3
     code, _, err = run_cli(
@@ -282,6 +310,7 @@ def test_simulate_rejects_bad_schedule(tmp_path, capsys, t_end, every):
             ["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--t-end", "1", "--record-interval", value]
             for value in ("nan", "0", "-1", "inf")
         ),
+        *(["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--t-end", "1", "--radius", value] for value in ("0", "-1")),
     ],
 )
 def test_degenerate_ranges_are_config_errors(tmp_path, capsys, argv):
@@ -658,6 +687,6 @@ def test_main_exits_only_with_0_2_or_3(tmp_path_factory, data):
     record = json.loads(err.getvalue().strip().splitlines()[-1])
     if code == 0:
         assert "config_hash" in record
-        json.loads(out.getvalue().strip().splitlines()[-1])
+        strict_json(out.getvalue().strip().splitlines()[-1])
     else:
         assert out.getvalue() == "" and "error" in record, argv

@@ -127,6 +127,16 @@ def test_condition_integral_oracle():
         assert abs(res) < 1e-6 * scale, ratio
 
 
+def test_condition_integral_oracle_off_the_root(rng):
+    # the boundary-integral force equals the closed force balance at any d, including where
+    # unit circle 1 passes through disk 2's centre (d = 1) and where the disks touch (d = 2)
+    for d in [*rng.uniform(1e-6, 2.0, 20), 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]:
+        for ratio in (float(rng.uniform(0.3, 8.0)), 1.0, 4.0):
+            scale = math.pi**2 * (ratio / d + d)
+            closed = force_balance_residual(float(d), 1.0, ratio, 1.0)
+            assert abs(cross_condition_residual(d, ratio) - closed) < 1e-10 * scale, (d, ratio)
+
+
 def test_leading_order_densities():
     p = InteractionParams(1, 1, 1, 1, 2, 1, eta=0.05)
     (rho1, R1), (rho2, R2) = leading_order_densities(p)
