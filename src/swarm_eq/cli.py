@@ -7,7 +7,8 @@ hash, version, wall time; for ``simulate``, ``stability``, ``weakcross`` and
 ``phase-diagram`` also the wall time of each stage, and for ``simulate`` and
 each of ``weakcross``'s overlay runs the run counters) is printed to stderr
 for every run.  Exit code 2 flags configuration errors and failed writes, 3
-numerical failures (with the error name in a JSON record on stderr); a
+numerical failures, a floating-point overflow, division by zero or invalid
+operation among them (with the error name in a JSON record on stderr); a
 command whose write fails leaves none of its files behind.
 """
 
@@ -250,7 +251,7 @@ MAX_SNAPSHOTS = 10_000
 #: ``RunDiagnostics`` counters in the stderr metadata record, for ``simulate`` and each overlay run of ``weakcross``.
 _RUN_COUNTERS = (
     "force_evals", "accepted_steps", "rejected_steps", "dt_min", "dt_max", "closest_pair_ratio",
-    "max_stiffness", "max_energy_rise",
+    "max_stiffness", "max_energy_rise", "max_com_drift",
 )
 
 
@@ -259,8 +260,10 @@ def _run_counters(diag) -> dict:
 
 
 def _write_snapshot(rows, state):
+    """Append the CSV rows of one snapshot as text, its time formatted once."""
+    t = fmt_value(float(state.t))
     for species, pos in ((1, state.pos1), (2, state.pos2)):
-        rows.extend((state.t, species, i, x, y) for i, (x, y) in enumerate(pos.tolist()))
+        rows.extend(f"{t},{species},{i},{x!r},{y!r}" for i, (x, y) in enumerate(pos.tolist()))
 
 
 def cmd_simulate(ns) -> dict:
@@ -600,11 +603,13 @@ def main(argv=None) -> int:
             for k, v in vars(ns).items()
             if k not in ("func", "config") and v is not None
         }
-        # a subcommand may return extra fields for the metadata record
-        extra = ns.func(ns) or {}
-    except (SwarmEqError, ValueError, OSError) as exc:
+        # a subcommand may return extra fields for the metadata record; a floating-point
+        # overflow, division by zero or invalid operation is a numerical failure
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            extra = ns.func(ns) or {}
+    except (SwarmEqError, ArithmeticError, ValueError, OSError) as exc:
         sys.stderr.write(json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3 if isinstance(exc, SwarmEqError) else 2
+        return 3 if isinstance(exc, (SwarmEqError, ArithmeticError)) else 2
     meta = {
         "config_hash": config_hash(config),
         "version": __version__,

@@ -41,6 +41,10 @@ class EquilibriumMissing(SwarmEqError):
     """Requested operation needs an equilibrium that does not exist at these parameters."""
 
 
+class NonFiniteResult(SwarmEqError):
+    """A closed form overflowed to inf or nan at finite, valid parameters."""
+
+
 class ZeroMode(SwarmEqError):
     """Contour integral undefined for Fourier index mu = 0."""
 

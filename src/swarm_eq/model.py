@@ -92,10 +92,10 @@ class PhasePoint:
     M: float
 
     def __post_init__(self):
-        if not (self.A > 0.0 and self.B > 0.0):
-            raise ValueError(f"A and B must be > 0, got A={self.A}, B={self.B}")
-        if not self.M >= 1.0:
-            raise ValueError(f"M must be >= 1, got {self.M}")
+        if not (0.0 < self.A < math.inf and 0.0 < self.B < math.inf):
+            raise ValueError(f"A and B must be finite and > 0, got A={self.A}, B={self.B}")
+        if not 1.0 <= self.M < math.inf:
+            raise ValueError(f"M must be finite and >= 1, got {self.M}")
 
 
 class RegionId(str, Enum):

@@ -134,23 +134,27 @@ class _PairPass:
 
     def __init__(self, X):
         self.X = X
-        self.x2 = np.einsum("ij,ij->i", X, X)
-        self.m2X = -2.0 * X
-        self.exact_below = max(1e-12, 1e-6 * float(self.x2.max()))
+        x2 = np.einsum("ij,ij->i", X, X)
+        ones = np.ones_like(x2)
+        # r_ij^2 = left_i . right_j = -2 x_i.x_j + |x_i|^2 * 1 + 1 * |x_j|^2
+        self.left = np.column_stack([X, x2, ones])
+        self.right = np.column_stack([-2.0 * X, ones, x2])
+        self.exact_below = max(1e-12, 1e-6 * float(x2.max()))
 
     def dist_sq(self, lo, hi):
         """Squared distances of rows lo:hi to rows lo: and their minimum.
 
-        The expanded form |x|^2 + |y|^2 - 2 x.y runs on BLAS, but its
-        absolute error is about eps * max |x|^2, so entries below
-        ``exact_below`` (1e-6 of the largest |x|^2, at least 1e-12), negative
-        ones included, are recomputed from the explicit differences: a close
-        pair's r^2 then stays accurate relative to itself.
+        The expanded form -2 x.y + |x|^2 + |y|^2 is one GEMM of inner
+        dimension 4 per block, summed along k in that order; the products by
+        1 are exact, so each entry equals the cross term plus the two squared
+        norms added in turn.  Its absolute error is about eps * max |x|^2, so
+        entries below ``exact_below`` (1e-6 of the largest |x|^2, at least
+        1e-12), negative ones included, are recomputed from the explicit
+        differences: a close pair's r^2 then stays accurate relative to
+        itself.
         """
         X = self.X
-        r2 = X[lo:hi] @ self.m2X[lo:].T
-        r2 += self.x2[lo:hi, None]
-        r2 += self.x2[None, lo:]
+        r2 = self.left[lo:hi] @ self.right[lo:].T
         r2.reshape(-1)[:: r2.shape[1] + 1] = np.inf
         low = float(r2.min())
         if low < self.exact_below:
@@ -309,7 +313,10 @@ class RunDiagnostics:
     ``max_energy_rise`` the largest rise of the recorded energy between
     consecutive records, relative to the first record's |E| (0 if none
     rose).  The flow is a gradient flow, so any rise beyond rounding is an
-    integration fault.
+    integration fault.  ``max_com_drift`` is the largest distance of a
+    record's ``com_total`` from the first record's, in units of
+    sqrt(a_s/b_s): the flow conserves the centre of mass, so it too should
+    stay at rounding level.
     """
 
     t: list = field(default_factory=list)
@@ -327,6 +334,7 @@ class RunDiagnostics:
     max_stiffness: float = 0.0
     step_stiffness: float = 0.0
     max_energy_rise: float = 0.0
+    max_com_drift: float = 0.0
 
     def as_arrays(self):
         return {
@@ -345,10 +353,12 @@ def _record(diag: RunDiagnostics, state: ParticleState, v, count: int = 1):
     c2 = state.pos2.mean(axis=0)
     R = math.sqrt(p.a_s / p.b_s)
     energy = particle_energy(state)
+    com = state.com()
     if diag.energy:
         rise = (energy - diag.energy[-1]) / (abs(diag.energy[0]) or 1.0)
         diag.max_energy_rise = max(diag.max_energy_rise, rise)
-    row = (state.t, energy, state.com(), float(np.hypot(*(c1 - c2))) / R, max_speed(v))
+        diag.max_com_drift = max(diag.max_com_drift, float(np.hypot(*(com - diag.com_total[0]))) / R)
+    row = (state.t, energy, com, float(np.hypot(*(c1 - c2))) / R, max_speed(v))
     for trace, value in zip((diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed), row):
         trace.extend([value] * count)
 
@@ -395,6 +405,9 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
         record_interval = max((t_end - t0) / 200.0, 1.0 / relaxation_rate(p))
     if t_end - t0 > MAX_RECORDS * record_interval:
         raise ValueError(f"record_interval {record_interval} gives more than {MAX_RECORDS} records up to t_end={t_end}")
+    # a state within rounding of a grid time counts as past it; the allowance stays
+    # below the interval, so it cannot take in grid times the run has not reached
+    grid_tol = min(1e-12, 1e-3 * record_interval)
 
     # every accepted state's velocities are computed once: by its record or by the
     # next step's first stage; a step rejected by the displacement rule or the
@@ -437,7 +450,7 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
                 dt = min(dt * 1.5, dt_max)
             # record times are products, so no rounding piles up along the run
             passed = 0
-            while state.t >= t0 + (n_records + passed) * record_interval - 1e-12:
+            while state.t >= t0 + (n_records + passed) * record_interval - grid_tol:
                 passed += 1
             if passed:
                 v = forces(state, diag)

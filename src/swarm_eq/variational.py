@@ -23,6 +23,7 @@ from .errors import (
     ConstraintViolated,
     DegenerateMassRatio,
     FOutOfRange,
+    NonFiniteResult,
     QuadratureNonConvergence,
     UnsupportedKind,
 )
@@ -120,7 +121,11 @@ def _breakpoint_radii(cfg: EquilibriumConfig) -> list[float]:
 
 
 def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
-    """Closed-form piecewise Lambda profile for one species of an equilibrium."""
+    """Closed-form piecewise Lambda profile for one species of an equilibrium.
+
+    Raises NonFiniteResult when a coefficient or the plateau is not finite,
+    as when the coefficients overflow at huge attraction ratios.
+    """
     if species not in (1, 2):
         raise UnsupportedKind(f"species must be 1 or 2, got {species}")
     if not cfg.exists:
@@ -140,7 +145,10 @@ def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
     if not support_pieces:
         raise UnsupportedKind(f"species {species} has empty support")
     ref = support_pieces[0]
-    plateau = ref.value(0.5 * (ref.r_lo + ref.r_hi))
+    finite = all(math.isfinite(c) for q in pieces for c in (q.c0, q.c2, q.cl))
+    plateau = ref.value(0.5 * (ref.r_lo + ref.r_hi)) if finite else math.nan
+    if not math.isfinite(plateau):
+        raise NonFiniteResult(f"the Lambda profile of species {species} is not finite at {cfg.params}")
     return LambdaProfile(species, tuple(radii), tuple(pieces), plateau)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -17,7 +18,7 @@ from swarm_eq.cli import RunConfig, main
 from swarm_eq.equilibria import EquilibriumKind, existence_region_mask
 from swarm_eq.model import curve_c1, curve_c2, region_code_grid
 from swarm_eq.output import SvgPlot, fmt_value, write_csv
-from swarm_eq.particles import ParticleState
+from swarm_eq.particles import ParticleState, init_random_disk, run
 from swarm_eq.sweeps import cell_centered_axis, target_verdict_grid
 
 
@@ -117,6 +118,25 @@ def test_equilibrium_undefined_radius_is_null(capsys):
     assert payload["radii"][0] is None and payload["radii"][1] == pytest.approx(0.8156, abs=1e-4)
 
 
+@pytest.mark.parametrize("flag", ["-A", "-B", "-M"])
+def test_region_rejects_an_infinite_coordinate(capsys, flag):
+    values = {"-A": "3", "-B": "3.5", "-M": "2", flag: "inf"}
+    code, out, err = run_cli(capsys, "region", *itertools.chain(*values.items()))
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("kind", ["target-light", "target-heavy", "overlap-heavy"])
+def test_lambda_non_finite_plateau_is_a_numerical_error(tmp_path, capsys, kind):
+    # the Lambda coefficients overflow while the breakpoints (~1e-150) stay finite
+    code, out, err = run_cli(
+        capsys, "lambda", "--kind", kind, "-A", "3", "-B", "1e300", "-M", "2", "--out-csv", str(tmp_path / "l.csv"),
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "NonFiniteResult"
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_numerical_error(capsys):
     # D1 point: the target does not exist -> EquilibriumMissing -> exit 3
     code, _, err = run_cli(
@@ -178,17 +198,23 @@ def test_snapshot_csv_matches_a_float_repr_reference(tmp_path):
     values = [0.1, -0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-17, 123456789.125, 2.0**-1074 * 3]
     pos1 = np.array(values).reshape(-1, 2)
     pos2 = -np.arange(6, dtype=float).reshape(-1, 2) / 7.0
-    times, rows = (0.0, 0.30000000000000004), []
-    for t in times:
-        cli._write_snapshot(rows, ParticleState(pos1=pos1, pos2=pos2, params=params_from_phase(3, 3.5), t=t))
+    params = params_from_phase(3, 3.5)
+    times = (0.0, 0.30000000000000004, np.float64(0.30000000000000004))
+    states = [ParticleState(pos1=pos1, pos2=pos2, params=params, t=t) for t in times]
+    # a state handed back at one of run's stops
+    states += run(init_random_disk(params, 3, 2, 1.0, seed=1), 0.5, stops=[1.0 / 3.0])[1].stop_states
+    rows = []
+    for state in states:
+        cli._write_snapshot(rows, state)
     path = tmp_path / "s.csv"
     write_csv(path, ("t", "species", "particle_id", "x", "y"), rows)
     expected = ["t,species,particle_id,x,y"]
-    for t in times:
-        for species, pos in ((1, pos1), (2, pos2)):
+    for state in states:
+        for species, pos in ((1, state.pos1), (2, state.pos2)):
             for i, (x, y) in enumerate(pos):
-                expected.append(f"{t!r},{species},{i},{float(x)!r},{float(y)!r}")
+                expected.append(f"{float(state.t)!r},{species},{i},{float(x)!r},{float(y)!r}")
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert b"\n0.3333333333333333,2,1," in path.read_bytes()
 
 
 def _snapshot_times(path):
@@ -676,7 +702,15 @@ def test_main_exits_only_with_0_2_or_3(tmp_path_factory, data):
     values = {flag: value for flag, value in start.items() if flag in flags}
     for flag in data.draw(hst.lists(hst.sampled_from(sorted(flags)), unique=True)):
         values[flag] = data.draw(flags[flag])
-    out_dir = tmp_path_factory.mktemp("cli")
+    _run_checked(command, values, tmp_path_factory.mktemp("cli"))
+
+
+def _run_checked(command, values, out_dir):
+    """Run ``command`` with the flags ``values``, output paths under ``out_dir``; return its exit code.
+
+    Checks the CLI contract: exit 0 with strict JSON on stdout and the metadata
+    record on stderr, or exit 2 or 3 with nothing on stdout and an error record.
+    """
     argv = [command] + [
         f"{flag}={out_dir / value if flag in _PATH_FLAGS else value}" for flag, value in values.items()
     ]
@@ -690,3 +724,56 @@ def test_main_exits_only_with_0_2_or_3(tmp_path_factory, data):
         strict_json(out.getvalue().strip().splitlines()[-1])
     else:
         assert out.getvalue() == "" and "error" in record, argv
+    return code
+
+
+_SHORTHAND = {"-A": "3", "-B": "3.5", "-M": "2"}
+_FULL = {"--a-s": "1", "--a-c": "3", "--b-s": "1", "--b-c": "3.5", "--M1": "2", "--M2": "1"}
+_PARAM_FLAGS = [*_SHORTHAND, *_FULL, "--eta"]
+_KINDS = ["target-light", "target-heavy", "overlap-light", "overlap-heavy"]
+#: Per command: the --kind values swept, the valid flags every call starts from (small sizes, outputs
+#: named relative to a fresh directory) and the numeric flags.  A swept --a-s ... --M2 replaces the
+#: (A, B, M) shorthand with the full coefficient set.
+_SWEEP = {
+    "region": ([None], _SHORTHAND, _PARAM_FLAGS),
+    "equilibrium": (_KINDS, _SHORTHAND, _PARAM_FLAGS),
+    "lambda": (
+        _KINDS, {**_SHORTHAND, "--n-samples": "20", "--out-csv": "lam.csv", "--out-svg": "lam.svg"},
+        [*_PARAM_FLAGS, "--r-max", "--n-samples"],
+    ),
+    "stability": (_KINDS, {**_SHORTHAND, "--m-max": "4", "--out-csv": "modes.csv"}, [*_PARAM_FLAGS, "--m-max"]),
+    "simulate": (
+        [None],
+        {**_SHORTHAND, "--N1": "12", "--N2": "12", "--t-end": "0.2", "--snapshot-every": "0.2", "--out": "sim"},
+        [*_PARAM_FLAGS, "--N1", "--N2", "--seed", "--radius", "--t-end", "--snapshot-every", "--record-interval"],
+    ),
+    "weakcross": (
+        [None],
+        {"--n-points": "3", "--overlay-ratios": "3", "--overlay-N": "24", "--overlay-t-end": "0.2",
+         "--out-csv": "wc.csv", "--out-svg": "wc.svg", "--overlay-csv": "overlay.csv"},
+        ["--ratio", "--ratio-min", "--ratio-max", "--n-points", "--overlay-ratios", "--overlay-M",
+         "--overlay-eta", "--overlay-N", "--overlay-t-end", "--seed"],
+    ),
+    "phase-diagram": (
+        [None], {"-M": "2", "--grid": "4", "--m-max": "4", "--out-csv": "pd.csv", "--out-svg": "pd.svg"},
+        ["-M", "--grid", "--extent", "--m-max"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEP))
+def test_stdout_is_strict_json_at_extreme_values(tmp_path, command):
+    # each numeric flag alone at each extreme value, the others valid: the
+    # command keeps the CLI contract, and a failed command writes no file
+    kinds, base, flags = _SWEEP[command]
+    for kind, flag, value in itertools.product(kinds, flags, ("inf", "-inf", "nan", "1e300", "1e-300", "0")):
+        if (command, flag, value) == ("weakcross", "--overlay-t-end", "1e300"):
+            continue  # a valid request for a particle run to t = 1e300, which would not end
+        values = ({f: v for f, v in base.items() if f not in _SHORTHAND} | _FULL) if flag in _FULL else dict(base)
+        if kind is not None:
+            values["--kind"] = kind
+        values[flag] = value
+        out_dir = tmp_path / f"{kind}{flag}{value}"
+        out_dir.mkdir()
+        if _run_checked(command, values, out_dir) != 0:
+            assert list(out_dir.iterdir()) == [], values

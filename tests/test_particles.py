@@ -460,6 +460,9 @@ def test_run_fills_a_record_row_per_grid_time_and_bounds_their_number():
     assert len(set(diag.t)) < len(t)
     with pytest.raises(ValueError):
         run(st, 1.0, record_interval=1e-6)
+    # the rounding allowance of a grid time stays below a tiny interval: one row per grid time
+    _, diag = run(st, 1e-14, record_interval=1e-17)
+    assert len(diag.t) == 1001
 
 
 def test_stops_cost_no_velocity_evaluation(monkeypatch):
@@ -499,6 +502,15 @@ def test_run_energy_decreases_and_com_stays(A, B, M, seed, stops):
     assert np.all(np.diff([e[0], *e_stops]) <= 1e-6 * abs(e[0]) + 1e-12)
     for s in diag.stop_states:
         assert np.hypot(*(s.com() - arr["com_total"][0])) < 1e-8 * t_end
+
+
+def test_run_reports_the_centre_of_mass_drift():
+    p = params_from_phase(3.0, 3.5, 2.0)
+    _, diag = run(init_random_disk(p, 133, 67, 1.0, seed=7), 5.0)
+    com = np.asarray(diag.com_total)
+    R = math.sqrt(p.a_s / p.b_s)
+    assert diag.max_com_drift == np.max(np.hypot(*(com - com[0]).T)) / R
+    assert diag.max_com_drift <= 1e-10
 
 
 def _jacobian_rate(state, h=1e-7):
