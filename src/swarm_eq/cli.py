@@ -116,10 +116,6 @@ def resolve_params(ns) -> InteractionParams:
     )
 
 
-def _kind(ns) -> EquilibriumKind:
-    return EquilibriumKind(ns.kind)
-
-
 def emit(obj) -> None:
     sys.stdout.write(json_canonical(obj) + "\n")
 
@@ -167,7 +163,7 @@ def cmd_region(ns) -> None:
 
 def cmd_equilibrium(ns) -> None:
     p = resolve_params(ns)
-    cfg = build_equilibrium(_kind(ns), p)
+    cfg = build_equilibrium(ns.kind, p)
     emit(
         {
             "kind": cfg.kind.value,
@@ -184,7 +180,7 @@ def cmd_equilibrium(ns) -> None:
 
 def cmd_lambda(ns) -> None:
     p = resolve_params(ns)
-    cfg = build_equilibrium(_kind(ns), p)
+    cfg = build_equilibrium(ns.kind, p)
     prof1 = lambda_profile(cfg, 1)
     prof2 = lambda_profile(cfg, 2)
     r_max = ns.r_max if ns.r_max is not None else 3.0 * cfg.outermost_radius
@@ -223,7 +219,7 @@ def _lambda_y_range(prof1, prof2, rs):
 def cmd_stability(ns) -> dict:
     stages = _Stages()
     p = resolve_params(ns)
-    report = stability_report(_kind(ns), p, ns.m_max)
+    report = stability_report(ns.kind, p, ns.m_max)
     stages.done("report")
     if ns.out_csv:
         rows = []
@@ -275,7 +271,7 @@ def cmd_simulate(ns) -> dict:
     stages = _Stages()
     p = resolve_params(ns)
     if ns.init == "equilibrium":
-        cfg = build_equilibrium(_kind(ns), p)
+        cfg = build_equilibrium(ns.kind, p)
         state = init_from_equilibrium(cfg, ns.N1, ns.N2, ns.seed)
     else:
         state = init_random_disk(p, ns.N1, ns.N2, ns.radius, ns.seed)

@@ -35,10 +35,26 @@ DEGENERATE_RTOL = 1e-12
 
 
 class EquilibriumKind(str, Enum):
+    """The four radial states, each with its species roles (species 1 carries M1, species 2 carries M2)."""
+
     TARGET_LIGHT_IN = "target-light"
     TARGET_HEAVY_IN = "target-heavy"
     OVERLAP_LIGHT_IN = "overlap-light"
     OVERLAP_HEAVY_IN = "overlap-heavy"
+
+    @property
+    def is_target(self) -> bool:
+        """True for the target states (three radii), False for the overlap states (two)."""
+        return self in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.TARGET_HEAVY_IN)
+
+    @property
+    def core_species(self) -> int:
+        """The species at the core: 2 for the light-inside kinds, 1 for the heavy-inside ones."""
+        return 2 if self in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.OVERLAP_LIGHT_IN) else 1
+
+    def masses(self, p: InteractionParams) -> tuple[float, float]:
+        """(annulus mass, core mass): the masses of species 3 - core_species and core_species."""
+        return (p.M1, p.M2) if self.core_species == 2 else (p.M2, p.M1)
 
 
 #: Region unions in which each equilibrium kind exists.
@@ -135,12 +151,10 @@ def build_equilibrium(kind: EquilibriumKind, p: InteractionParams) -> Equilibriu
     kind = EquilibriumKind(kind)
     a_s, a_c = p.a_s, p.ac_eff
     b_s, b_c = p.b_s, p.bc_eff
-    light = kind in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.OVERLAP_LIGHT_IN)
-    # mass of the species on the outer annulus, then of the one at the core
-    M_ann, M_core = (p.M1, p.M2) if light else (p.M2, p.M1)
+    M_ann, M_core = kind.masses(p)
 
     def shell(r_in, r_out, rho_ann, rho_core):
-        return Shell(r_in, r_out, rho_ann, rho_core) if light else Shell(r_in, r_out, rho_core, rho_ann)
+        return Shell(r_in, r_out, rho_ann, rho_core) if kind.core_species == 2 else Shell(r_in, r_out, rho_core, rho_ann)
 
     def config(radii, shells, failed_check="", degenerate=False):
         return EquilibriumConfig(kind, radii, shells, p, not failed_check, failed_check, degenerate)
@@ -148,7 +162,7 @@ def build_equilibrium(kind: EquilibriumKind, p: InteractionParams) -> Equilibriu
     r_core_sq, r_in_sq, r_out_sq, rho_ann, rho_core = target_geometry(a_s, a_c, b_s, b_c, M_ann, M_core)
     r_out = math.sqrt(r_out_sq)
 
-    if kind in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.TARGET_HEAVY_IN):
+    if kind.is_target:
         r_core, r_in = math.sqrt(r_core_sq), math.sqrt(r_in_sq)
         radii = (r_core, r_in, r_out)
         degenerate = _touching(r_core, r_in)

@@ -6,7 +6,8 @@ normal/tangential amplitudes (outer, middle, inner boundary).  Tangential
 columns vanish, so at least three eigenvalues are structurally zero; the
 nontrivial ones are the roots of a quadratic (m = 1) or cubic (m >= 2) whose
 closed forms are implemented alongside the matrix and cross-checked against
-the eigensolver on every evaluation.
+the eigensolver on every evaluation.  Each is written for the light-inside
+target; the heavy-inside one reads it at the masses ``EquilibriumKind.masses`` gives.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_integrals import EPS_MAX, PerturbedDisk, attraction_integral, repulsion_integral
-from .equilibria import EquilibriumConfig, EquilibriumKind, build_equilibrium, existence_region_mask
+from .equilibria import EquilibriumKind, _kernel_pairs, build_equilibrium, existence_region_mask
 from .errors import EquilibriumMissing, SpectrumMismatch
 from .model import (
     InteractionParams,
@@ -119,7 +120,7 @@ def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
 def _require_target(kind: EquilibriumKind, p: InteractionParams):
     """The target kind and its equilibrium at p; raises EquilibriumMissing for any other state."""
     kind = EquilibriumKind(kind)
-    if kind not in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.TARGET_HEAVY_IN):
+    if not kind.is_target:
         raise EquilibriumMissing(f"boundary perturbation analysis covers targets only, not {kind}")
     cfg = build_equilibrium(kind, p)
     if not cfg.exists:
@@ -139,13 +140,12 @@ def build_Q(kind: EquilibriumKind, p: InteractionParams, m) -> np.ndarray:
     """Mode-m rate matrix for a target state; a (k, 6, 6) stack for a 1-D array of k modes.
 
     Rows/columns follow the boundary order (outer, middle, inner), normal
-    then tangential amplitude each.  The heavy-inside matrix is the
-    light-inside one with the species masses interchanged, which reorders the
-    middle/inner roles accordingly.
+    then tangential amplitude each.  Both targets' matrices are the
+    light-inside one at the kind's (annulus mass, core mass) from
+    ``EquilibriumKind.masses``; heavy inside, that interchanges the masses.
     """
     kind, _ = _require_target(kind, p)
-    M_ann, M_core = (p.M1, p.M2) if kind is EquilibriumKind.TARGET_LIGHT_IN else (p.M2, p.M1)
-    Q = _q_light_raw(p.a_s, p.ac_eff, p.b_s, p.bc_eff, M_ann, M_core, _modes(m))
+    Q = _q_light_raw(p.a_s, p.ac_eff, p.b_s, p.bc_eff, *kind.masses(p), _modes(m))
     return Q if np.ndim(m) else Q[0]
 
 
@@ -160,7 +160,7 @@ def reduced_coefficients(kind: EquilibriumKind, A, B, M, m):
     the core species' mass, the heavy quadratic's (c1, c0) are 1/M and 1/M^2
     times those in units of b_s M2, and its rates are the same.
     """
-    M_eff = M if EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN else 1.0 / M
+    M_eff = M if EquilibriumKind(kind).core_species == 2 else 1.0 / M
     if np.ndim(m) == 0 and m == 1:
         return M_eff + 2.0 * B + M_eff * B, -M_eff * (M_eff + 1.0) * (A - B) * (M_eff + B) / (M_eff + A)
     C = curve_c2(B, M_eff)
@@ -202,9 +202,7 @@ def char_poly_cubic(kind: EquilibriumKind, q: PhasePoint, m: int):
 
 def cubic_scale(kind: EquilibriumKind, p: InteractionParams) -> float:
     """lambda = scale * mu conversion factor: pi a_s times the annulus density."""
-    light = EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN
-    M_ann, M_core = (p.M1, p.M2) if light else (p.M2, p.M1)
-    return attraction_weights(p.b_s, p.bc_eff, M_ann, M_core)[0]
+    return attraction_weights(p.b_s, p.bc_eff, *EquilibriumKind(kind).masses(p))[0]
 
 
 def rate_unit(kind: EquilibriumKind, p: InteractionParams, m):
@@ -213,8 +211,7 @@ def rate_unit(kind: EquilibriumKind, p: InteractionParams, m):
     Mode 1: b_s times the core species' mass (b_s M2 light inside, b_s M1
     heavy inside); modes >= 2: ``cubic_scale``.
     """
-    light = EquilibriumKind(kind) is EquilibriumKind.TARGET_LIGHT_IN
-    unit = np.where(np.equal(m, 1), p.b_s * (p.M2 if light else p.M1), cubic_scale(kind, p))
+    unit = np.where(np.equal(m, 1), p.b_s * EquilibriumKind(kind).masses(p)[1], cubic_scale(kind, p))
     return unit if np.ndim(m) else float(unit)
 
 
@@ -367,8 +364,7 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
     if overall != "marginal":
         region = classify_region(to_phase_point(p))
         if not region.is_boundary:
-            light = kind is EquilibriumKind.TARGET_LIGHT_IN
-            expected = "stable" if light and region in (RegionId.D4, RegionId.D5) else "unstable"
+            expected = "stable" if kind.core_species == 2 and region in (RegionId.D4, RegionId.D5) else "unstable"
             if overall != expected:
                 raise SpectrumMismatch(
                     f"eigenvalue verdict {overall} contradicts the analytic region result "
@@ -379,20 +375,6 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
 
 # --------------------------------------------------------------------------
 # Independent assembly of Q from the perturbed-boundary integrals
-
-
-def _assembly_geometry(kind: EquilibriumKind, cfg: EquilibriumConfig):
-    """Boundary radii (outer, middle, inner), their species, and shell densities of an existing target."""
-    r_core, r_mid, r_out = cfg.radii
-    if kind is EquilibriumKind.TARGET_LIGHT_IN:
-        species = (1, 1, 2)  # outer, middle, inner boundary
-        rho_ann, rho_core = cfg.shells[1].rho1, cfg.shells[0].rho2
-        s_ann, s_core = 1, 2
-    else:
-        species = (2, 2, 1)
-        rho_ann, rho_core = cfg.shells[1].rho2, cfg.shells[0].rho1
-        s_ann, s_core = 2, 1
-    return (r_out, r_mid, r_core), species, (rho_ann, s_ann), (rho_core, s_core)
 
 
 def build_Q_from_integrals(
@@ -410,23 +392,22 @@ def build_Q_from_integrals(
     kind, cfg = _require_target(kind, p)
     if theta0 is None:
         theta0 = math.pi / (4.0 * m)
-    radii, species, (rho_ann, s_ann), (rho_core, s_core) = _assembly_geometry(kind, cfg)
-    kernels = {
-        True: (p.a_s, p.b_s),  # same species
-        False: (p.ac_eff, p.bc_eff),
-    }
+    radii = cfg.radii[::-1]  # outer, middle, inner boundary
+    s_ann, s_core = 3 - kind.core_species, kind.core_species
+    species = (s_ann, s_ann, s_core)
+    rho_ann, rho_core = cfg.shells[1].density(s_ann), cfg.shells[0].density(s_core)
 
     def velocity(j, disks):
         x = np.array(
             [disks[j].boundary_point(theta0).real, disks[j].boundary_point(theta0).imag]
         )
-        k = species[j]
-        a, b = kernels[k == s_ann]
+        kernels = _kernel_pairs(p, species[j])  # (a, b) acting on species 1, then on species 2
+        a, b = kernels[s_ann - 1]
         v = rho_ann * (
             a * (repulsion_integral(disks[j], theta0, disks[0]) - repulsion_integral(disks[j], theta0, disks[1]))
             - b * (attraction_integral(x, disks[0]) - attraction_integral(x, disks[1]))
         )
-        a, b = kernels[k == s_core]
+        a, b = kernels[s_core - 1]
         v = v + rho_core * (
             a * repulsion_integral(disks[j], theta0, disks[2]) - b * attraction_integral(x, disks[2])
         )

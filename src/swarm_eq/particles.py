@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .equilibria import EquilibriumConfig
-from .errors import EquilibriumMissing, ParticleCollision, StepUnderflow, TooFewParticles
+from .errors import EquilibriumMissing, OutOfRange, ParticleCollision, StepUnderflow, TooFewParticles
 from .model import InteractionParams, attraction_weights
 
 #: Hard lower bound on the adaptive time step.
@@ -47,6 +47,10 @@ DISPLACEMENT_FACTOR = 0.1
 
 #: Most records one run takes; each holds a few floats.
 MAX_RECORDS = 100_000
+
+#: Most steps a run may need even at the step cap: ``run`` refuses a t_end
+#: more than MAX_STEPS * C_RK4 / ``relaxation_rate`` past the start time.
+MAX_STEPS = 1_000_000
 
 #: Largest q * dt of an accepted step, q the stiffness estimate of ``step``:
 #: 0.9 of RK4's real-axis stability limit 2.785.
@@ -103,8 +107,15 @@ class ParticleState:
 
 
 def collision_threshold(p: InteractionParams) -> float:
-    """Pairwise distances below this abort the run rather than soften the kernel."""
-    return 1e-12 * math.sqrt(p.a_s / p.b_s)
+    """Pairwise distances below this abort the run rather than soften the kernel.
+
+    Raises OutOfRange where its square underflows to 0 (sqrt(a_s/b_s) below
+    about 2e-150), since no distance could then fall below it.
+    """
+    threshold = 1e-12 * math.sqrt(p.a_s / p.b_s)
+    if threshold**2 == 0.0:
+        raise OutOfRange(f"collision threshold {threshold:.3e} squares to 0: sqrt(a_s/b_s) is too small")
+    return threshold
 
 
 #: Doubles in one row block of the pair pass (rows x N).  Blocks of about
@@ -384,9 +395,11 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
     takes at most ``MAX_RECORDS`` records.  Returns (final state,
     diagnostics), the states at the stops in ``diagnostics.stop_states``.
     Raises StepUnderflow if repeated halving pushes dt below 1e-12,
-    ParticleCollision if particles meet, and ValueError for stops out of
-    order, a ``t_end`` that is not finite or lies before state.t, a bad
-    ``record_interval`` or more than ``MAX_RECORDS`` records.
+    ParticleCollision if particles meet, OutOfRange if the collision
+    threshold underflows, and ValueError for stops out of order, a ``t_end``
+    that is not finite, lies before state.t or lies more than ``MAX_STEPS``
+    steps at the step cap past it, a bad ``record_interval`` or more than
+    ``MAX_RECORDS`` records.
     """
     if not state.t <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and >= state.t = {state.t}, got {t_end}")
@@ -397,6 +410,8 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
         raise ValueError(f"stops must be sorted within [{state.t}, {t_end}]")
     p = state.params
     dt = dt_max = C_RK4 / relaxation_rate(p)
+    if t_end - state.t > MAX_STEPS * dt_max:
+        raise ValueError(f"t_end={t_end} lies more than {MAX_STEPS} steps of at most {dt_max:.3e} past t={state.t}")
     disp_limit = DISPLACEMENT_FACTOR * math.sqrt(p.a_s / p.b_s)
     t0 = state.t
     if record_interval is None:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibria import EquilibriumConfig, EquilibriumKind, _kernel_pairs, lambda_coeffs
+from .equilibria import EquilibriumConfig, _kernel_pairs, lambda_coeffs
 from .errors import (
     ConstraintViolated,
     DegenerateMassRatio,
@@ -101,8 +101,8 @@ class MinimizerVerdict:
     """Outcome of the class-B minimizer scan of both Lambda profiles.
 
     ``lambda_support`` and ``lambda_min_exterior`` refer to the species whose
-    profile can violate the condition for this configuration kind (species 2
-    for the light-inside states, species 1 for the heavy-inside ones);
+    profile can violate the condition for this configuration kind, the core
+    species (``EquilibriumKind.core_species``);
     ``lambda_min_exterior`` is the stationary minimum beyond the outermost
     radius when the profile has one.
     """
@@ -244,14 +244,6 @@ def target_lambda_pair(p: InteractionParams) -> tuple[float, float]:
     return lam2, lam_m
 
 
-_CRITICAL_SPECIES = {
-    EquilibriumKind.TARGET_LIGHT_IN: 2,
-    EquilibriumKind.TARGET_HEAVY_IN: 1,
-    EquilibriumKind.OVERLAP_LIGHT_IN: 2,
-    EquilibriumKind.OVERLAP_HEAVY_IN: 1,
-}
-
-
 def _scan_species(cfg, species, tol):
     """Scan one Lambda profile off-support for drops below the plateau.
 
@@ -296,7 +288,7 @@ def minimizer_verdict(cfg: EquilibriumConfig) -> MinimizerVerdict:
     if not cfg.exists:
         raise UnsupportedKind("verdict undefined: configuration does not exist")
     tol = 1e-10
-    critical = _CRITICAL_SPECIES[cfg.kind]
+    critical = cfg.kind.core_species
 
     results = {}
     for species in (1, 2):

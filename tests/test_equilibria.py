@@ -65,6 +65,22 @@ def test_radii_ordered_and_positive(rng):
             assert np.all(np.diff(radii) >= 0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_kind_roles_describe_the_built_state(rng, kind):
+    core = kind.core_species
+    for M in (2.0, 3.5):
+        for A, B in draw_phase_in_regions(rng, EXISTENCE_REGIONS[kind], M=M, n=10):
+            p = params_from_phase(A, B, M)
+            cfg = build_equilibrium(kind, p)
+            outer = cfg.shells[-1]
+            assert outer.density(core) == 0.0 and outer.density(3 - core) > 0.0
+            if kind.is_target:
+                assert cfg.shells[0].density(3 - core) == 0.0 and cfg.shells[0].density(core) > 0.0
+            mass = mass_integrals(cfg)
+            assert (mass[2 - core], mass[core - 1]) == pytest.approx(kind.masses(p), rel=1e-12)
+            assert kind.is_target == (len(cfg.radii) == 3)
+
+
 def test_swap_duality_heavy_vs_light(rng):
     # heavy-inside radii equal light-inside radii with the masses interchanged
     for A, B in draw_phase_in_regions(rng, ("D3", "D4"), n=10):

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import swarm_eq
+from swarm_eq.equilibria import EquilibriumKind
 
 
 def test_public_surface_resolves_and_star_imports():
@@ -65,6 +66,32 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
     env = {**os.environ, "PYTHONPATH": str(Path(swarm_eq.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+def test_only_equilibria_decides_on_an_equilibrium_kind():
+    # each kind's species roles and target-ness are EquilibriumKind's own members: elsewhere in the
+    # package no comparison and no dict key names a kind (passing one as an argument stays allowed)
+    names = {kind.name for kind in EquilibriumKind}
+    values = {kind.value for kind in EquilibriumKind}
+    offenders = []
+    for path in sorted(Path(swarm_eq.__file__).parent.glob("*.py")):
+        if path.name == "equilibria.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                parts = [node.left, *node.comparators]
+            elif isinstance(node, ast.Dict):
+                parts = [key for key in node.keys if key is not None]
+            else:
+                continue
+            offenders += [
+                f"{path.stem}:{node.lineno}"
+                for part in parts
+                for sub in ast.walk(part)
+                if (isinstance(sub, ast.Attribute) and sub.attr in names)
+                or (isinstance(sub, ast.Constant) and sub.value in values)
+            ]
+    assert offenders == []
+
 
 def _top_level_reads(tree):
     """Per top-level statement of a module: (the statement, names it defines, names and attributes it reads,

@@ -11,6 +11,7 @@ from swarm_eq import particles
 from swarm_eq.equilibria import EquilibriumKind, build_equilibrium
 from swarm_eq.errors import (
     EquilibriumMissing,
+    OutOfRange,
     ParticleCollision,
     StepUnderflow,
     TooFewParticles,
@@ -400,6 +401,42 @@ def test_run_rejects_a_t_end_before_the_start_or_not_finite(monkeypatch, t_end):
     monkeypatch.setattr(particles, "forces", no_work)
     with pytest.raises(ValueError, match="t_end"):
         run(st, t_end)
+
+
+def test_run_refuses_a_horizon_beyond_max_steps_at_the_step_cap(monkeypatch):
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+    original = particles.forces
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("run evaluated velocities before rejecting t_end")
+
+    monkeypatch.setattr(particles, "forces", no_work)
+    with pytest.raises(ValueError, match="t_end"):
+        run(st, 1e300)
+    # MAX_STEPS steps at the cap is a lower bound on the steps a run takes: a run
+    # that could just finish within it is accepted
+    monkeypatch.setattr(particles, "MAX_STEPS", 3)
+    dt_max = C_RK4 / relaxation_rate(st.params)
+    with pytest.raises(ValueError, match="t_end"):
+        run(st, 3.0 * dt_max * (1.0 + 1e-12))
+    monkeypatch.setattr(particles, "forces", original)
+    final, diag = run(st, 3.0 * dt_max)
+    assert final.t == 3.0 * dt_max and diag.accepted_steps >= 3
+
+
+@pytest.mark.parametrize("a_s, b_s", [(1e-300, 1.0), (1e-200, 1e200)])
+def test_an_underflowing_collision_threshold_is_out_of_range(a_s, b_s):
+    # the threshold's square is 0: a_s/b_s is tiny, or underflows itself
+    p = InteractionParams(a_s, 1.0, b_s, 1.0, 1.0, 1.0)
+    st = init_random_disk(p, 20, 10, 1.0, seed=1)
+    for call in (
+        lambda: collision_threshold(p),
+        lambda: forces(st),
+        lambda: forces(st, particles.RunDiagnostics()),
+        lambda: run(st, C_RK4 / relaxation_rate(p)),
+    ):
+        with pytest.raises(OutOfRange):
+            call()
 
 
 def _close_pair_state():
