@@ -187,15 +187,17 @@ def cmd_lambda(ns) -> None:
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"--r-max must be finite and > 0, got {r_max}")
     rs = np.linspace(0.0, r_max, ns.n_samples)
-    rows = [(float(r), float(prof1.value(r)), float(prof2.value(r))) for r in rs]
+    vals1 = [prof1.value(r) for r in rs]
+    vals2 = [prof2.value(r) for r in rs]
+    rows = [(float(r), float(v1), float(v2)) for r, v1, v2 in zip(rs, vals1, vals2)]
     writes = []
     if ns.out_csv:
         writes.append((write_csv, ns.out_csv, ("r", "Lambda1", "Lambda2"), rows))
     if ns.out_svg:
-        plot = SvgPlot((0.0, r_max), _lambda_y_range(prof1, prof2, rs))
+        plot = SvgPlot((0.0, r_max), _lambda_y_range(vals1 + vals2))
         plot.axes("r", "Lambda")
-        plot.polyline(rs, [prof1.value(r) for r in rs], color="#1f77b4")
-        plot.polyline(rs, [prof2.value(r) for r in rs], color="#d62728")
+        plot.polyline(rs, vals1, color="#1f77b4")
+        plot.polyline(rs, vals2, color="#d62728")
         writes.append((plot.save, ns.out_svg))
     _write_all(writes)
     emit(
@@ -209,8 +211,7 @@ def cmd_lambda(ns) -> None:
     )
 
 
-def _lambda_y_range(prof1, prof2, rs):
-    vals = [prof.value(r) for prof in (prof1, prof2) for r in rs]
+def _lambda_y_range(vals):
     lo, hi = min(vals), max(vals)
     pad = 0.05 * (hi - lo + 1e-12)
     return (lo - pad, hi + pad)

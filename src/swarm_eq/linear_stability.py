@@ -117,11 +117,17 @@ def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
     return Q
 
 
-def _require_target(kind: EquilibriumKind, p: InteractionParams):
-    """The target kind and its equilibrium at p; raises EquilibriumMissing for any other state."""
+def _target_kind(kind) -> EquilibriumKind:
+    """``kind`` as an EquilibriumKind; raises EquilibriumMissing unless it is a target."""
     kind = EquilibriumKind(kind)
     if not kind.is_target:
         raise EquilibriumMissing(f"boundary perturbation analysis covers targets only, not {kind}")
+    return kind
+
+
+def _require_target(kind: EquilibriumKind, p: InteractionParams):
+    """The target kind and its equilibrium at p; raises EquilibriumMissing for any other state."""
+    kind = _target_kind(kind)
     cfg = build_equilibrium(kind, p)
     if not cfg.exists:
         raise EquilibriumMissing(f"{kind.value} does not exist here: {cfg.reason}")
@@ -158,9 +164,10 @@ def reduced_coefficients(kind: EquilibriumKind, A, B, M, m):
     are the nontrivial rates.  The heavy-inside polynomials, mode 1 included,
     are the light-inside ones under M -> 1/M; with the mode-1 unit b_s times
     the core species' mass, the heavy quadratic's (c1, c0) are 1/M and 1/M^2
-    times those in units of b_s M2, and its rates are the same.
+    times those in units of b_s M2, and its rates are the same.  Raises
+    EquilibriumMissing for an overlap kind.
     """
-    M_eff = M if EquilibriumKind(kind).core_species == 2 else 1.0 / M
+    M_eff = M if _target_kind(kind).core_species == 2 else 1.0 / M
     if np.ndim(m) == 0 and m == 1:
         return M_eff + 2.0 * B + M_eff * B, -M_eff * (M_eff + 1.0) * (A - B) * (M_eff + B) / (M_eff + A)
     C = curve_c2(B, M_eff)

@@ -1,6 +1,7 @@
 """Interacting particle system: the discrete analogue of the two-species model.
 
-Each particle of species i carries weight M_i/N_i and moves with the velocity
+The state is one (N, 2) position array, species 1's rows first.  Each
+particle of species i carries weight M_i/N_i and moves with the velocity
 induced by all other particles through the self/cross kernels (no self term).
 The flow is a gradient flow of the sampled interaction energy, which the RK4
 stepper preserves as a diagnostic: energy decreases and the weighted centre
@@ -59,38 +60,37 @@ STIFFNESS_LIMIT = 2.5
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Positions of both species with the model parameters and current time."""
+    """Positions of all N particles as one (N, 2) array ``X``, species 1's ``n1`` rows first.
 
-    pos1: np.ndarray
-    pos2: np.ndarray
+    ``pos1`` and ``pos2`` are views of its two row blocks.  Raises ValueError
+    unless X is (N, 2) and finite with 1 <= n1 < N.
+    """
+
+    X: np.ndarray
+    n1: int
     params: InteractionParams
     t: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pos1", np.atleast_2d(np.asarray(self.pos1, dtype=float)))
-        object.__setattr__(self, "pos2", np.atleast_2d(np.asarray(self.pos2, dtype=float)))
-        if self.pos1.shape[1] != 2 or self.pos2.shape[1] != 2:
-            raise ValueError("positions must be (N, 2) arrays")
-        if len(self.pos1) < 1 or len(self.pos2) < 1:
+        object.__setattr__(self, "X", np.ascontiguousarray(self.X, dtype=float))
+        if self.X.ndim != 2 or self.X.shape[1] != 2:
+            raise ValueError(f"positions must be an (N, 2) array, got shape {self.X.shape}")
+        if not 1 <= self.n1 < len(self.X):
             raise ValueError("each species needs at least one particle")
-        if not (np.all(np.isfinite(self.pos1)) and np.all(np.isfinite(self.pos2))):
+        if not np.all(np.isfinite(self.X)):
             raise ValueError("positions must be finite")
 
-    @classmethod
-    def _unchecked(cls, pos1, pos2, params, t):
-        """A state from (N, 2) float arrays, skipping the validation; for ``step``'s inner stages."""
-        state = object.__new__(cls)
-        for name, value in (("pos1", pos1), ("pos2", pos2), ("params", params), ("t", t)):
-            object.__setattr__(state, name, value)
-        return state
+    @property
+    def pos1(self) -> np.ndarray:
+        return self.X[: self.n1]
 
     @property
-    def n1(self) -> int:
-        return len(self.pos1)
+    def pos2(self) -> np.ndarray:
+        return self.X[self.n1 :]
 
     @property
     def n2(self) -> int:
-        return len(self.pos2)
+        return len(self.X) - self.n1
 
     @property
     def w1(self) -> float:
@@ -185,8 +185,8 @@ def _repulsion_weights(state: ParticleState):
     )
 
 
-def forces(state: ParticleState, diag: RunDiagnostics | None = None):
-    """Velocities of all particles (right-hand side of the particle system).
+def forces(state: ParticleState, diag: RunDiagnostics | None = None) -> np.ndarray:
+    """Velocities of all particles as an (N, 2) array in the rows of ``state.X``.
 
     v_i = sum_j w_j [a_ij (x_i - x_j) / |x_i - x_j|^2 - b_ij (x_i - x_j)].  The
     repulsion runs as one blocked pass over the pairs j >= lo of each row
@@ -199,9 +199,7 @@ def forces(state: ParticleState, diag: RunDiagnostics | None = None):
     i term is 0).  With ``diag``, the evaluation and its closest pair are
     counted.
     """
-    p = state.params
-    n1 = state.n1
-    X = np.concatenate([state.pos1, state.pos2])
+    p, X, n1 = state.params, state.X, state.n1
     n = len(X)
     pairs = _PairPass(X)
     d2 = collision_threshold(p) ** 2
@@ -230,7 +228,7 @@ def forces(state: ParticleState, diag: RunDiagnostics | None = None):
     if diag is not None:
         diag.force_evals += 1
         diag.closest_pair_ratio = min(diag.closest_pair_ratio, math.sqrt(closest / d2))
-    return v[:n1], v[n1:]
+    return v
 
 
 def particle_energy(state: ParticleState) -> float:
@@ -241,8 +239,7 @@ def particle_energy(state: ParticleState) -> float:
     term comes from each species' spread about its own mean.
     """
     p = state.params
-    X = np.concatenate([state.pos1, state.pos2])
-    pairs = _PairPass(X)
+    pairs = _PairPass(state.X)
     w = np.repeat([state.w1, state.w2], [state.n1, state.n2])
     weights = _repulsion_weights(state)
     log_sum = 0.0
@@ -266,38 +263,32 @@ def particle_energy(state: ParticleState) -> float:
 
 
 def max_speed(v) -> float:
-    """Largest particle speed of the velocities ``v`` = (v1, v2)."""
-    v1, v2 = v
-    return float(max(np.max(np.hypot(v1[:, 0], v1[:, 1])), np.max(np.hypot(v2[:, 0], v2[:, 1]))))
+    """Largest particle speed of the (N, 2) velocities ``v``."""
+    return float(np.max(np.hypot(v[:, 0], v[:, 1])))
 
 
 def step(state: ParticleState, dt: float, k1=None, diag: RunDiagnostics | None = None) -> ParticleState:
     """One classical RK4 step of the particle ODE system.
 
-    ``k1`` gives the velocities at ``state`` when already computed; ``diag``
+    ``k1`` gives the (N, 2) velocities at ``state`` when already computed; ``diag``
     counts the stage evaluations and receives the step's stiffness estimate
     in ``step_stiffness``: q * dt with q = |k2 - k1| / (dt/2 |k1|), the
     rate of the flow along k1 (Hairer & Wanner, Solving ODEs II, IV.2),
-    0 at a fixed point.  The inner stage states skip validation; the
-    returned state is validated, so a non-finite stage raises there.
+    0 at a fixed point.  RK4 runs on ``state.X``, and every stage state is
+    a checked ``ParticleState``, so a non-finite stage raises ValueError
+    before its velocities are evaluated.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
-    n1 = state.n1
-    x = np.concatenate([state.pos1, state.pos2])
-
-    def rhs(y):
-        return np.concatenate(forces(ParticleState._unchecked(y[:n1], y[n1:], state.params, state.t), diag))
-
-    k1 = np.concatenate(forces(state, diag) if k1 is None else k1)
-    k2 = rhs(x + 0.5 * dt * k1)
-    k3 = rhs(x + 0.5 * dt * k2)
-    k4 = rhs(x + dt * k3)
+    x, n1, p, t = state.X, state.n1, state.params, state.t
+    k1 = forces(state, diag) if k1 is None else k1
+    k2 = forces(ParticleState(x + 0.5 * dt * k1, n1, p, t), diag)
+    k3 = forces(ParticleState(x + 0.5 * dt * k2, n1, p, t), diag)
+    k4 = forces(ParticleState(x + dt * k3, n1, p, t), diag)
     if diag is not None:
         norm = float(np.linalg.norm(k1))
         diag.step_stiffness = 2.0 * float(np.linalg.norm(k2 - k1)) / norm if norm > 0.0 else 0.0
-    y = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return replace(state, pos1=y[:n1], pos2=y[n1:], t=state.t + dt)
+    return ParticleState(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n1, p, t + dt)
 
 
 def relaxation_rate(p: InteractionParams) -> float:
@@ -443,10 +434,7 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
             new_state = step(state, dt_try, k1=v, diag=diag)
             if last:
                 new_state = replace(new_state, t=target)
-            disp = max(
-                float(np.max(np.hypot(*(new_state.pos1 - state.pos1).T))),
-                float(np.max(np.hypot(*(new_state.pos2 - state.pos2).T))),
-            )
+            disp = float(np.max(np.hypot(*(new_state.X - state.X).T)))
             stiffness = diag.step_stiffness
             if disp > disp_limit or stiffness > STIFFNESS_LIMIT:
                 diag.rejected_steps += 1
@@ -492,7 +480,7 @@ def init_random_disk(
         th = 2.0 * math.pi * rng.random(n)
         return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
-    return ParticleState(pos1=sample(n1), pos2=sample(n2), params=params)
+    return ParticleState(np.concatenate([sample(n1), sample(n2)]), n1, params)
 
 
 def _allocate_counts(fractions, n):
@@ -526,9 +514,7 @@ def init_from_equilibrium(
             chunks.append(np.column_stack([r * np.cos(th), r * np.sin(th)]))
         return np.vstack(chunks)
 
-    return ParticleState(
-        pos1=sample_species(1, n1), pos2=sample_species(2, n2), params=cfg.params
-    )
+    return ParticleState(np.concatenate([sample_species(1, n1), sample_species(2, n2)]), n1, cfg.params)
 
 
 def support_radii(state: ParticleState) -> tuple[float, float]:

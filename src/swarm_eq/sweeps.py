@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .equilibria import EquilibriumKind, existence_region_mask
-from .linear_stability import DEFAULT_M_MAX, MARGINAL_BAND, UmRegion, checked_m_max, reduced_coefficients
+from .linear_stability import DEFAULT_M_MAX, MARGINAL_BAND, UmRegion, _target_kind, checked_m_max, reduced_coefficients
 from .model import region_code_grid
 
 _VERDICT_STABLE = 1
@@ -85,9 +85,10 @@ def target_verdict_grid(kind: EquilibriumKind, A, B, M: float, m_max: int = DEFA
     and none above it), -2 (state does not exist there).  Rates are in units
     of the natural matrix scale, so ``MARGINAL_BAND`` is relative.  The overall
     verdict is the worst per-mode verdict (unstable < marginal < stable).
-    ``m_max`` follows ``stability_report``'s rule: an integer >= 2.
+    ``m_max`` follows ``stability_report``'s rule: an integer >= 2.  Raises
+    EquilibriumMissing for an overlap kind, which the analysis does not cover.
     """
-    kind, m_max = EquilibriumKind(kind), checked_m_max(m_max)
+    kind, m_max = _target_kind(kind), checked_m_max(m_max)
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     shape = A.shape
     A = A.ravel()

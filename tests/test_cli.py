@@ -200,7 +200,7 @@ def test_snapshot_csv_matches_a_float_repr_reference(tmp_path):
     pos2 = -np.arange(6, dtype=float).reshape(-1, 2) / 7.0
     params = params_from_phase(3, 3.5)
     times = (0.0, 0.30000000000000004, np.float64(0.30000000000000004))
-    states = [ParticleState(pos1=pos1, pos2=pos2, params=params, t=t) for t in times]
+    states = [ParticleState(np.concatenate([pos1, pos2]), len(pos1), params, t=t) for t in times]
     # a state handed back at one of run's stops
     states += run(init_random_disk(params, 3, 2, 1.0, seed=1), 0.5, stops=[1.0 / 3.0])[1].stop_states
     rows = []

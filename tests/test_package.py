@@ -93,6 +93,29 @@ def test_only_equilibria_decides_on_an_equilibrium_kind():
     assert offenders == []
 
 
+def test_the_particle_state_stays_one_array():
+    # ParticleState holds both species in one (N, 2) array: no np.concatenate call in the
+    # package joins the species views back together, and no state is built around its checks
+    offenders = []
+    for path in sorted(Path(swarm_eq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if name == "object.__new__":
+                offenders.append(f"{path.stem}:{node.lineno}: {name}")
+            elif name in ("np.concatenate", "numpy.concatenate"):
+                args = [*node.args, *(k.value for k in node.keywords)]
+                if any(
+                    (isinstance(sub, ast.Attribute) and sub.attr in ("pos1", "pos2"))
+                    or (isinstance(sub, ast.Name) and sub.id in ("pos1", "pos2"))
+                    for arg in args
+                    for sub in ast.walk(arg)
+                ):
+                    offenders.append(f"{path.stem}:{node.lineno}: {name}")
+    assert offenders == []
+
+
 def _top_level_reads(tree):
     """Per top-level statement of a module: (the statement, names it defines, names and attributes it reads,
     attributes it reads)."""

@@ -38,21 +38,65 @@ from swarm_eq.particles import (
 )
 
 
+@pytest.mark.parametrize(
+    "X, n1, match",
+    [
+        (np.zeros((4, 3)), 2, r"\(N, 2\)"),
+        (np.zeros(8), 2, r"\(N, 2\)"),
+        (np.zeros((2, 2, 2)), 1, r"\(N, 2\)"),
+        (np.zeros((4, 2)), 0, "at least one particle"),
+        (np.zeros((4, 2)), 4, "at least one particle"),
+        ([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]], 1, "finite"),
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, -np.inf]], 2, "finite"),
+    ],
+)
+def test_state_refuses_a_bad_layout(X, n1, match):
+    with pytest.raises(ValueError, match=match):
+        ParticleState(X, n1, params_from_phase(3.0, 3.5))
+
+
+def test_species_are_views_of_one_array():
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+    assert st.X.shape == (30, 2) and (st.n1, st.n2) == (20, 10)
+    assert np.shares_memory(st.pos1, st.X) and np.shares_memory(st.pos2, st.X)
+    np.testing.assert_array_equal(np.concatenate([st.pos1, st.pos2]), st.X)
+
+
+def test_step_and_run_keep_the_species_rows(monkeypatch):
+    # velocity (1, 0) for species 1 and (0, 1) for species 2: RK4 moves each row
+    # block by dt along its own axis, so a swapped or shifted block shows
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+
+    def by_species(state, diag=None):
+        return np.where(np.arange(len(state.X))[:, None] < state.n1, [1.0, 0.0], [0.0, 1.0])
+
+    monkeypatch.setattr(particles, "forces", by_species)
+    new = step(st, 0.01)
+    assert new.n1 == st.n1 and new.t == 0.01
+    np.testing.assert_allclose(new.pos1 - st.pos1, np.tile([0.01, 0.0], (20, 1)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(new.pos2 - st.pos2, np.tile([0.0, 0.01], (10, 1)), rtol=0, atol=1e-15)
+    final, diag = run(st, 0.5, stops=[0.2])
+    for state in (final, *diag.stop_states):
+        assert state.n1 == st.n1
+        np.testing.assert_allclose(state.pos1 - st.pos1, np.tile([state.t, 0.0], (20, 1)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.pos2 - st.pos2, np.tile([0.0, state.t], (10, 1)), rtol=0, atol=1e-12)
+
+
 def test_two_particles_at_kernel_zero():
     # negligible cross coupling isolates the same-species pair at the kernel zero
     p = InteractionParams(1, 1, 1, 1, 1, 1, eta=1e-12)
     d = math.sqrt(p.a_s / p.b_s)
-    st = ParticleState(
-        pos1=np.array([[0.0, 0.0], [d, 0.0]]), pos2=np.array([[50.0, 50.0]]), params=p
-    )
-    v1, _ = forces(st)
+    pos1, pos2 = np.array([[0.0, 0.0], [d, 0.0]]), np.array([[50.0, 50.0]])
+    st = ParticleState(np.concatenate([pos1, pos2]), len(pos1), p)
+    v1 = forces(st)[: st.n1]
     np.testing.assert_allclose(v1, 0.0, atol=1e-9)
 
 
 def test_single_pair_cross_velocity():
     p = InteractionParams(1, 4, 1, 1, 2, 1)
-    st = ParticleState(pos1=[[0.0, 0.0]], pos2=[[1.0, 0.0]], params=p)
-    v1, v2 = forces(st)
+    st = ParticleState(np.concatenate([[[0.0, 0.0]], [[1.0, 0.0]]]), 1, p)
+    v = forces(st)
+    v1, v2 = v[: st.n1], v[st.n1 :]
     # velocity = weight * (a_c/r - b_c r) toward/away: |grad K_c| = |-4 + 1| = 3
     assert np.hypot(*v1[0]) == pytest.approx(3.0 * p.M2)
     assert np.hypot(*v2[0]) == pytest.approx(3.0 * p.M1)
@@ -61,10 +105,10 @@ def test_single_pair_cross_velocity():
 
 def test_weighted_momentum_balance(rng):
     p = InteractionParams(1.2, 0.8, 0.9, 1.7, 3, 2, eta=0.7)
-    st = ParticleState(
-        pos1=rng.normal(size=(40, 2)), pos2=rng.normal(size=(25, 2)), params=p
-    )
-    v1, v2 = forces(st)
+    pos1, pos2 = rng.normal(size=(40, 2)), rng.normal(size=(25, 2))
+    st = ParticleState(np.concatenate([pos1, pos2]), len(pos1), p)
+    v = forces(st)
+    v1, v2 = v[: st.n1], v[st.n1 :]
     total = st.w1 * v1.sum(axis=0) + st.w2 * v2.sum(axis=0)
     scale = max(np.max(np.abs(v1)), np.max(np.abs(v2)))
     np.testing.assert_allclose(total, [0.0, 0.0], atol=1e-12 * max(1.0, scale) * st.n1)
@@ -72,9 +116,7 @@ def test_weighted_momentum_balance(rng):
 
 def test_collision_detection():
     p = InteractionParams(1, 1, 1, 1, 1, 1)
-    st = ParticleState(
-        pos1=[[0.0, 0.0], [1e-13, 0.0]], pos2=[[5.0, 5.0]], params=p
-    )
+    st = ParticleState(np.concatenate([[[0.0, 0.0], [1e-13, 0.0]], [[5.0, 5.0]]]), 2, p)
     with pytest.raises(ParticleCollision):
         forces(st)
 
@@ -86,8 +128,9 @@ def test_fixed_point_two_particle_equilibrium():
     d = math.sqrt(2.0)  # two-particle equilibrium of -ln + r^2/2: a/r = b r/... paired below
     # one particle per species at mutual kernel zero of the cross kernel
     r_eq = math.sqrt(p.ac_eff / p.bc_eff)
-    st = ParticleState(pos1=[[0.0, 0.0]], pos2=[[r_eq, 0.0]], params=p)
-    v1, v2 = forces(st)
+    st = ParticleState(np.concatenate([[[0.0, 0.0]], [[r_eq, 0.0]]]), 1, p)
+    v = forces(st)
+    v1, v2 = v[: st.n1], v[st.n1 :]
     np.testing.assert_allclose(v1, 0.0, atol=1e-15)
     np.testing.assert_allclose(v2, 0.0, atol=1e-15)
     new = step(st, 0.05)
@@ -162,29 +205,23 @@ def test_morphology_labels():
 
     pos1 = init_random_disk(p, 60, 60, 1.0, seed=2).pos1
     pos2 = init_random_disk(p, 60, 60, 1.0, seed=3).pos2
-    mixed = ParticleState(
-        pos1=pos1 - pos1.mean(axis=0), pos2=pos2 - pos2.mean(axis=0), params=p
-    )
+    mixed = ParticleState(np.concatenate([pos1 - pos1.mean(axis=0), pos2 - pos2.mean(axis=0)]), len(pos1), p)
     assert morphology(mixed).label == "mixed"
 
-    sep = ParticleState(
-        pos1=init_random_disk(p, 60, 60, 0.5, seed=2).pos1,
-        pos2=init_random_disk(p, 60, 60, 0.5, seed=3).pos2 + np.array([3.0, 0.0]),
-        params=p,
-    )
+    pos1 = init_random_disk(p, 60, 60, 0.5, seed=2).pos1
+    pos2 = init_random_disk(p, 60, 60, 0.5, seed=3).pos2 + np.array([3.0, 0.0])
+    sep = ParticleState(np.concatenate([pos1, pos2]), len(pos1), p)
     assert morphology(sep).label == "separated"
 
-    tang = ParticleState(
-        pos1=sep.pos1,
-        pos2=init_random_disk(p, 60, 60, 0.5, seed=3).pos2 + np.array([2.0, 0.0]),
-        params=p,
-    )
+    pos2 = init_random_disk(p, 60, 60, 0.5, seed=3).pos2 + np.array([2.0, 0.0])
+    tang = ParticleState(np.concatenate([sep.pos1, pos2]), len(sep.pos1), p)
     assert morphology(tang).label == "tangential"
 
 
 def test_morphology_too_few():
     p = params_from_phase(1.0, 2.0)
-    st = ParticleState(pos1=np.zeros((5, 2)) + [[1, 0]], pos2=np.ones((20, 2)), params=p)
+    pos1, pos2 = np.zeros((5, 2)) + [[1, 0]], np.ones((20, 2))
+    st = ParticleState(np.concatenate([pos1, pos2]), len(pos1), p)
     with pytest.raises(TooFewParticles):
         morphology(st)
 
@@ -275,9 +312,9 @@ def test_pair_pass_matches_direct_double_sum():
     pos1, pos2 = st.pos1.copy(), st.pos2.copy()
     # a cross pair 1e-7 apart in a late block: its expanded r^2 is recomputed exactly
     pos2[280] = pos1[250] + [1e-7, 0.0]
-    st = ParticleState(pos1=pos1, pos2=pos2, params=st.params)
+    st = ParticleState(np.concatenate([pos1, pos2]), len(pos1), st.params)
     v_ref, scale, e_ref, e_scale = _direct_pair_terms(st)
-    v = np.concatenate(forces(st))
+    v = forces(st)
     assert np.all(np.abs(v - v_ref) <= 1e-14 * scale[:, None])
     assert particle_energy(st) == pytest.approx(e_ref, abs=1e-13 * e_scale)
     dist = np.hypot(np.subtract.outer(pos1[:, 0], pos1[:, 0]), np.subtract.outer(pos1[:, 1], pos1[:, 1]))
@@ -291,7 +328,7 @@ def test_collision_in_a_late_block_raises():
     pos2 = st.pos2.copy()
     pos2[290] = pos2[150] + [0.1 * collision_threshold(st.params), 0.0]
     with pytest.raises(ParticleCollision):
-        forces(ParticleState(pos1=st.pos1, pos2=pos2, params=st.params))
+        forces(ParticleState(np.concatenate([st.pos1, pos2]), len(st.pos1), st.params))
 
 
 def test_pair_pass_memory_is_bounded():
@@ -319,7 +356,7 @@ def _ragged_blocked_state(monkeypatch):
 def test_triangle_pass_matches_direct_double_sum_over_ragged_blocks(monkeypatch):
     st = _ragged_blocked_state(monkeypatch)
     v_ref, scale, e_ref, e_scale = _direct_pair_terms(st)
-    v = np.concatenate(forces(st))
+    v = forces(st)
     assert np.all(np.abs(v - v_ref) <= 1e-14 * scale[:, None])
     assert particle_energy(st) == pytest.approx(e_ref, abs=1e-13 * e_scale)
     for pos in (st.pos1, np.concatenate([st.pos1, st.pos2])):
@@ -335,9 +372,10 @@ def test_triangle_pass_conserves_momentum_with_a_close_pair_in_the_last_blocks(m
     st = _ragged_blocked_state(monkeypatch)
     pos2 = st.pos2.copy()
     pos2[-1] = st.pos1[-1] + [6e-8, -8e-8]
-    st = ParticleState(pos1=st.pos1, pos2=pos2, params=st.params)
+    st = ParticleState(np.concatenate([st.pos1, pos2]), len(st.pos1), st.params)
     v_ref, scale, _, _ = _direct_pair_terms(st)
-    v1, v2 = forces(st)
+    v = forces(st)
+    v1, v2 = v[: st.n1], v[st.n1 :]
     w = np.repeat([st.w1, st.w2], [st.n1, st.n2])
     momentum = st.w1 * v1.sum(axis=0) + st.w2 * v2.sum(axis=0)
     assert np.all(np.abs(momentum) <= 1e-14 * float(w @ scale))
@@ -355,32 +393,35 @@ def test_near_pair_is_recomputed_relative_to_the_position_scale(gap):
     pos1, pos2 = st.pos1.copy(), st.pos2.copy()
     pos1[60] = [0.8, 0.6]
     pos2[30] = pos1[60] + gap * np.array([0.6, -0.8])
-    st = ParticleState(pos1=pos1, pos2=pos2, params=p)
+    st = ParticleState(np.concatenate([pos1, pos2]), len(pos1), p)
     v_ref = _direct_pair_terms(st)[0]
-    v = np.concatenate(forces(st))
+    v = forces(st)
     for i in (60, st.n1 + 30):
         assert np.hypot(*(v[i] - v_ref[i])) <= 1e-9 * np.hypot(*v_ref[i])
 
 
-def test_step_validates_its_result_but_not_its_stages(monkeypatch):
+def test_step_validates_every_stage_state(monkeypatch):
+    # a NaN velocity from stage 2 raises when stage 3's state is built, before its evaluation
     st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
     calls = []
     original = particles.forces
 
     def nan_at_stage_2(state, diag=None):
         calls.append(1)
-        v1, v2 = original(state, diag)
-        return (v1 * np.nan, v2) if len(calls) == 2 else (v1, v2)
+        v = original(state, diag)
+        if len(calls) == 2:
+            v[: state.n1] = np.nan
+        return v
 
     monkeypatch.setattr(particles, "forces", nan_at_stage_2)
     with pytest.raises(ValueError, match="finite"):
         step(st, 0.01)
-    assert len(calls) == 4
+    assert len(calls) == 2
     calls.clear()
     diag = particles.RunDiagnostics()
     with pytest.raises(ValueError, match="finite"):
         step(st, 0.01, diag=diag)
-    assert diag.force_evals == 4
+    assert diag.force_evals == 2
 
 
 @pytest.mark.parametrize("name", ["record_interval"])
@@ -445,7 +486,7 @@ def _close_pair_state():
     st = init_random_disk(p, 40, 20, 1.0, seed=2)
     pos1 = st.pos1.copy()
     pos1[1] = pos1[0] + [1e-3, 0.0]
-    return ParticleState(pos1=pos1, pos2=st.pos2, params=p)
+    return ParticleState(np.concatenate([pos1, st.pos2]), len(pos1), p)
 
 
 def test_run_computes_each_state_velocity_once(monkeypatch):
@@ -467,7 +508,7 @@ def test_run_lands_exactly_on_each_stop():
     st0 = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
     # from t = 0, t + (stop - t) would miss a stop more than twice t by an ulp
     assert [s.t for s in run(st0, 0.009, stops=[0.001, 0.009])[1].stop_states] == [0.001, 0.009]
-    st = ParticleState(pos1=st0.pos1, pos2=st0.pos2, params=st0.params, t=10.0)
+    st = ParticleState(np.concatenate([st0.pos1, st0.pos2]), len(st0.pos1), st0.params, t=10.0)
     stops = [10.1, 10.3, 10.3 + 1e-6, 31.0 / 3.0, 17.7, 30.0]
     final, diag = run(st, 30.0, stops=stops)
     assert [s.t for s in diag.stop_states] == stops
@@ -553,14 +594,14 @@ def test_run_reports_the_centre_of_mass_drift():
 def _jacobian_rate(state, h=1e-7):
     """Largest |eigenvalue| of the flow's Jacobian by forward differences, one ``forces`` call per coordinate."""
     X = np.concatenate([state.pos1, state.pos2])
-    f0 = np.concatenate(forces(state)).ravel()
+    f0 = forces(state).ravel()
     J = np.empty((X.size, X.size))
     for c in range(X.size):
         Y = X.ravel().copy()
         Y[c] += h
         Y = Y.reshape(-1, 2)
-        moved = ParticleState(pos1=Y[: state.n1], pos2=Y[state.n1 :], params=state.params)
-        J[:, c] = (np.concatenate(forces(moved)).ravel() - f0) / h
+        moved = ParticleState(np.concatenate([Y[: state.n1], Y[state.n1 :]]), state.n1, state.params)
+        J[:, c] = (forces(moved).ravel() - f0) / h
     return float(np.max(np.abs(np.linalg.eigvals(J))))
 
 
@@ -602,7 +643,7 @@ def test_stiffness_check_rejects_a_step_and_reuses_k1(monkeypatch):
     # stiffness check can reject it, as the pair barely moves
     p = params_from_phase(1.0, 3.0, M=1.0)
     r_star = math.sqrt(p.ac_eff / p.bc_eff)
-    st = ParticleState(pos1=[[0.0, 0.0]], pos2=[[1.01 * r_star, 0.0]], params=p)
+    st = ParticleState(np.concatenate([[[0.0, 0.0]], [[1.01 * r_star, 0.0]]]), 1, p)
     calls, attempts = [], []
     original_forces, original_step = particles.forces, particles.step
 

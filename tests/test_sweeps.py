@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import draw_phase_in_regions, params_from_phase
 from swarm_eq.equilibria import EXISTENCE_REGIONS, EquilibriumKind
-from swarm_eq.linear_stability import MARGINAL_BAND, reduced_coefficients, stability_report
+from swarm_eq.errors import EquilibriumMissing
+from swarm_eq.linear_stability import MARGINAL_BAND, build_Q, reduced_coefficients, stability_report
 from swarm_eq.model import PhasePoint, RegionId, classify_region
 from swarm_eq.sweeps import (
     cell_centered_axis,
@@ -135,3 +136,21 @@ def test_cubic_verdict_matches_eigensolver_near_the_band(shape, delta, sign, r1,
 def test_target_verdict_grid_takes_the_report_m_max_rule(m_max):
     with pytest.raises(ValueError, match="m_max must be an integer >= 2"):
         target_verdict_grid(LIGHT, np.array([3.0]), np.array([3.5]), 2.0, m_max=m_max)
+
+
+@pytest.mark.parametrize("kind", [EquilibriumKind.OVERLAP_LIGHT_IN, "overlap-heavy"])
+def test_stability_polynomials_refuse_overlap_kinds(kind):
+    # the boundary-perturbation analysis covers targets only: the polynomials and the grid
+    # refuse an overlap kind as build_Q does, the grid also where the kind exists nowhere
+    A, B = np.meshgrid(cell_centered_axis(20), cell_centered_axis(20))
+    nowhere = existence_region_mask(kind, region_code_grid(np.array([0.25]), np.array([0.25]), 2.0))
+    assert not nowhere.any()
+    for call in (
+        lambda: build_Q(kind, params_from_phase(3.0, 3.5, 2.0), 2),
+        lambda: reduced_coefficients(kind, 3.0, 3.5, 2.0, 2),
+        lambda: reduced_coefficients(kind, A, B, 2.0, 1),
+        lambda: target_verdict_grid(kind, A, B, 2.0),
+        lambda: target_verdict_grid(kind, np.array([0.25]), np.array([0.25]), 2.0),
+    ):
+        with pytest.raises(EquilibriumMissing, match="targets only"):
+            call()
