@@ -48,6 +48,7 @@ from .particles import (
     run,
 )
 from .sweeps import (
+    SweepCounts,
     cell_centered_axis,
     existence_region_mask,
     region_code_grid,
@@ -411,11 +412,9 @@ def cmd_phase_diagram(ns) -> dict:
     ax = cell_centered_axis(ns.grid, 0.0, ns.extent)
     A, B = np.meshgrid(ax, ax, indexing="ij")
     codes = region_code_grid(A, B, ns.M)
-    verdict_light = target_verdict_grid(
-        EquilibriumKind.TARGET_LIGHT_IN, A, B, ns.M, ns.m_max
-    )
-    verdict_heavy = target_verdict_grid(
-        EquilibriumKind.TARGET_HEAVY_IN, A, B, ns.M, ns.m_max
+    counts = {kind: SweepCounts() for kind in (EquilibriumKind.TARGET_LIGHT_IN, EquilibriumKind.TARGET_HEAVY_IN)}
+    verdict_light, verdict_heavy = (
+        target_verdict_grid(kind, A, B, ns.M, ns.m_max, counts=kind_counts) for kind, kind_counts in counts.items()
     )
     stages.done("sweep")
     writes = []
@@ -437,7 +436,8 @@ def cmd_phase_diagram(ns) -> dict:
     _write_all(writes)
     emit({"grid": ns.grid, "M": ns.M, "csv": ns.out_csv or "", "svg": ns.out_svg or ""})
     stages.done("write")
-    return stages.record()
+    sweep_counts = {kind.value: asdict(kind_counts) for kind, kind_counts in counts.items()}
+    return {"sweep_counts": sweep_counts, **stages.record()}
 
 
 def _phase_rows(ax, codes, verdict_light, verdict_heavy):

@@ -467,10 +467,17 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
     return state, diag
 
 
+def _check_counts(n1: int, n2: int) -> None:
+    """Raise ValueError, as ``ParticleState`` does, before sampling an empty or negative species."""
+    if min(n1, n2) < 1:
+        raise ValueError("each species needs at least one particle")
+
+
 def init_random_disk(
     params: InteractionParams, n1: int, n2: int, radius: float, seed: int
 ) -> ParticleState:
     """Both species uniformly random in a disk around the origin (seeded)."""
+    _check_counts(n1, n2)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     rng = np.random.default_rng(seed)
@@ -497,6 +504,7 @@ def init_from_equilibrium(
     cfg: EquilibriumConfig, n1: int, n2: int, seed: int
 ) -> ParticleState:
     """Stratified sampling of an equilibrium ansatz: per-shell counts follow shell mass."""
+    _check_counts(n1, n2)
     if not cfg.exists:
         raise EquilibriumMissing(f"cannot initialize from a non-existent state: {cfg.reason}")
     rng = np.random.default_rng(seed)

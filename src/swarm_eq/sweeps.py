@@ -11,10 +11,14 @@ A cubic mode is decided by the Routh-Hurwitz conditions on its coefficients
 wherever they certify the answer, and by a stacked companion-matrix
 eigensolve only inside the certified band (see ``cubic_mode_verdict``); the
 per-point 6x6 route in ``linear_stability`` cross-checks the same numbers on
-every call, so the two paths cannot drift apart silently.
+every call, so the two paths cannot drift apart silently.  The overall
+verdict is the worst mode's, so a grid point leaves the mode loop at its
+first unstable mode; ``SweepCounts`` records the cubic work that remains.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +30,19 @@ _VERDICT_STABLE = 1
 _VERDICT_UNSTABLE = -1
 _VERDICT_MARGINAL = 0
 _VERDICT_MISSING = -2
+
+
+@dataclass
+class SweepCounts:
+    """Work done by the cubic verdicts, for a sweep's metadata record.
+
+    ``cubic_evals`` counts cubic verdicts (one per point and mode) and
+    ``eigensolves`` the points among them whose coefficients could not
+    certify the verdict, so the companion-matrix eigensolve decided it.
+    """
+
+    cubic_evals: int = 0
+    eigensolves: int = 0
 
 
 def _cubic_max_real(c2, c1, c0):
@@ -48,7 +65,7 @@ def _band_verdict(w):
     )
 
 
-def cubic_mode_verdict(c2, c1, c0) -> np.ndarray:
+def cubic_mode_verdict(c2, c1, c0, *, counts: SweepCounts | None = None) -> np.ndarray:
     """Verdict per point for the rates mu^3 + c2 mu^2 + c1 mu + c0 = 0, c2 > 0.
 
     Returns 1 (stable: every root has Re < -band*s), -1 (unstable: some root
@@ -64,7 +81,8 @@ def cubic_mode_verdict(c2, c1, c0) -> np.ndarray:
     with |c0| and |H| both above 16*band*s^3 (twice that, so a root's real
     part clears the band by at least a factor of two) therefore get the
     eigensolver's answer from the sign test; the rest, and any non-finite
-    coefficients, fall back to the companion-matrix eigensolve.
+    coefficients, fall back to the companion-matrix eigensolve.  With
+    ``counts``, the points and their fallbacks are added to it.
     """
     c2, c1, c0 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c2, c1, c0)))
     s = 1.0 + np.abs(c2) + np.abs(c1) + np.abs(c0)
@@ -75,18 +93,27 @@ def cubic_mode_verdict(c2, c1, c0) -> np.ndarray:
     if np.any(unsure):
         w = _cubic_max_real(c2[unsure], c1[unsure], c0[unsure]) / s[unsure]
         verdict[unsure] = _band_verdict(w)
+    if counts is not None:
+        counts.cubic_evals += verdict.size
+        counts.eigensolves += int(np.count_nonzero(unsure))
     return verdict
 
 
-def target_verdict_grid(kind: EquilibriumKind, A, B, M: float, m_max: int = DEFAULT_M_MAX) -> np.ndarray:
+def target_verdict_grid(
+    kind: EquilibriumKind, A, B, M: float, m_max: int = DEFAULT_M_MAX, *, counts: SweepCounts | None = None
+) -> np.ndarray:
     """Overall stability verdict per grid point for a target state.
 
     Returns 1 (stable), -1 (unstable), 0 (marginal: some rate inside the band
     and none above it), -2 (state does not exist there).  Rates are in units
     of the natural matrix scale, so ``MARGINAL_BAND`` is relative.  The overall
-    verdict is the worst per-mode verdict (unstable < marginal < stable).
-    ``m_max`` follows ``stability_report``'s rule: an integer >= 2.  Raises
-    EquilibriumMissing for an overlap kind, which the analysis does not cover.
+    verdict is the worst per-mode verdict (unstable < marginal < stable), so a
+    point leaves the mode loop at its first unstable mode: later modes cannot
+    change it, while a marginal point stays in, as a later mode can still
+    make it unstable.  With ``counts``, the cubic verdicts and their
+    eigensolve fallbacks are added to it.  ``m_max`` follows
+    ``stability_report``'s rule: an integer >= 2.  Raises EquilibriumMissing
+    for an overlap kind, which the analysis does not cover.
     """
     kind, m_max = _target_kind(kind), checked_m_max(m_max)
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
@@ -105,8 +132,13 @@ def target_verdict_grid(kind: EquilibriumKind, A, B, M: float, m_max: int = DEFA
     lin, const = reduced_coefficients(kind, Ae, Be, M, 1)
     max_re = 0.5 * (-lin + np.sqrt(lin * lin - 4.0 * const))
     v = _band_verdict(max_re / np.maximum(1.0, np.abs(lin)))
+    undecided = np.flatnonzero(v != _VERDICT_UNSTABLE)
     for m in range(2, m_max + 1):
-        v = np.minimum(v, cubic_mode_verdict(*reduced_coefficients(kind, Ae, Be, M, m)))
+        if undecided.size == 0:
+            break
+        coeffs = reduced_coefficients(kind, Ae[undecided], Be[undecided], M, m)
+        v[undecided] = np.minimum(v[undecided], cubic_mode_verdict(*coeffs, counts=counts))
+        undecided = undecided[v[undecided] != _VERDICT_UNSTABLE]
     verdict[exists] = v
     return verdict.reshape(shape)
 

@@ -314,6 +314,19 @@ def test_simulate_too_few_particles_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "s_diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("init", ["equilibrium", "random"])
+def test_simulate_with_an_empty_species_names_the_cause(tmp_path, capsys, init):
+    code, out, err = run_cli(
+        capsys, "simulate", "--init", init, "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2",
+        "--N1", "0", "--N2", "20", "--t-end", "1", "--out", str(tmp_path / "s"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "ValueError", "message": "each species needs at least one particle"
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_underflowing_collision_threshold_is_out_of_range(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--a-s", "1e-300", "--a-c", "1", "--b-s", "1", "--b-c", "1", "--M1", "1", "--M2", "1",
@@ -450,6 +463,16 @@ def test_phase_diagram_outputs(tmp_path, capsys):
         "--out-csv", str(csv2),
     )
     assert csv.read_bytes() == csv2.read_bytes()
+
+
+@pytest.mark.parametrize("M, light, heavy", [(1.5, 426_653, 11_431), (3.0, 465_434, 8_793)])
+def test_phase_diagram_reports_its_cubic_work(capsys, M, light, heavy):
+    code, _, err = run_cli(capsys, "phase-diagram", "-M", repr(M), "--grid", "200", "--m-max", "32")
+    assert code == 0
+    assert json.loads(err.strip().splitlines()[-1])["sweep_counts"] == {
+        "target-light": {"cubic_evals": light, "eigensolves": 0},
+        "target-heavy": {"cubic_evals": heavy, "eigensolves": 0},
+    }
 
 
 def _phase_diagram_per_cell(M, grid, extent, m_max):

@@ -164,6 +164,15 @@ def test_init_overlap_mass_split():
     assert n_inner == pytest.approx(n1 * inner_mass_fraction, abs=1.0)
 
 
+@pytest.mark.parametrize("n1, n2", [(0, 10), (10, 0), (-1, 10)])
+def test_initializers_refuse_an_empty_species_before_sampling(n1, n2):
+    params = params_from_phase(3, 3.5)
+    cfg = build_equilibrium(EquilibriumKind.TARGET_LIGHT_IN, params)
+    for init in (lambda: init_from_equilibrium(cfg, n1, n2, seed=0), lambda: init_random_disk(params, n1, n2, 1.0, 0)):
+        with pytest.raises(ValueError, match="^each species needs at least one particle$"):
+            init()
+
+
 def test_init_from_missing_equilibrium():
     cfg = build_equilibrium(EquilibriumKind.OVERLAP_LIGHT_IN, params_from_phase(0.5, 0.4))
     with pytest.raises(EquilibriumMissing):

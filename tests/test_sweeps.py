@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_phase_in_regions, params_from_phase
+from swarm_eq import sweeps
 from swarm_eq.equilibria import EXISTENCE_REGIONS, EquilibriumKind
 from swarm_eq.errors import EquilibriumMissing
 from swarm_eq.linear_stability import MARGINAL_BAND, build_Q, reduced_coefficients, stability_report
 from swarm_eq.model import PhasePoint, RegionId, classify_region
 from swarm_eq.sweeps import (
+    SweepCounts,
     cell_centered_axis,
     cubic_mode_verdict,
     existence_region_mask,
@@ -154,3 +156,63 @@ def test_stability_polynomials_refuse_overlap_kinds(kind):
     ):
         with pytest.raises(EquilibriumMissing, match="targets only"):
             call()
+
+
+#: Mode-1 quadratic coefficients (lin, const) whose larger root is stable, marginal or unstable.
+_QUADRATIC = {1: (2.0, 1.0), 0: (1.0, 0.0), -1: (0.0, -1.0)}
+#: Scripted verdict per point (one per row) and mode (one per column, modes 1..6).
+_SCRIPT = np.array(
+    [
+        [1, -1, 1, 1, 1, 1],  # unstable at mode 2, stable after
+        [0, 0, 1, -1, 1, 1],  # marginal, then unstable at mode 4
+        [1, 1, 1, 1, 1, 1],  # stable at every mode
+        [-1, 1, 1, 1, 1, 1],  # unstable at mode 1
+        [1, 1, 0, 1, 1, 1],  # marginal at mode 3 only
+    ]
+)
+
+
+def test_a_point_leaves_the_mode_loop_at_its_first_unstable_mode(monkeypatch):
+    # the points exist (light target, M = 2); the coefficients carry (mode, point) to the scripted verdict
+    A, B = 3.0 + 0.1 * np.arange(len(_SCRIPT)), np.full(len(_SCRIPT), 3.5)
+    assert existence_region_mask(LIGHT, region_code_grid(A, B, 2.0)).all()
+    point = {a: i for i, a in enumerate(A.tolist())}
+    passed = []
+
+    def coefficients(kind, A, B, M, m):
+        rows = [point[a] for a in A.tolist()]
+        if m == 1:
+            return tuple(np.array([_QUADRATIC[v] for v in _SCRIPT[rows, 0]]).T)
+        return np.full(len(rows), float(m)), np.array(rows, dtype=float), np.zeros(len(rows))
+
+    def verdict(c2, c1, c0, *, counts=None):
+        m, rows = int(c2[0]), c1.astype(int)
+        passed.append((m, rows.tolist()))
+        return _SCRIPT[rows, m - 1]
+
+    monkeypatch.setattr(sweeps, "reduced_coefficients", coefficients)
+    monkeypatch.setattr(sweeps, "cubic_mode_verdict", verdict)
+    np.testing.assert_array_equal(target_verdict_grid(LIGHT, A, B, 2.0, 6), [-1, -1, 1, -1, 0])
+    # after its first -1 a point is never passed again; marginal and stable points stay in
+    assert passed == [(2, [0, 1, 2, 4]), (3, [1, 2, 4]), (4, [1, 2, 4]), (5, [2, 4]), (6, [2, 4])]
+
+    passed.clear()
+    np.testing.assert_array_equal(target_verdict_grid(LIGHT, A, B, 2.0, 2), [-1, 0, 1, -1, 1])
+    assert passed == [(2, [0, 1, 2, 4])]
+
+
+@pytest.mark.parametrize("M, heavy, light", [(1.5, 11_431, 13_763), (3.0, 8_793, 15_014)])
+def test_sweep_counts_follow_the_paper_stability_facts(M, heavy, light):
+    # the heavy-inside target is unstable at mode 1 or 2 wherever it exists, so its cubic work is
+    # mode 2 alone; light-inside points that pass mode 1 are stable at every mode up to m_max
+    ax = cell_centered_axis(200)
+    A, B = np.meshgrid(ax, ax, indexing="ij")
+    for m_max in (2, 32):
+        counts = SweepCounts()
+        verdict = target_verdict_grid(HEAVY, A, B, M, m_max, counts=counts)
+        assert counts == SweepCounts(cubic_evals=heavy, eigensolves=0)
+        assert not np.any(verdict == 1)
+    counts = SweepCounts()
+    verdict = target_verdict_grid(LIGHT, A, B, M, 32, counts=counts)
+    assert np.count_nonzero(verdict == 1) == light
+    assert counts == SweepCounts(cubic_evals=31 * light, eigensolves=0)
