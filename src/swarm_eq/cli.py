@@ -3,13 +3,18 @@
 Every subcommand accepts parameters through flags or a JSON config file
 (flags override the file).  Results go to stdout as JSON; bulk numeric output
 goes to CSV files; plots to dependency-free SVG.  A metadata record (config
-hash, version, wall time; for ``simulate``, ``stability``, ``weakcross`` and
-``phase-diagram`` also the wall time of each stage, and for ``simulate`` and
-each of ``weakcross``'s overlay runs the run counters) is printed to stderr
-for every run.  Exit code 2 flags configuration errors and failed writes, 3
-numerical failures, a floating-point overflow, division by zero or invalid
-operation among them (with the error name in a JSON record on stderr); a
-command whose write fails leaves none of its files behind.
+hash, version, wall time, the wall time of each stage of the command, ending
+with ``write``; for ``simulate`` and each of ``weakcross``'s overlay runs also
+the run counters) is printed to stderr for every run.  Exit code 2 flags
+configuration errors (a flag outside its domain is refused when the command
+line is parsed) and failed writes, 3 numerical failures, a floating-point
+overflow, division by zero or invalid operation among them (with the error
+name in a JSON record on stderr).
+
+The contract is kept in one place, ``main``: a command computes its stdout
+record and the files to write, and ``main`` writes all of the files or none,
+then prints the record, so a failed command prints nothing to stdout and
+leaves no file behind.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +45,6 @@ from .model import (
 )
 from .output import SvgPlot, config_hash, fmt_value, json_canonical, write_csv
 from .particles import (
-    Morphology,
     check_morphology_counts,
     init_from_equilibrium,
     init_random_disk,
@@ -70,23 +74,12 @@ _REGION_COLORS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Flat, JSON-round-trippable description of one CLI invocation."""
-
-    command: str
-    values: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json_canonical({"command": self.command, **self.values})
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict) or not isinstance(data.get("command"), str):
-            raise ValueError('a config file must be a JSON object with a "command" string')
-        command = data.pop("command")
-        return cls(command=command, values=data)
+def read_config(text: str) -> tuple[str, dict]:
+    """(command, {flag name: value}) of a config file: the flat JSON object ``{"command": ..., <flag>: value, ...}``."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("command"), str):
+        raise ValueError('a config file must be a JSON object with a "command" string')
+    return data.pop("command"), data
 
 
 def add_param_flags(sub):
@@ -139,7 +132,7 @@ class _Stages:
 
 
 def _write_all(writes):
-    """Call ``write(path, *args)`` for each ``(write, path, *args)`` in turn: a command writes all its files or none.
+    """Call ``write(path, *args)`` for each ``(write, path, *args)`` in turn: all of a command's files or none.
 
     If one call raises OSError, the files already written are removed and the
     error propagates (exit 2).
@@ -155,38 +148,39 @@ def _write_all(writes):
         raise
 
 
-def cmd_region(ns) -> None:
+# Each command takes the parsed flags and the stage timer and returns (its stdout record, the
+# (write, path, *args) list of its files, extra metadata fields); ``main`` does the rest.
+
+
+def cmd_region(ns, stages):
     if ns.A is None or ns.B is None or ns.M is None:
         raise ValueError("region requires -A, -B and -M")
     q = PhasePoint(A=ns.A, B=ns.B, M=ns.M)
-    emit({"A": q.A, "B": q.B, "M": q.M, "region": classify_region(q).value})
+    return {"A": q.A, "B": q.B, "M": q.M, "region": classify_region(q).value}, [], {}
 
 
-def cmd_equilibrium(ns) -> None:
+def cmd_equilibrium(ns, stages):
     p = resolve_params(ns)
     cfg = build_equilibrium(ns.kind, p)
-    emit(
-        {
-            "kind": cfg.kind.value,
-            "exists": cfg.exists,
-            "reason": cfg.reason,
-            "boundary_degenerate": cfg.boundary_degenerate,
-            # a state that does not exist can have an undefined radius: null, not the invalid NaN
-            "radii": [r if math.isfinite(r) else None for r in cfg.radii],
-            "densities": [list(d) for d in cfg.densities],
-            "region": classify_region(to_phase_point(p)).value,
-        }
-    )
+    record = {
+        "kind": cfg.kind.value,
+        "exists": cfg.exists,
+        "reason": cfg.reason,
+        "boundary_degenerate": cfg.boundary_degenerate,
+        # a state that does not exist can have an undefined radius: null, not the invalid NaN
+        "radii": [r if math.isfinite(r) else None for r in cfg.radii],
+        "densities": [list(d) for d in cfg.densities],
+        "region": classify_region(to_phase_point(p)).value,
+    }
+    return record, [], {}
 
 
-def cmd_lambda(ns) -> None:
+def cmd_lambda(ns, stages):
     p = resolve_params(ns)
     cfg = build_equilibrium(ns.kind, p)
     prof1 = lambda_profile(cfg, 1)
     prof2 = lambda_profile(cfg, 2)
     r_max = ns.r_max if ns.r_max is not None else 3.0 * cfg.outermost_radius
-    if not 0.0 < r_max < math.inf:
-        raise ValueError(f"--r-max must be finite and > 0, got {r_max}")
     rs = np.linspace(0.0, r_max, ns.n_samples)
     vals1 = [prof1.value(r) for r in rs]
     vals2 = [prof2.value(r) for r in rs]
@@ -200,16 +194,14 @@ def cmd_lambda(ns) -> None:
         plot.polyline(rs, vals1, color="#1f77b4")
         plot.polyline(rs, vals2, color="#d62728")
         writes.append((plot.save, ns.out_svg))
-    _write_all(writes)
-    emit(
-        {
-            "kind": cfg.kind.value,
-            "plateau1": prof1.plateau,
-            "plateau2": prof2.plateau,
-            "breakpoints": list(prof1.breakpoints),
-            "csv": ns.out_csv or "",
-        }
-    )
+    record = {
+        "kind": cfg.kind.value,
+        "plateau1": prof1.plateau,
+        "plateau2": prof2.plateau,
+        "breakpoints": list(prof1.breakpoints),
+        "csv": ns.out_csv or "",
+    }
+    return record, writes, {}
 
 
 def _lambda_y_range(vals):
@@ -218,29 +210,27 @@ def _lambda_y_range(vals):
     return (lo - pad, hi + pad)
 
 
-def cmd_stability(ns) -> dict:
-    stages = _Stages()
+def cmd_stability(ns, stages):
     p = resolve_params(ns)
     report = stability_report(ns.kind, p, ns.m_max)
     stages.done("report")
+    writes = []
     if ns.out_csv:
-        rows = []
-        for ms in report.modes:
-            for k, lam in enumerate(np.sort_complex(ms.nontrivial)):
-                rows.append((ms.m, k, float(lam.real), float(lam.imag), ms.verdict))
-        write_csv(ns.out_csv, ("mode", "k", "re", "im", "verdict"), rows)
-    emit(
-        {
-            "kind": report.kind.value,
-            "m_max": report.m_max,
-            "overall": report.overall,
-            "dominant_unstable_mode": report.dominant_unstable_mode,
-            "per_mode": {str(s.m): s.verdict for s in report.modes},
-            "guarantee": report.guarantee,
-        }
-    )
-    stages.done("write")
-    return {"worst_crosscheck_margin": report.worst_crosscheck_margin, **stages.record()}
+        rows = [
+            (ms.m, k, float(lam.real), float(lam.imag), ms.verdict)
+            for ms in report.modes
+            for k, lam in enumerate(np.sort_complex(ms.nontrivial))
+        ]
+        writes.append((write_csv, ns.out_csv, ("mode", "k", "re", "im", "verdict"), rows))
+    record = {
+        "kind": report.kind.value,
+        "m_max": report.m_max,
+        "overall": report.overall,
+        "dominant_unstable_mode": report.dominant_unstable_mode,
+        "per_mode": {str(s.m): s.verdict for s in report.modes},
+        "guarantee": report.guarantee,
+    }
+    return record, writes, {"worst_crosscheck_margin": report.worst_crosscheck_margin}
 
 
 #: Snapshots ``simulate`` accepts; every one is held in memory until the CSV is written.
@@ -264,13 +254,11 @@ def _write_snapshot(rows, state):
         rows.extend(f"{t},{species},{i},{x!r},{y!r}" for i, (x, y) in enumerate(pos.tolist()))
 
 
-def cmd_simulate(ns) -> dict:
-    if not (0.0 < ns.t_end < math.inf and 0.0 < ns.snapshot_every and ns.t_end <= MAX_SNAPSHOTS * ns.snapshot_every):
+def cmd_simulate(ns, stages):
+    if ns.t_end > MAX_SNAPSHOTS * ns.snapshot_every:
         raise ValueError(
-            f"--t-end must be finite and > 0 and --snapshot-every > 0 with at most {MAX_SNAPSHOTS} snapshots, "
-            f"got {ns.t_end} and {ns.snapshot_every}"
+            f"--t-end {ns.t_end} over --snapshot-every {ns.snapshot_every} gives more than {MAX_SNAPSHOTS} snapshots"
         )
-    stages = _Stages()
     p = resolve_params(ns)
     if ns.init == "equilibrium":
         cfg = build_equilibrium(ns.kind, p)
@@ -296,23 +284,17 @@ def cmd_simulate(ns) -> dict:
         (t, e, c[0], c[1], d_over_R, speed)
         for t, e, c, d_over_R, speed in zip(diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed)
     ]
-    _write_all(
-        [
-            (write_csv, f"{ns.out}_snapshots.csv", ("t", "species", "particle_id", "x", "y"), snapshot_rows),
-            (write_csv, f"{ns.out}_diagnostics.csv", ("t", "E", "com_x", "com_y", "d_over_R", "max_speed"), diag_rows),
-        ]
-    )
-    m: Morphology = morphology(state)
-    stages.done("write")
-    emit(
-        {
-            "t_end": state.t,
-            "morphology": asdict(m),
-            "snapshots": f"{ns.out}_snapshots.csv",
-            "diagnostics": f"{ns.out}_diagnostics.csv",
-        }
-    )
-    return {"run": _run_counters(diag), **stages.record()}
+    writes = [
+        (write_csv, f"{ns.out}_snapshots.csv", ("t", "species", "particle_id", "x", "y"), snapshot_rows),
+        (write_csv, f"{ns.out}_diagnostics.csv", ("t", "E", "com_x", "com_y", "d_over_R", "max_speed"), diag_rows),
+    ]
+    record = {
+        "t_end": state.t,
+        "morphology": asdict(morphology(state)),
+        "snapshots": f"{ns.out}_snapshots.csv",
+        "diagnostics": f"{ns.out}_diagnostics.csv",
+    }
+    return record, writes, {"run": _run_counters(diag)}
 
 
 def _overlay_counts(n_total, mass_ratio):
@@ -331,32 +313,16 @@ def _overlay_point(ratio, mass_ratio, eta, n_total, t_end, seed):
     return run(state, t_end, record_interval=t_end / 10.0)[1]
 
 
-def _overlay_ratios(ns):
-    """The ``--overlay-ratios`` list, after checking it and every other ``--overlay-*`` value."""
-    ratios = [float(r) for r in ns.overlay_ratios.split(",")]
-    if not all(0.0 < r < math.inf for r in ratios):
-        raise ValueError(f"--overlay-ratios must be finite and > 0, got {ns.overlay_ratios}")
-    if not 0.0 < ns.overlay_t_end < math.inf:
-        raise ValueError(f"--overlay-t-end must be finite and > 0, got {ns.overlay_t_end}")
-    if not 0.0 < ns.overlay_eta <= 1.0:
-        raise ValueError(f"--overlay-eta must lie in (0, 1], got {ns.overlay_eta}")
-    if not 1.0 <= ns.overlay_M < math.inf:
-        raise ValueError(f"--overlay-M must be finite and >= 1, got {ns.overlay_M}")
-    if min(_overlay_counts(ns.overlay_N, ns.overlay_M)) < 1:
-        raise ValueError(
-            f"--overlay-N {ns.overlay_N} leaves a species without particles at --overlay-M {ns.overlay_M}"
-        )
-    return ratios
-
-
-def cmd_weakcross(ns) -> dict:
-    stages = _Stages()
+def cmd_weakcross(ns, stages):
     if ns.ratio is not None:
         s = d_of_ab_ratio(ns.ratio)
         stages.done("curve")
-        emit(asdict(s))
-        return stages.record()
-    ratios = _overlay_ratios(ns) if ns.overlay_ratios else []
+        return asdict(s), [], {}
+    ratios = [float(r) for r in ns.overlay_ratios.split(",")] if ns.overlay_ratios else []
+    if ratios and min(_overlay_counts(ns.overlay_N, ns.overlay_M)) < 1:
+        raise ValueError(
+            f"--overlay-N {ns.overlay_N} leaves a species without particles at --overlay-M {ns.overlay_M}"
+        )
     samples = curve_sample(ns.ratio_min, ns.ratio_max, ns.n_points)
     rows = [(s.ratio_AB, s.d_over_R, s.regime, s.residual) for s in samples]
     stages.done("curve")
@@ -371,11 +337,10 @@ def cmd_weakcross(ns) -> dict:
             overlay_rows.append((ratio, ns.overlay_M, diag.d_over_R[-1]))
             overlay_runs.append(_run_counters(diag))
         stages.done("overlay")
-    # every overlay run has succeeded before any file is written
     writes = []
     if ns.out_csv:
         writes.append((write_csv, ns.out_csv, ("ratio_AB", "d_over_R", "regime", "residual"), rows))
-    if ns.overlay_ratios and ns.overlay_csv:
+    if ratios and ns.overlay_csv:
         writes.append((write_csv, ns.overlay_csv, ("ratio_AB", "mass_ratio", "d_over_R_sim"), overlay_rows))
     if ns.out_svg:
         plot = SvgPlot(
@@ -387,28 +352,16 @@ def cmd_weakcross(ns) -> dict:
         for ratio, _, sim in overlay_rows:
             plot.circle(ratio, sim, radius_px=3.0)
         writes.append((plot.save, ns.out_svg))
-    _write_all(writes)
-    emit(
-        {
-            "n_points": len(samples),
-            "ratio_range": [ns.ratio_min, ns.ratio_max],
-            "csv": ns.out_csv or "",
-            "overlay": [list(r) for r in overlay_rows],
-        }
-    )
-    stages.done("write")
-    if overlay_runs:
-        return {"overlay_runs": overlay_runs, **stages.record()}
-    return stages.record()
+    record = {
+        "n_points": len(samples),
+        "ratio_range": [ns.ratio_min, ns.ratio_max],
+        "csv": ns.out_csv or "",
+        "overlay": [list(r) for r in overlay_rows],
+    }
+    return record, writes, {"overlay_runs": overlay_runs} if overlay_runs else {}
 
 
-def cmd_phase_diagram(ns) -> dict:
-    if not (1.0 <= ns.M < math.inf and 0.0 < ns.extent < math.inf and ns.grid >= 1):
-        raise ValueError(
-            f"-M must be finite and >= 1, --extent finite and > 0 and --grid >= 1, "
-            f"got {ns.M}, {ns.extent} and {ns.grid}"
-        )
-    stages = _Stages()
+def cmd_phase_diagram(ns, stages):
     ax = cell_centered_axis(ns.grid, 0.0, ns.extent)
     A, B = np.meshgrid(ax, ax, indexing="ij")
     codes = region_code_grid(A, B, ns.M)
@@ -432,12 +385,9 @@ def cmd_phase_diagram(ns) -> dict:
         )
         writes.append((write_csv, ns.out_csv, header, _phase_rows(ax, codes, verdict_light, verdict_heavy)))
     if ns.out_svg:
-        writes.append((_phase_svg, ns.out_svg, ns, ax, codes))
-    _write_all(writes)
-    emit({"grid": ns.grid, "M": ns.M, "csv": ns.out_csv or "", "svg": ns.out_svg or ""})
-    stages.done("write")
-    sweep_counts = {kind.value: asdict(kind_counts) for kind, kind_counts in counts.items()}
-    return {"sweep_counts": sweep_counts, **stages.record()}
+        writes.append((_phase_svg(ns, ax, codes).save, ns.out_svg))
+    record = {"grid": ns.grid, "M": ns.M, "csv": ns.out_csv or "", "svg": ns.out_svg or ""}
+    return record, writes, {"sweep_counts": {kind.value: asdict(c) for kind, c in counts.items()}}
 
 
 def _phase_rows(ax, codes, verdict_light, verdict_heavy):
@@ -463,7 +413,7 @@ def _phase_rows(ax, codes, verdict_light, verdict_heavy):
             yield f"{a},{b},{tails[k]}"
 
 
-def _phase_svg(path, ns, ax, codes):
+def _phase_svg(ns, ax, codes) -> SvgPlot:
     plot = SvgPlot((0.0, ns.extent), (0.0, ns.extent))
     d = ax[1] - ax[0] if len(ax) > 1 else ns.extent
     plot.cells(ax, ax, d, d, [[_REGION_COLORS[code] for code in column] for column in codes.tolist()])
@@ -472,7 +422,37 @@ def _phase_svg(path, ns, ax, codes):
     plot.polyline(curve_c2(bs, ns.M), bs, color="#000000", width=2.0)
     plot.polyline([0.0, ns.extent], [0.0, ns.extent], color="#000000", width=2.0)
     plot.axes("A", "B")
-    plot.save(path)
+    return plot
+
+
+def _flag_type(convert, inside, domain):
+    """An argparse ``type=`` that converts a flag's text and checks it against the flag's domain.
+
+    A text that ``convert`` rejects, or a value that ``inside`` rejects, is
+    refused with a message naming ``domain``; argparse prefixes the flag's
+    name, and ``main`` reports it with exit 2 before any command runs.
+    """
+
+    def parse(text):
+        try:
+            value = convert(text)
+            ok = inside(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _flag_type(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_AT_LEAST_ONE = _flag_type(float, lambda x: 1.0 <= x < math.inf, "finite and >= 1")
+#: An empty ``--overlay-ratios`` asks for no overlay runs.
+_RATIO_LIST = _flag_type(
+    str, lambda text: not text or all(0.0 < float(r) < math.inf for r in text.split(",")),
+    "a comma-separated list of finite values > 0",
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -507,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[k.value for k in EquilibriumKind],
         )
         if name == "lambda":
-            s.add_argument("--r-max", dest="r_max", type=float, default=None)
+            s.add_argument("--r-max", dest="r_max", type=_POSITIVE, default=None)
             s.add_argument("--n-samples", dest="n_samples", type=int, default=400)
             s.add_argument("--out-csv", dest="out_csv", default=None)
             s.add_argument("--out-svg", dest="out_svg", default=None)
@@ -524,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N2", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--radius", type=float, default=1.0)
-    s.add_argument("--t-end", dest="t_end", type=float, default=50.0)
-    s.add_argument("--snapshot-every", dest="snapshot_every", type=float, default=10.0)
+    s.add_argument("--t-end", dest="t_end", type=_POSITIVE, default=50.0)
+    s.add_argument("--snapshot-every", dest="snapshot_every", type=_flag_type(float, lambda x: x > 0.0, "> 0"),
+                   default=10.0)
     s.add_argument("--record-interval", dest="record_interval", type=float, default=None)
     s.add_argument("--out", default="run")
     s.set_defaults(func=cmd_simulate)
@@ -540,21 +521,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--overlay-ratios",
         dest="overlay_ratios",
+        type=_RATIO_LIST,
         default=None,
         help="comma-separated A/B values at which to overlay particle estimates",
     )
     s.add_argument("--overlay-csv", dest="overlay_csv", default=None)
-    s.add_argument("--overlay-M", dest="overlay_M", type=float, default=2.0)
-    s.add_argument("--overlay-eta", dest="overlay_eta", type=float, default=0.05)
+    s.add_argument("--overlay-M", dest="overlay_M", type=_AT_LEAST_ONE, default=2.0)
+    s.add_argument("--overlay-eta", dest="overlay_eta", type=_flag_type(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+                   default=0.05)
     s.add_argument("--overlay-N", dest="overlay_N", type=int, default=200)
-    s.add_argument("--overlay-t-end", dest="overlay_t_end", type=float, default=3000.0)
+    s.add_argument("--overlay-t-end", dest="overlay_t_end", type=_POSITIVE, default=3000.0)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_weakcross)
 
     s = sub.add_parser("phase-diagram", help="sweep an (A, B) grid")
-    s.add_argument("-M", type=float, default=2.0)
-    s.add_argument("--grid", type=int, default=100)
-    s.add_argument("--extent", type=float, default=5.0)
+    s.add_argument("-M", type=_AT_LEAST_ONE, default=2.0)
+    s.add_argument("--grid", type=_flag_type(int, lambda n: n >= 1, ">= 1"), default=100)
+    s.add_argument("--extent", type=_POSITIVE, default=5.0)
     s.add_argument("--m-max", dest="m_max", type=int, default=DEFAULT_M_MAX)
     s.add_argument("--out-csv", dest="out_csv", default=None)
     s.add_argument("--out-svg", dest="out_svg", default=None)
@@ -563,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
     """Use config-file entries as defaults for the chosen subcommand."""
     if "--config" not in argv:
         return argv
@@ -572,12 +555,12 @@ def _apply_config_file(parser, argv):
         raise ValueError("--config needs a path")
     path = argv[idx + 1]
     with open(path) as fh:
-        cfg = RunConfig.from_json(fh.read())
+        command, values = read_config(fh.read())
     rest = [a for k, a in enumerate(argv) if k not in (idx, idx + 1)]
-    if not rest or rest[0] != cfg.command:
-        rest = [cfg.command] + rest
+    if not rest or rest[0] != command:
+        rest = [command] + rest
     extra = []
-    for key, value in sorted(cfg.values.items()):
+    for key, value in sorted(values.items()):
         flag = "--" + key.replace("_", "-") if len(key) > 1 else "-" + key
         if isinstance(value, bool):
             if value:
@@ -593,17 +576,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     start = time.time()
     try:
-        argv = _apply_config_file(parser, argv)
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_apply_config_file(argv))
         config = {
             k: v
             for k, v in vars(ns).items()
             if k not in ("func", "config") and v is not None
         }
-        # a subcommand may return extra fields for the metadata record; a floating-point
-        # overflow, division by zero or invalid operation is a numerical failure
+        stages = _Stages()
+        # a floating-point overflow, division by zero or invalid operation is a numerical failure
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            extra = ns.func(ns) or {}
+            record, writes, extra = ns.func(ns, stages)
+            # the record goes to stdout only once every file is written
+            _write_all(writes)
+        emit(record)
+        stages.done("write")
     except (SwarmEqError, ArithmeticError, ValueError, OSError) as exc:
         sys.stderr.write(json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3 if isinstance(exc, (SwarmEqError, ArithmeticError)) else 2
@@ -612,6 +598,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "wall_time_s": round(time.time() - start, 6),
         **extra,
+        **stages.record(),
     }
     sys.stderr.write(json_canonical(meta) + "\n")
     return 0

@@ -65,6 +65,10 @@ class StepUnderflow(SwarmEqError):
     """Adaptive time step shrank below the hard lower limit."""
 
 
+class InvariantViolated(SwarmEqError):
+    """A particle run raised its energy or moved its centre of mass beyond rounding."""
+
+
 class TooFewParticles(SwarmEqError):
     """Not enough particles per species for a robust morphology estimate."""
 

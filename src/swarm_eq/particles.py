@@ -29,7 +29,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .equilibria import EquilibriumConfig
-from .errors import EquilibriumMissing, OutOfRange, ParticleCollision, StepUnderflow, TooFewParticles
+from .errors import (
+    EquilibriumMissing,
+    InvariantViolated,
+    OutOfRange,
+    ParticleCollision,
+    StepUnderflow,
+    TooFewParticles,
+)
 from .model import InteractionParams, attraction_weights
 
 #: Hard lower bound on the adaptive time step.
@@ -56,6 +63,17 @@ MAX_STEPS = 1_000_000
 #: Largest q * dt of an accepted step, q the stiffness estimate of ``step``:
 #: 0.9 of RK4's real-axis stability limit 2.785.
 STIFFNESS_LIMIT = 2.5
+
+#: Largest rise of the recorded energy between consecutive records that ``run``
+#: accepts, relative to |E| at the first record plus a_s (M1 + M2)^2: E can cancel
+#: to near zero, the energy unit a_s (M1 + M2)^2 cannot.  The flow is a gradient
+#: flow, so the energy of a correct integration does not rise beyond rounding.
+MAX_ENERGY_RISE = 1e-6
+
+#: Largest distance of a record's centre of mass from the first record's that
+#: ``run`` accepts, in units of sqrt(a_s/b_s).  The flow conserves the centre of
+#: mass; rounding moves it by about 1e-13 over the longest runs of the suite.
+MAX_COM_DRIFT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -318,7 +336,8 @@ class RunDiagnostics:
     integration fault.  ``max_com_drift`` is the largest distance of a
     record's ``com_total`` from the first record's, in units of
     sqrt(a_s/b_s): the flow conserves the centre of mass, so it too should
-    stay at rounding level.
+    stay at rounding level.  ``run`` raises InvariantViolated when either
+    passes its bound (``MAX_ENERGY_RISE``, ``MAX_COM_DRIFT``).
     """
 
     t: list = field(default_factory=list)
@@ -357,9 +376,14 @@ def _record(diag: RunDiagnostics, state: ParticleState, v, count: int = 1):
     energy = particle_energy(state)
     com = state.com()
     if diag.energy:
-        rise = (energy - diag.energy[-1]) / (abs(diag.energy[0]) or 1.0)
-        diag.max_energy_rise = max(diag.max_energy_rise, rise)
-        diag.max_com_drift = max(diag.max_com_drift, float(np.hypot(*(com - diag.com_total[0]))) / R)
+        rise = energy - diag.energy[-1]
+        drift = float(np.hypot(*(com - diag.com_total[0]))) / R
+        diag.max_energy_rise = max(diag.max_energy_rise, rise / (abs(diag.energy[0]) or 1.0))
+        diag.max_com_drift = max(diag.max_com_drift, drift)
+        if rise > MAX_ENERGY_RISE * (abs(diag.energy[0]) + p.a_s * (p.M1 + p.M2) ** 2):
+            raise InvariantViolated(f"energy rose by {rise:.3e} at t={state.t}: the gradient flow cannot raise it")
+        if drift > MAX_COM_DRIFT:
+            raise InvariantViolated(f"centre of mass drifted by {drift:.3e} sqrt(a_s/b_s) at t={state.t}")
     row = (state.t, energy, com, float(np.hypot(*(c1 - c2))) / R, max_speed(v))
     for trace, value in zip((diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed), row):
         trace.extend([value] * count)
@@ -387,10 +411,11 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
     diagnostics), the states at the stops in ``diagnostics.stop_states``.
     Raises StepUnderflow if repeated halving pushes dt below 1e-12,
     ParticleCollision if particles meet, OutOfRange if the collision
-    threshold underflows, and ValueError for stops out of order, a ``t_end``
-    that is not finite, lies before state.t or lies more than ``MAX_STEPS``
-    steps at the step cap past it, a bad ``record_interval`` or more than
-    ``MAX_RECORDS`` records.
+    threshold underflows, InvariantViolated if a record's energy rises or
+    its centre of mass drifts beyond rounding, and ValueError for stops out
+    of order, a ``t_end`` that is not finite, lies before state.t or lies
+    more than ``MAX_STEPS`` steps at the step cap past it, a bad
+    ``record_interval`` or more than ``MAX_RECORDS`` records.
     """
     if not state.t <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and >= state.t = {state.t}, got {t_end}")

@@ -293,6 +293,7 @@ def _check_energy_and_com(arr):
     assert _com_drift_rate(arr) < 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_08_particle_reproduction():
     start = time.monotonic()
     # (a) stable target stays target-like with radii on the analytic values
@@ -343,6 +344,7 @@ def _overlay_separation(ratio, mass_ratio, seed):
     return float(np.hypot(*(st.pos1.mean(axis=0) - st.pos2.mean(axis=0))))
 
 
+@pytest.mark.slow
 def test_criterion_09_weak_cross_curve():
     start = time.monotonic()
     assert d_of_ab_ratio(6.0).d_over_R == pytest.approx(math.sqrt(6.0), abs=1e-9)

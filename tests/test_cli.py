@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import params_from_phase
-from swarm_eq import cli
-from swarm_eq.cli import RunConfig, main
+from swarm_eq import cli, particles
+from swarm_eq.cli import main
 from swarm_eq.equilibria import EquilibriumKind, existence_region_mask
 from swarm_eq.model import curve_c1, curve_c2, region_code_grid
 from swarm_eq.output import SvgPlot, fmt_value, write_csv
@@ -396,6 +396,20 @@ def test_weakcross_overlay_error_writes_nothing(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+#: Valid flags, with every output named, that a checked flag's bad value is added to; the last value of a flag wins.
+_CHECKED_BASE = {
+    "weakcross": ["weakcross", "--n-points", "3", "--out-csv", "wc.csv", "--overlay-csv", "ov.csv",
+                  "--overlay-ratios", "6", "--overlay-t-end", "1", "--overlay-N", "24"],
+    "lambda": ["lambda", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--n-samples", "20",
+               "--out-csv", "lam.csv", "--out-svg", "lam.svg"],
+    "simulate": ["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "12", "--N2", "12", "--t-end", "0.2",
+                 "--out", "sim"],
+    "phase-diagram": ["phase-diagram", "--grid", "4", "--m-max", "4", "--out-csv", "pd.csv", "--out-svg", "pd.svg"],
+}
+_CHECKED_COMMAND = {"--r-max": "lambda", "--t-end": "simulate", "--snapshot-every": "simulate",
+                    "-M": "phase-diagram", "--extent": "phase-diagram", "--grid": "phase-diagram"}
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -409,25 +423,42 @@ def test_weakcross_overlay_error_writes_nothing(tmp_path, capsys):
         ("--overlay-M", "0.5"),
         ("--overlay-M", "inf"),
         ("--overlay-ratios", "6,-1"),
+        ("--overlay-ratios", "6,x"),
+        ("--r-max", "0"),
+        ("--r-max", "inf"),
+        ("--t-end", "0"),
+        ("--t-end", "nan"),
+        ("--snapshot-every", "0"),
+        ("--snapshot-every", "-inf"),
+        ("-M", "0.5"),
+        ("-M", "inf"),
+        ("--extent", "0"),
+        ("--extent", "inf"),
+        ("--grid", "0"),
+        ("--grid", "1.5"),
     ],
 )
-def test_weakcross_overlay_flags_are_checked_by_name(tmp_path, capsys, flag, value):
-    argv = {"--overlay-ratios": "6", "--overlay-t-end": "1", "--overlay-N": "24", flag: value}
-    code, out, err = run_cli(
-        capsys, "weakcross", "--n-points", "3", "--out-csv", str(tmp_path / "wc.csv"),
-        "--overlay-csv", str(tmp_path / "ov.csv"), *(item for pair in argv.items() for item in pair),
-    )
+def test_weakcross_overlay_flags_are_checked_by_name(tmp_path, capsys, monkeypatch, flag, value):
+    # every flag with a domain of its own, weakcross's overlay flags and those of the other commands
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *_CHECKED_BASE[_CHECKED_COMMAND.get(flag, "weakcross")], flag, value)
     assert code == 2 and out == ""
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "ValueError" and flag in record["message"]
     assert not list(tmp_path.iterdir())
 
 
+def test_overlay_flags_are_checked_without_overlay_ratios(capsys):
+    code, out, err = run_cli(capsys, "weakcross", "--n-points", "3", "--overlay-eta", "2")
+    assert code == 2 and out == ""
+    assert "--overlay-eta" in json.loads(err.strip().splitlines()[-1])["message"]
+
+
 @pytest.mark.parametrize(
     "argv, stages",
     [
         (["phase-diagram", "--grid", "4", "--m-max", "4", "--out-csv", "pd.csv"], ["sweep", "write"]),
-        (["weakcross", "--ratio", "6"], ["curve"]),
+        (["weakcross", "--ratio", "6"], ["curve", "write"]),
         (["weakcross", "--n-points", "3", "--overlay-ratios", "6", "--overlay-t-end", "1", "--overlay-N", "24"],
          ["curve", "overlay", "write"]),
         (["stability", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--m-max", "4"],
@@ -572,8 +603,10 @@ def test_phase_diagram_csv_formats_each_axis_value_and_tail_once(tmp_path, capsy
         (["weakcross", "--n-points", "3", "--overlay-ratios", "6", "--overlay-t-end", "0.5", "--overlay-N", "24",
           "--out-csv", "{d}/wc.csv", "--overlay-csv", "{d}/ov.csv", "--out-svg", "{d}/wc.svg"],
          ["wc.csv", "ov.csv", "wc.svg"]),
+        (["stability", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--m-max", "4",
+          "--out-csv", "{d}/modes.csv"], ["modes.csv"]),
     ],
-    ids=["simulate", "phase-diagram", "lambda", "weakcross"],
+    ids=["simulate", "phase-diagram", "lambda", "weakcross", "stability"],
 )
 def test_a_failed_write_leaves_none_of_the_command_files(tmp_path, capsys, argv, outputs):
     # the last target is a directory, so the command's last write fails
@@ -594,15 +627,12 @@ def test_config_round_trip(rng):
             "m_max": int(rng.integers(2, 40)),
             "seed": int(rng.integers(0, 2**31)),
         }
-        cfg = RunConfig(command="stability", values=values)
-        rebuilt = RunConfig.from_json(cfg.to_json())
-        assert rebuilt == cfg
+        assert cli.read_config(json.dumps({"command": "stability", **values})) == ("stability", values)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = RunConfig(command="region", values={"A": 3.0, "B": 3.5, "M": 2.0})
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps({"command": "region", "A": 3.0, "B": 3.5, "M": 2.0}))
     code, out, _ = run_cli(capsys, "--config", str(path))
     assert code == 0
     assert last_json(out)["region"] == "D4"
@@ -643,6 +673,34 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["region"] == "D3"
+
+
+def _simulate_with_forces(capsys, monkeypatch, tmp_path, patched):
+    exact = particles.forces
+    monkeypatch.setattr(particles, "forces", lambda state, diag=None: patched(state, exact(state, diag)))
+    return run_cli(
+        capsys, "simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "20", "--N2", "10", "--seed", "1",
+        "--t-end", "1", "--out", str(tmp_path / "s"),
+    )
+
+
+def test_simulate_that_moves_the_centre_of_mass_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a common drift of every particle leaves the energy as it is and moves the centre of mass
+    code, out, err = _simulate_with_forces(capsys, monkeypatch, tmp_path, lambda state, v: v + [1e-3, 0.0])
+    assert code == 3 and out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "InvariantViolated" and "centre of mass" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_that_raises_the_energy_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the reversed flow climbs the energy it should descend and keeps the centre of mass; slowed
+    # a hundredfold, it reaches the first record before close pairs meet
+    code, out, err = _simulate_with_forces(capsys, monkeypatch, tmp_path, lambda state, v: -0.01 * v)
+    assert code == 3 and out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "InvariantViolated" and "energy" in record["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_weakcross_overlay_emission(tmp_path, capsys):

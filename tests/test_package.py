@@ -167,3 +167,22 @@ def test_every_module_level_name_and_method_is_used():
                     and not any(hasattr(base, item.name) for base in bases)
                 ]
     assert unused == []
+
+
+def test_only_main_writes_files_and_stdout():
+    # a command returns its stdout record and the files to write; cli.main writes all of the files
+    # or none and prints the record after them, so no cmd_* function writes or prints on its own
+    tree = ast.parse((Path(swarm_eq.__file__).parent / "cli.py").read_text())
+    offenders = [
+        f"{fn.name}:{node.lineno}: {ast.unparse(node.func)}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in ("emit", "_write_all", "write_csv"))
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "save")
+        )
+    ]
+    assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert offenders == []

@@ -63,23 +63,26 @@ def test_species_are_views_of_one_array():
 
 
 def test_step_and_run_keep_the_species_rows(monkeypatch):
-    # velocity (1, 0) for species 1 and (0, 1) for species 2: RK4 moves each row
-    # block by dt along its own axis, so a swapped or shifted block shows
-    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+    # velocity (1, 0) for species 1 and (-M1/M2, 0) = (-2, 0) for species 2: RK4 moves each row
+    # block by its own displacement, so a swapped or shifted block shows.  The weighted centre of
+    # mass stays put, and with negligible cross coupling each species' rigid shift keeps its energy,
+    # so the run's invariant checks pass
+    st = init_random_disk(params_from_phase(3.0, 3.5, eta=1e-12), 20, 10, 1.0, seed=1)
 
     def by_species(state, diag=None):
-        return np.where(np.arange(len(state.X))[:, None] < state.n1, [1.0, 0.0], [0.0, 1.0])
+        return np.where(np.arange(len(state.X))[:, None] < state.n1, [1.0, 0.0], [-2.0, 0.0])
 
     monkeypatch.setattr(particles, "forces", by_species)
     new = step(st, 0.01)
     assert new.n1 == st.n1 and new.t == 0.01
     np.testing.assert_allclose(new.pos1 - st.pos1, np.tile([0.01, 0.0], (20, 1)), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(new.pos2 - st.pos2, np.tile([0.0, 0.01], (10, 1)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(new.pos2 - st.pos2, np.tile([-0.02, 0.0], (10, 1)), rtol=0, atol=1e-15)
     final, diag = run(st, 0.5, stops=[0.2])
+    assert diag.max_energy_rise <= 1e-9 and diag.max_com_drift <= 1e-15
     for state in (final, *diag.stop_states):
         assert state.n1 == st.n1
         np.testing.assert_allclose(state.pos1 - st.pos1, np.tile([state.t, 0.0], (20, 1)), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.pos2 - st.pos2, np.tile([0.0, state.t], (10, 1)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.pos2 - st.pos2, np.tile([-2.0 * state.t, 0.0], (10, 1)), rtol=0, atol=1e-12)
 
 
 def test_two_particles_at_kernel_zero():
