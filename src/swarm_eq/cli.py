@@ -12,9 +12,10 @@ overflow, division by zero or invalid operation among them (with the error
 name in a JSON record on stderr).
 
 The contract is kept in one place, ``main``: a command computes its stdout
-record and the files to write, and ``main`` writes all of the files or none,
-then prints the record, so a failed command prints nothing to stdout and
-leaves no file behind.
+record and the files to write, and ``main`` serializes the record, writes
+all of the files or none, then prints the record, so a command that fails
+prints nothing to stdout and leaves no file behind.  Only a failure to write
+stdout itself comes after the files.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ def resolve_params(ns) -> InteractionParams:
     return InteractionParams(
         a_s=1.0, a_c=ns.A, b_s=1.0, b_c=ns.B, M1=ns.M, M2=1.0, eta=eta
     )
-
-
-def emit(obj) -> None:
-    sys.stdout.write(json_canonical(obj) + "\n")
 
 
 class _Stages:
@@ -318,7 +315,7 @@ def cmd_weakcross(ns, stages):
         s = d_of_ab_ratio(ns.ratio)
         stages.done("curve")
         return asdict(s), [], {}
-    ratios = [float(r) for r in ns.overlay_ratios.split(",")] if ns.overlay_ratios else []
+    ratios = _ratio_list(ns.overlay_ratios)
     if ratios and min(_overlay_counts(ns.overlay_N, ns.overlay_M)) < 1:
         raise ValueError(
             f"--overlay-N {ns.overlay_N} leaves a species without particles at --overlay-M {ns.overlay_M}"
@@ -448,10 +445,16 @@ def _flag_type(convert, inside, domain):
 
 _POSITIVE = _flag_type(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _AT_LEAST_ONE = _flag_type(float, lambda x: 1.0 <= x < math.inf, "finite and >= 1")
-#: An empty ``--overlay-ratios`` asks for no overlay runs.
+
+
+def _ratio_list(text):
+    """The values of ``--overlay-ratios``; an empty or absent list asks for no overlay runs."""
+    return [float(r) for r in text.split(",")] if text else []
+
+
+# kept as the string, so that the config hash records the flag as given
 _RATIO_LIST = _flag_type(
-    str, lambda text: not text or all(0.0 < float(r) < math.inf for r in text.split(",")),
-    "a comma-separated list of finite values > 0",
+    str, lambda text: all(0.0 < r < math.inf for r in _ratio_list(text)), "a comma-separated list of finite values > 0"
 )
 
 
@@ -547,7 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv):
-    """Use config-file entries as defaults for the chosen subcommand."""
+    """Use config-file entries as defaults for the chosen subcommand.
+
+    An entry whose flag also appears on the command line is dropped, so the
+    explicit flag wins and the file's value is not parsed at all.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -559,15 +566,17 @@ def _apply_config_file(argv):
     rest = [a for k, a in enumerate(argv) if k not in (idx, idx + 1)]
     if not rest or rest[0] != command:
         rest = [command] + rest
+    given = {a.split("=", 1)[0] for a in rest}
     extra = []
     for key, value in sorted(values.items()):
         flag = "--" + key.replace("_", "-") if len(key) > 1 else "-" + key
+        if flag in given:
+            continue
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
             continue
         extra.extend([flag, str(value)])
-    # extras first so explicit argv flags win
     return [rest[0]] + extra + rest[1:]
 
 
@@ -586,9 +595,10 @@ def main(argv=None) -> int:
         # a floating-point overflow, division by zero or invalid operation is a numerical failure
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             record, writes, extra = ns.func(ns, stages)
+            text = json_canonical(record) + "\n"
             # the record goes to stdout only once every file is written
             _write_all(writes)
-        emit(record)
+        sys.stdout.write(text)
         stages.done("write")
     except (SwarmEqError, ArithmeticError, ValueError, OSError) as exc:
         sys.stderr.write(json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -173,8 +173,11 @@ def build_equilibrium(kind: EquilibriumKind, p: InteractionParams) -> Equilibriu
 
     # overlap: both species on the coexistence disk, the annulus species alone outside it
     rho_ann_c, rho_core_c = _density_quadruple(a_s, a_c, b_s, b_c, M_ann, M_core).coexist
-    denom = (a_s * b_c - a_c * b_s) * M_ann + (a_s * b_s - a_c * b_c) * M_core
-    r_mix_sq = (a_s * a_s - a_c * a_c) * M_core / denom if denom != 0.0 else math.nan
+    # r_mix^2 = (a_s^2 - a_c^2) M_core / ((a_s - a_c)(b_s + b_c) M_core + (a_s b_c - a_c b_s)(M_ann - M_core)),
+    # with the factor a_s - a_c (nonzero once the coexistence pair exists) divided out, so that it
+    # cannot cancel near A = 1; at equal masses r_mix^2 is (a_s + a_c)/(b_s + b_c) = r_out^2
+    denom = (b_s + b_c) * M_core + (a_s * b_c - a_c * b_s) / (a_s - a_c) * (M_ann - M_core)
+    r_mix_sq = (a_s + a_c) * M_core / denom if denom != 0.0 else math.nan
     r_mix = math.sqrt(r_mix_sq) if r_mix_sq > 0.0 else math.nan
     radii = (r_mix, r_out)
     if not (rho_ann_c > 0.0 and rho_core_c > 0.0):

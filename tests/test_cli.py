@@ -644,6 +644,18 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["region"] == "D3"
 
 
+@pytest.mark.parametrize("override", [["-M", "1.5"], ["-M=1.5"]])
+def test_explicit_flag_overrides_an_out_of_domain_config_value(tmp_path, capsys, override):
+    # the file's -M 0.5 is outside phase-diagram's domain; the flag replaces it before anything is parsed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "phase-diagram", "M": 0.5, "grid": 3, "m_max": 2}))
+    code, out, _ = run_cli(capsys, "--config", str(path))
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "--config", str(path), "phase-diagram", *override)
+    assert code == 0
+    assert last_json(out)["M"] == 1.5
+
+
 @pytest.mark.parametrize("values", [{"A": 3.0, "B": 3.5, "M": 2.0}, {"command": 5, "A": 3.0}])
 def test_config_file_without_command_is_a_config_error(tmp_path, capsys, values):
     path = tmp_path / "cfg.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_phase_in_regions, params_from_phase
@@ -161,6 +161,8 @@ def test_densities_match_quadruple():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(A=st.floats(0.05, 5.0), B=st.floats(0.05, 5.0), M=st.floats(1.0, 4.0))
+@example(A=0.99999, B=2.0, M=1.0)  # near A = 1 the overlap radii must still touch, not differ by rounding
+@example(A=1.000001, B=0.3, M=1.0)
 def test_existence_iff_region_union(A, B, M):
     region = classify_region(PhasePoint(A, B, M))
     assume(not region.is_boundary)
@@ -172,19 +174,13 @@ def test_existence_iff_region_union(A, B, M):
             continue
         # the one mismatch: at M = 1, r_mix^2 = r_out^2 = (a_s + a_c)/(b_s + b_c) for every (A, B), so
         # both overlap states are the mixed disk, whose touching radii count as existing in regions
-        # (D1, D4 light; D3, D6 heavy) that the region union leaves out; the radii still touch a few
-        # ulps away from M = 1
-        assert M - 1.0 <= 1e-9 and not kind.is_target, kind
+        # (D1, D4 light; D3, D6 heavy) that the region union leaves out
         r_mix, r_out = cfg.radii
-        # r_mix^2 is formed as (a_s^2 - a_c^2) / ((a_s - a_c)(b_s + b_c)), whose rounding grows like
-        # 1/|A - 1|: away from A = 1 the radii touch within DEGENERATE_RTOL and the state is flagged
-        # boundary-degenerate; nearer to it they agree only to that rounding, which can also put r_mix
-        # past r_out and the state out of existence inside the union
-        rounding = 4.0 * np.finfo(float).eps / abs(A - 1.0)
-        if rounding <= DEGENERATE_RTOL:
-            assert cfg.boundary_degenerate and abs(r_mix - r_out) <= DEGENERATE_RTOL * r_out, kind
-        else:
-            assert abs(r_mix - r_out) <= rounding * r_out, kind
+        assert not kind.is_target and cfg.boundary_degenerate, kind
+        assert abs(r_mix - r_out) <= DEGENERATE_RTOL * r_out, kind
+        # to first order in M - 1 the radii differ by (M - 1)|B - A| / ((1 + A)(1 + B)|1 - A|)
+        # relative, so they touch only that close to M = 1 (hypothesis draws M = 1 and 1 + 1 ulp)
+        assert (M - 1.0) * abs(B - A) <= 2.0 * DEGENERATE_RTOL * (1 + A) * (1 + B) * abs(1 - A), kind
 
 
 _POINT_IN = {

@@ -180,8 +180,9 @@ def test_only_main_writes_files_and_stdout():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
         and (
-            (isinstance(node.func, ast.Name) and node.func.id in ("emit", "_write_all", "write_csv"))
+            (isinstance(node.func, ast.Name) and node.func.id in ("print", "_write_all", "write_csv"))
             or (isinstance(node.func, ast.Attribute) and node.func.attr == "save")
+            or ast.unparse(node.func) == "sys.stdout.write"
         )
     ]
     assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
