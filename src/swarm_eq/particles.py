@@ -12,6 +12,14 @@ each of a sorted list of stop times, hands back the state at each and keeps
 its step-size controller across them; records lie on one grid over the
 whole run, and a stop costs no extra velocity evaluation.
 
+``forces`` and ``particle_energy`` share one blocked pass over the pairs.
+What it needs of a state besides the positions (per-particle weights, the
+repulsion column weights, the attraction masses, the row blocks and the
+collision threshold) depends only on the counts, the parameters and
+``BLOCK_ELEMENTS``; it is built once, as a memoized kernel plan of O(N)
+read-only data, so a run's stage and record evaluations do only the
+position-dependent work.
+
 The flow is stiff: each species' density relaxes at ``relaxation_rate``
 while the species drift apart orders of magnitude more slowly.  The
 Jacobian's spectrum is real and negative (J = -W^-1 Hess E), so RK4 is
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,16 +167,24 @@ class _PairPass:
 
     Row block lo:hi meets the columns lo: only, so each unordered pair is
     formed once, in the block of its lower index; the block's own square
-    comes first and its diagonal (self pairs) is inf.
+    comes first and its diagonal (self pairs) is inf.  The right operand is
+    kept transposed, as one contiguous (4, N) array, so a block's columns
+    lo: are a plain slice of it.
     """
 
     def __init__(self, X):
         self.X = X
+        n = len(X)
         x2 = np.einsum("ij,ij->i", X, X)
-        ones = np.ones_like(x2)
         # r_ij^2 = left_i . right_j = -2 x_i.x_j + |x_i|^2 * 1 + 1 * |x_j|^2
-        self.left = np.column_stack([X, x2, ones])
-        self.right = np.column_stack([-2.0 * X, ones, x2])
+        self.left = left = np.empty((n, 4))
+        left[:, :2] = X
+        left[:, 2] = x2
+        left[:, 3] = 1.0
+        self.right = right = np.empty((4, n))
+        np.multiply(X.T, -2.0, out=right[:2])
+        right[2] = 1.0
+        right[3] = x2
         self.exact_below = max(1e-12, 1e-6 * float(x2.max()))
 
     def dist_sq(self, lo, hi):
@@ -183,7 +200,7 @@ class _PairPass:
         itself.
         """
         X = self.X
-        r2 = self.left[lo:hi] @ self.right[lo:].T
+        r2 = self.left[lo:hi] @ self.right[:, lo:]
         r2.reshape(-1)[:: r2.shape[1] + 1] = np.inf
         low = float(r2.min())
         if low < self.exact_below:
@@ -194,13 +211,60 @@ class _PairPass:
         return r2, low
 
 
-def _repulsion_weights(state: ParticleState):
-    """Column weights a_ij * w_j over all N particles, one vector per row species i."""
-    p, counts = state.params, [state.n1, state.n2]
-    return (
-        np.repeat([p.a_s * state.w1, p.ac_eff * state.w2], counts),
-        np.repeat([p.ac_eff * state.w1, p.a_s * state.w2], counts),
+@dataclass(frozen=True)
+class _KernelPlan:
+    """What the pair passes need of a state besides its positions: O(N) read-only data.
+
+    ``weights`` holds w_j per particle, ``repulsion`` the column weights
+    a_ij w_j over all N particles, one vector per row species i, and ``sb``
+    the attraction mass sum_j b_ij w_j per row species.  ``blocks`` lists
+    the pair pass's row blocks (s, lo, hi, columns) with, for ``forces``,
+    the columns (t, c_lo, c_hi) past the block that the block feeds, one
+    range per column species t.  ``collision_sq`` is the squared
+    ``collision_threshold``, computed on first use: only ``forces`` reads
+    it, so the energy stays defined where the threshold underflows.
+    """
+
+    params: InteractionParams
+    weights: np.ndarray
+    repulsion: tuple
+    sb: tuple
+    blocks: tuple
+
+    @cached_property
+    def collision_sq(self) -> float:
+        return collision_threshold(self.params) ** 2
+
+
+@lru_cache(maxsize=8)
+def _build_plan(n1: int, n: int, p: InteractionParams, block_elements: int) -> _KernelPlan:
+    """The kernel plan of every state with n1 of n particles in species 1 and parameters p.
+
+    ``block_elements`` is not read: it puts BLOCK_ELEMENTS, which ``_row_blocks``
+    reads, into the cache key.
+    """
+    counts = [n1, n - n1]
+    w1, w2 = p.M1 / n1, p.M2 / (n - n1)
+    arrays = (
+        np.repeat([w1, w2], counts),
+        np.repeat([p.a_s * w1, p.ac_eff * w2], counts),
+        np.repeat([p.ac_eff * w1, p.a_s * w2], counts),
     )
+    for a in arrays:
+        a.flags.writeable = False
+    mass = (w1 * n1, w2 * (n - n1))
+    sb = tuple(p.b_s * mass[s] + p.bc_eff * mass[1 - s] for s in (0, 1))
+    blocks = []
+    for s, lo, hi in _row_blocks(*counts):
+        # rows before lo were fed by earlier blocks; the own square feeds its rows above
+        columns = ((0, hi, n1), (1, max(hi, n1), n))
+        blocks.append((s, lo, hi, tuple(c for c in columns if c[1] < c[2])))
+    return _KernelPlan(p, arrays[0], arrays[1:], sb, tuple(blocks))
+
+
+def _kernel_plan(state: ParticleState) -> _KernelPlan:
+    """The memoized plan of ``state``'s counts, parameters and block size: built at their first evaluation."""
+    return _build_plan(state.n1, len(state.X), state.params, BLOCK_ELEMENTS)
 
 
 def forces(state: ParticleState, diag: RunDiagnostics | None = None) -> np.ndarray:
@@ -214,35 +278,40 @@ def forces(state: ParticleState, diag: RunDiagnostics | None = None) -> np.ndarr
     block, once per column species, so both directions of a pair read the
     same K_ij.  The attraction is linear in positions: sum_j b_ij w_j (x_i -
     x_j) = x_i sb_i - tb_i from each species' mass and first moment (the j =
-    i term is 0).  With ``diag``, the evaluation and its closest pair are
-    counted.
+    i term is 0).  The weights, masses, row blocks and collision threshold
+    come from the state's kernel plan.  With ``diag``, the evaluation and its
+    closest pair are counted.
     """
     p, X, n1 = state.params, state.X, state.n1
     n = len(X)
+    plan = _kernel_plan(state)
+    d2 = plan.collision_sq
     pairs = _PairPass(X)
-    d2 = collision_threshold(p) ** 2
-    ones_X = np.column_stack([np.ones(n), X])
-    repulsion = [c[:, None] * ones_X for c in _repulsion_weights(state)]
-    mass = (state.w1 * n1, state.w2 * state.n2)
-    first = (state.w1 * state.pos1.sum(axis=0), state.w2 * state.pos2.sum(axis=0))
-    sb = [p.b_s * mass[s] + p.bc_eff * mass[1 - s] for s in (0, 1)]
-    tb = [p.b_s * first[s] + p.bc_eff * first[1 - s] for s in (0, 1)]
+    ones_X = np.empty((n, 3))
+    ones_X[:, 0] = 1.0
+    ones_X[:, 1:] = X
+    repulsion = [c[:, None] * ones_X for c in plan.repulsion]
+    # the first moments as Python floats: numpy calls on 2-vectors cost more than their arithmetic
+    m1, m2 = (pos.sum(axis=0).tolist() for pos in (state.pos1, state.pos2))
+    first = ([state.w1 * m for m in m1], [state.w2 * m for m in m2])
+    tb = [[p.b_s * first[s][k] + p.bc_eff * first[1 - s][k] for k in (0, 1)] for s in (0, 1)]
     S = np.zeros((n, 3))
     closest = math.inf
-    for s, lo, hi in _row_blocks(n1, state.n2):
+    for s, lo, hi, columns in plan.blocks:
         r2, low = pairs.dist_sq(lo, hi)
         if low < d2:
             raise ParticleCollision(f"minimum pairwise distance {math.sqrt(low):.3e} below {math.sqrt(d2):.3e}")
         closest = min(closest, low)
         K = np.reciprocal(r2, out=r2)
         S[lo:hi] += K @ repulsion[s][lo:]
-        # rows before lo were fed by earlier blocks; the own square fed its rows above
-        for t, c_lo, c_hi in ((0, hi, n1), (1, max(hi, n1), n)):
-            if c_lo < c_hi:
-                S[c_lo:c_hi] += K[:, c_lo - lo : c_hi - lo].T @ repulsion[t][lo:hi]
-    v = np.empty_like(X)
+        for t, c_lo, c_hi in columns:
+            S[c_lo:c_hi] += K[:, c_lo - lo : c_hi - lo].T @ repulsion[t][lo:hi]
+    # v = x (S_0 - sb) - (S_xy - tb), with each species' constants taken off S in place
     for s, rows in ((0, slice(0, n1)), (1, slice(n1, n))):
-        v[rows] = X[rows] * (S[rows, :1] - sb[s]) - (S[rows, 1:] - tb[s])
+        S[rows, 0] -= plan.sb[s]
+        S[rows, 1:] -= tb[s]
+    v = X * S[:, :1]
+    v -= S[:, 1:]
     if diag is not None:
         diag.force_evals += 1
         diag.closest_pair_ratio = min(diag.closest_pair_ratio, math.sqrt(closest / d2))
@@ -253,22 +322,22 @@ def particle_energy(state: ParticleState) -> float:
     """Sampled interaction energy (the Lyapunov function of the flow).
 
     E = sum_{i<j} w_i w_j [-a_ij/2 log|x_i - x_j|^2 + b_ij/2 |x_i - x_j|^2].
-    The log term runs as a blocked pass over the pairs j > i; the quadratic
-    term comes from each species' spread about its own mean.
+    The log term runs as a blocked pass over the pairs j > i, with the
+    weights and row blocks of the state's kernel plan; the quadratic term
+    comes from each species' spread about its own mean.
     """
     p = state.params
+    plan = _kernel_plan(state)
     pairs = _PairPass(state.X)
-    w = np.repeat([state.w1, state.w2], [state.n1, state.n2])
-    weights = _repulsion_weights(state)
     log_sum = 0.0
-    for s, lo, hi in _row_blocks(state.n1, state.n2):
+    for s, lo, hi, _ in plan.blocks:
         # pairs j > i: the columns from lo on, with the block's own square
         # (symmetric, one species) at half weight and its diagonal at log 1 = 0
         r2, _ = pairs.dist_sq(lo, hi)
         r2.reshape(-1)[:: r2.shape[1] + 1] = 1.0
-        c = weights[s][lo:].copy()
+        c = plan.repulsion[s][lo:].copy()
         c[: hi - lo] *= 0.5
-        log_sum += float(w[lo:hi] @ (np.log(r2, out=r2) @ c))
+        log_sum += float(plan.weights[lo:hi] @ (np.log(r2, out=r2) @ c))
 
     # sum over pairs of |x_i - x_j|^2 within a species of n: n * spread; across: by the means
     spread = [float(np.sum((pos - pos.mean(axis=0)) ** 2)) for pos in (state.pos1, state.pos2)]

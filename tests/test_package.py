@@ -187,3 +187,21 @@ def test_only_main_writes_files_and_stdout():
     ]
     assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
     assert offenders == []
+
+
+def test_pair_passes_read_their_constants_from_the_kernel_plan():
+    # forces and particle_energy run once per RK4 stage and record: the per-run constants
+    # (weights, row blocks, collision threshold) are built by the memoized kernel plan only
+    built_once = {"np.repeat", "np.column_stack", "_row_blocks", "collision_threshold"}
+    tree = ast.parse((Path(swarm_eq.__file__).parent / "particles.py").read_text())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    offenders = [
+        f"{name}:{node.lineno}: {ast.unparse(node.func)}"
+        for name in ("forces", "particle_energy")
+        for node in ast.walk(functions[name])
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in built_once
+    ]
+    assert offenders == []
+    # the builder is where they went
+    calls = {ast.unparse(node.func) for node in ast.walk(functions["_build_plan"]) if isinstance(node, ast.Call)}
+    assert {"np.repeat", "_row_blocks"} <= calls

@@ -396,6 +396,77 @@ def test_triangle_pass_conserves_momentum_with_a_close_pair_in_the_last_blocks(m
     assert np.all(np.abs(np.concatenate([v1, v2]) - v_ref) <= 1e-14 * scale[:, None])
 
 
+def test_kernel_plan_key_covers_the_block_size_and_the_parameters(monkeypatch):
+    # a plan built at the default block size must not serve the same (n1, N, params)
+    # once BLOCK_ELEMENTS changes: the ragged-block tests would then run default blocks
+    p = InteractionParams(1.2, 0.8, 0.9, 1.7, 3, 2, eta=0.7)
+    default = init_random_disk(p, 331, 77, 1.0, seed=6)
+    blocks = []
+    original = particles._PairPass.dist_sq
+
+    def counted(self, lo, hi):
+        blocks.append(hi - lo)
+        return original(self, lo, hi)
+
+    monkeypatch.setattr(particles._PairPass, "dist_sq", counted)
+    forces(default)
+    particle_energy(default)
+    assert blocks == 2 * [160, 160, 11, 77]
+    st = _ragged_blocked_state(monkeypatch)
+    blocks.clear()
+    v = forces(st)
+    e = particle_energy(st)
+    assert blocks == 2 * ([40] * 8 + [11, 40, 37])
+    v_ref, scale, e_ref, e_scale = _direct_pair_terms(st)
+    assert np.all(np.abs(v - v_ref) <= 1e-14 * scale[:, None])
+    assert e == pytest.approx(e_ref, abs=1e-13 * e_scale)
+    # two parameter sets with the same counts each get their own weights and masses
+    for q in (p, InteractionParams(2.5, 0.3, 1.4, 0.6, 5, 1, eta=0.2)):
+        st = ParticleState(default.X, default.n1, q)
+        v_ref, scale, e_ref, e_scale = _direct_pair_terms(st)
+        assert np.all(np.abs(forces(st) - v_ref) <= 1e-14 * scale[:, None])
+        assert particle_energy(st) == pytest.approx(e_ref, abs=1e-13 * e_scale)
+
+
+def _plan_arrays(value):
+    """Every numpy array a kernel plan holds, through its fields and nested tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _plan_arrays(item)]
+    return []
+
+
+def test_kernel_plan_memory_is_linear_in_n_and_the_cache_is_bounded():
+    # relax-large-n's shape: the plan outlives each call, so it must stay O(N), read-only
+    # and few in number; test_pair_pass_memory_is_bounded cannot see it, since a plan
+    # built before its trace starts is not traced
+    p = params_from_phase(3.0, 3.5)
+    n = 6000
+    plan = particles._build_plan(4000, n, p, BLOCK_ELEMENTS)
+    arrays = _plan_arrays(tuple(vars(plan).values()))
+    assert arrays and sum(a.nbytes for a in arrays) <= 8 * 8 * n
+    assert not any(a.flags.writeable for a in arrays)
+    maxsize = particles._build_plan.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+
+
+def test_run_builds_its_kernel_plan_once_and_forces_works_without_a_run():
+    st = init_random_disk(params_from_phase(3.0, 3.5), 20, 10, 1.0, seed=1)
+    particles._build_plan.cache_clear()
+    final, diag = run(st, 300 * C_RK4 / relaxation_rate(st.params))
+    info = particles._build_plan.cache_info()
+    assert diag.accepted_steps >= 300
+    # one plan for the run; every forces and particle_energy call after the first reads it
+    assert info.misses == 1 and info.currsize == 1
+    assert info.hits == diag.force_evals + len(diag.energy) - 1
+    particles._build_plan.cache_clear()
+    v = forces(final)
+    v_ref, scale, _, _ = _direct_pair_terms(final)
+    assert np.all(np.abs(v - v_ref) <= 1e-14 * scale[:, None])
+    assert np.array_equal(forces(final), v)
+
+
 @pytest.mark.parametrize("gap", [1e-5, 3e-6])
 def test_near_pair_is_recomputed_relative_to_the_position_scale(gap):
     # at |x| ~ 1 the expanded r^2 has an absolute error of about 1e-16, which
@@ -482,6 +553,8 @@ def test_an_underflowing_collision_threshold_is_out_of_range(a_s, b_s):
     # the threshold's square is 0: a_s/b_s is tiny, or underflows itself
     p = InteractionParams(a_s, 1.0, b_s, 1.0, 1.0, 1.0)
     st = init_random_disk(p, 20, 10, 1.0, seed=1)
+    # the energy never reads the threshold, so it stays defined, also once its kernel plan exists
+    assert math.isfinite(particle_energy(st))
     for call in (
         lambda: collision_threshold(p),
         lambda: forces(st),
