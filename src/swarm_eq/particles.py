@@ -7,10 +7,11 @@ The flow is a gradient flow of the sampled interaction energy, which the RK4
 stepper preserves as a diagnostic: energy decreases and the weighted centre
 of mass is conserved up to rounding.
 
-``run`` makes one adaptive integration to ``t_end`` that lands exactly on
-each of a sorted list of stop times, hands back the state at each and keeps
-its step-size controller across them; records lie on one grid over the
-whole run, and a stop costs no extra velocity evaluation.
+``run`` drives one adaptive integration to ``t_end`` that lands exactly on
+each of a sorted list of stop times and hands back the state at each; its
+steps come from ``_rk4_advance``, which owns the step-size controller.  Each
+accepted state's velocities are computed once; records lie on one grid over
+the whole run, and a stop costs no extra velocity evaluation.
 
 ``forces`` and ``particle_energy`` share one blocked pass over the pairs.
 What it needs of a state besides the positions (per-particle weights, the
@@ -400,13 +401,14 @@ class RunDiagnostics:
     over ``collision_threshold``, ``max_stiffness`` the largest q * dt of an
     accepted step (``step_stiffness`` holds the latest attempt's) and
     ``max_energy_rise`` the largest rise of the recorded energy between
-    consecutive records, relative to the first record's |E| (0 if none
-    rose).  The flow is a gradient flow, so any rise beyond rounding is an
-    integration fault.  ``max_com_drift`` is the largest distance of a
-    record's ``com_total`` from the first record's, in units of
-    sqrt(a_s/b_s): the flow conserves the centre of mass, so it too should
-    stay at rounding level.  ``run`` raises InvariantViolated when either
-    passes its bound (``MAX_ENERGY_RISE``, ``MAX_COM_DRIFT``).
+    consecutive records over |E| at the first record plus a_s (M1 + M2)^2,
+    the scale of ``MAX_ENERGY_RISE`` (0 if none rose).  The flow is a
+    gradient flow, so any rise beyond rounding is an integration fault.
+    ``max_com_drift`` is the largest distance of a record's ``com_total``
+    from the first record's, in units of sqrt(a_s/b_s): the flow conserves
+    the centre of mass, so it too should stay at rounding level.  ``run``
+    raises InvariantViolated when either passes its bound
+    (``MAX_ENERGY_RISE``, ``MAX_COM_DRIFT``).
     """
 
     t: list = field(default_factory=list)
@@ -447,44 +449,73 @@ def _record(diag: RunDiagnostics, state: ParticleState, v, count: int = 1):
     if diag.energy:
         rise = energy - diag.energy[-1]
         drift = float(np.hypot(*(com - diag.com_total[0]))) / R
-        diag.max_energy_rise = max(diag.max_energy_rise, rise / (abs(diag.energy[0]) or 1.0))
+        diag.max_energy_rise = max(diag.max_energy_rise, rise / (abs(diag.energy[0]) + p.a_s * (p.M1 + p.M2) ** 2))
         diag.max_com_drift = max(diag.max_com_drift, drift)
-        if rise > MAX_ENERGY_RISE * (abs(diag.energy[0]) + p.a_s * (p.M1 + p.M2) ** 2):
+        if diag.max_energy_rise > MAX_ENERGY_RISE:
             raise InvariantViolated(f"energy rose by {rise:.3e} at t={state.t}: the gradient flow cannot raise it")
-        if drift > MAX_COM_DRIFT:
+        if diag.max_com_drift > MAX_COM_DRIFT:
             raise InvariantViolated(f"centre of mass drifted by {drift:.3e} sqrt(a_s/b_s) at t={state.t}")
     row = (state.t, energy, com, float(np.hypot(*(c1 - c2))) / R, max_speed(v))
     for trace, value in zip((diag.t, diag.energy, diag.com_total, diag.d_over_R, diag.max_speed), row):
         trace.extend([value] * count)
 
 
-def run(state: ParticleState, t_end: float, stops=(), record_interval: float | None = None):
-    """Integrate to t = t_end with adaptive RK4 steps.
+def _rk4_advance(state: ParticleState, v, target: float, dt: float, diag: RunDiagnostics):
+    """One accepted RK4 step from ``state`` toward ``target``, k1 = ``v``: (new state, next dt).
 
     The step is halved whenever the largest particle displacement exceeds
     ``DISPLACEMENT_FACTOR`` times sqrt(a_s/b_s) and grown gently when far
     below it, capped at ``C_RK4`` over ``relaxation_rate``.  A sampled
     state can relax faster than the continuum, for instance where two
     particles sit close together, so a step whose stiffness estimate q * dt
-    exceeds ``STIFFNESS_LIMIT`` is rejected as well and retried at
-    min(dt/2, ``C_RK4``/q).
+    exceeds ``STIFFNESS_LIMIT`` is rejected as well and retried, with the
+    same k1, at min(dt/2, ``C_RK4``/q).  A step reaching ``target`` lands on it.
+    """
+    disp_limit = DISPLACEMENT_FACTOR * math.sqrt(state.params.a_s / state.params.b_s)
+    while True:
+        last = dt >= target - state.t - 1e-12 * max(1.0, target)
+        dt_try = target - state.t if last else dt
+        new_state = step(state, dt_try, k1=v, diag=diag)
+        if last:
+            # the step that lands on the target sets t to the target itself
+            new_state = replace(new_state, t=target)
+        disp = float(np.max(np.hypot(*(new_state.X - state.X).T)))
+        stiffness = diag.step_stiffness
+        if disp > disp_limit or stiffness > STIFFNESS_LIMIT:
+            diag.rejected_steps += 1
+            dt = 0.5 * dt_try
+            if stiffness > STIFFNESS_LIMIT:
+                dt = min(dt, C_RK4 * dt_try / stiffness)
+            if dt < DT_MIN:
+                raise StepUnderflow(f"time step underflow at t={state.t}")
+            continue
+        diag.accepted_steps += 1
+        diag.max_stiffness = max(diag.max_stiffness, stiffness)
+        diag.dt_min = dt_try if diag.dt_min is None else min(diag.dt_min, dt_try)
+        diag.dt_max = dt_try if diag.dt_max is None else max(diag.dt_max, dt_try)
+        if disp < 0.25 * disp_limit:
+            dt = min(dt * 1.5, C_RK4 / relaxation_rate(state.params))
+        return new_state, dt
+
+
+def run(state: ParticleState, t_end: float, stops=(), record_interval: float | None = None):
+    """Integrate to t = t_end with adaptive RK4 steps, each one call of ``_rk4_advance``.
 
     One integration lands exactly on each of the sorted ``stops`` (times in
-    [state.t, t_end]) and on t_end, by stretching or shortening the step
-    that reaches it; after a stop the controller goes on from its own step
-    size.  Records are taken at the first accepted state at or past each
-    t0 + k * ``record_interval`` (finite and > 0; default: 1/200 of the
-    run's length, at least 1/``relaxation_rate``), one row per grid time,
-    so a step across several grid times records its state at each; a run
-    takes at most ``MAX_RECORDS`` records.  Returns (final state,
-    diagnostics), the states at the stops in ``diagnostics.stop_states``.
-    Raises StepUnderflow if repeated halving pushes dt below 1e-12,
-    ParticleCollision if particles meet, OutOfRange if the collision
-    threshold underflows, InvariantViolated if a record's energy rises or
-    its centre of mass drifts beyond rounding, and ValueError for stops out
-    of order, a ``t_end`` that is not finite, lies before state.t or lies
-    more than ``MAX_STEPS`` steps at the step cap past it, a bad
-    ``record_interval`` or more than ``MAX_RECORDS`` records.
+    [state.t, t_end]) and on t_end; after a stop the step-size controller
+    goes on from its own step size.  Records are taken at the first
+    accepted state at or past each t0 + k * ``record_interval`` (finite and
+    > 0; default: 1/200 of the run's length, at least 1/``relaxation_rate``),
+    one row per grid time, so a step across several grid times records its
+    state at each; a run takes at most ``MAX_RECORDS`` records.  Returns
+    (final state, diagnostics), the states at the stops in
+    ``diagnostics.stop_states``.  Raises StepUnderflow if repeated halving
+    pushes dt below 1e-12, ParticleCollision if particles meet, OutOfRange
+    if the collision threshold underflows, InvariantViolated if a record's
+    energy rises or its centre of mass drifts beyond rounding, and
+    ValueError for stops out of order, a ``t_end`` that is not finite, lies
+    before state.t or lies more than ``MAX_STEPS`` steps at the step cap
+    past it, a bad ``record_interval`` or more than ``MAX_RECORDS`` records.
     """
     if not state.t <= t_end < math.inf:
         raise ValueError(f"t_end must be finite and >= state.t = {state.t}, got {t_end}")
@@ -494,10 +525,9 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
     if stops and not (state.t <= stops[0] and stops[-1] <= t_end and stops == sorted(stops)):
         raise ValueError(f"stops must be sorted within [{state.t}, {t_end}]")
     p = state.params
-    dt = dt_max = C_RK4 / relaxation_rate(p)
-    if t_end - state.t > MAX_STEPS * dt_max:
-        raise ValueError(f"t_end={t_end} lies more than {MAX_STEPS} steps of at most {dt_max:.3e} past t={state.t}")
-    disp_limit = DISPLACEMENT_FACTOR * math.sqrt(p.a_s / p.b_s)
+    dt = C_RK4 / relaxation_rate(p)
+    if t_end - state.t > MAX_STEPS * dt:
+        raise ValueError(f"t_end={t_end} lies more than {MAX_STEPS} steps of at most {dt:.3e} past t={state.t}")
     t0 = state.t
     if record_interval is None:
         # grid times closer than the fastest relaxation time would mostly repeat the
@@ -509,55 +539,26 @@ def run(state: ParticleState, t_end: float, stops=(), record_interval: float | N
     # below the interval, so it cannot take in grid times the run has not reached
     grid_tol = min(1e-12, 1e-3 * record_interval)
 
-    # every accepted state's velocities are computed once: by its record or by the
-    # next step's first stage; a step rejected by the displacement rule or the
-    # stiffness check retries with the same k1
+    # each accepted state's velocities are computed once, right after it is accepted:
+    # its records and the next step's first stage read them
     diag = RunDiagnostics()
     v = forces(state, diag)
     _record(diag, state, v)
-    n_records = 1
-
     for k, target in enumerate([*stops, t_end]):
         while state.t < target:
-            # a step that would stop within rounding of the target is stretched to land
-            # on it, and that step sets t to the target itself
-            last = dt >= target - state.t - 1e-12 * max(1.0, target)
-            dt_try = target - state.t if last else dt
-            if v is None:
-                v = forces(state, diag)
-            new_state = step(state, dt_try, k1=v, diag=diag)
-            if last:
-                new_state = replace(new_state, t=target)
-            disp = float(np.max(np.hypot(*(new_state.X - state.X).T)))
-            stiffness = diag.step_stiffness
-            if disp > disp_limit or stiffness > STIFFNESS_LIMIT:
-                diag.rejected_steps += 1
-                dt = 0.5 * dt_try
-                if stiffness > STIFFNESS_LIMIT:
-                    dt = min(dt, C_RK4 * dt_try / stiffness)
-                if dt < DT_MIN:
-                    raise StepUnderflow(f"time step underflow at t={state.t}")
-                continue
-            state, v = new_state, None
-            diag.accepted_steps += 1
-            diag.max_stiffness = max(diag.max_stiffness, stiffness)
-            diag.dt_min = dt_try if diag.dt_min is None else min(diag.dt_min, dt_try)
-            diag.dt_max = dt_try if diag.dt_max is None else max(diag.dt_max, dt_try)
-            if disp < 0.25 * disp_limit:
-                dt = min(dt * 1.5, dt_max)
+            state, dt = _rk4_advance(state, v, target, dt, diag)
+            v = forces(state, diag)
             # record times are products, so no rounding piles up along the run
             passed = 0
-            while state.t >= t0 + (n_records + passed) * record_interval - grid_tol:
+            while state.t >= t0 + (len(diag.t) + passed) * record_interval - grid_tol:
                 passed += 1
             if passed:
-                v = forces(state, diag)
                 _record(diag, state, v, passed)
-                n_records += passed
         if k < len(stops):
             diag.stop_states.append(state)
 
     if diag.t[-1] < state.t:
-        _record(diag, state, forces(state, diag))
+        _record(diag, state, v)
     return state, diag
 
 
