@@ -445,6 +445,7 @@ def _flag_type(convert, inside, domain):
 
 _POSITIVE = _flag_type(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _AT_LEAST_ONE = _flag_type(float, lambda x: 1.0 <= x < math.inf, "finite and >= 1")
+_COUNT = _flag_type(int, lambda n: n >= 1, ">= 1")
 
 
 def _ratio_list(text):
@@ -491,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "lambda":
             s.add_argument("--r-max", dest="r_max", type=_POSITIVE, default=None)
-            s.add_argument("--n-samples", dest="n_samples", type=int, default=400)
+            s.add_argument("--n-samples", dest="n_samples", type=_COUNT, default=400)
             s.add_argument("--out-csv", dest="out_csv", default=None)
             s.add_argument("--out-svg", dest="out_svg", default=None)
         if name == "stability":
@@ -518,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ratio", type=float, default=None)
     s.add_argument("--ratio-min", dest="ratio_min", type=float, default=0.5)
     s.add_argument("--ratio-max", dest="ratio_max", type=float, default=8.0)
-    s.add_argument("--n-points", dest="n_points", type=int, default=50)
+    s.add_argument("--n-points", dest="n_points", type=_COUNT, default=50)
     s.add_argument("--out-csv", dest="out_csv", default=None)
     s.add_argument("--out-svg", dest="out_svg", default=None)
     s.add_argument(
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("phase-diagram", help="sweep an (A, B) grid")
     s.add_argument("-M", type=_AT_LEAST_ONE, default=2.0)
-    s.add_argument("--grid", type=_flag_type(int, lambda n: n >= 1, ">= 1"), default=100)
+    s.add_argument("--grid", type=_COUNT, default=100)
     s.add_argument("--extent", type=_POSITIVE, default=5.0)
     s.add_argument("--m-max", dest="m_max", type=int, default=DEFAULT_M_MAX)
     s.add_argument("--out-csv", dest="out_csv", default=None)

@@ -406,8 +406,9 @@ _CHECKED_BASE = {
                  "--out", "sim"],
     "phase-diagram": ["phase-diagram", "--grid", "4", "--m-max", "4", "--out-csv", "pd.csv", "--out-svg", "pd.svg"],
 }
-_CHECKED_COMMAND = {"--r-max": "lambda", "--t-end": "simulate", "--snapshot-every": "simulate",
-                    "-M": "phase-diagram", "--extent": "phase-diagram", "--grid": "phase-diagram"}
+_CHECKED_COMMAND = {"--r-max": "lambda", "--n-samples": "lambda", "--t-end": "simulate",
+                    "--snapshot-every": "simulate", "-M": "phase-diagram", "--extent": "phase-diagram",
+                    "--grid": "phase-diagram"}
 
 
 @pytest.mark.parametrize(
@@ -426,6 +427,10 @@ _CHECKED_COMMAND = {"--r-max": "lambda", "--t-end": "simulate", "--snapshot-ever
         ("--overlay-ratios", "6,x"),
         ("--r-max", "0"),
         ("--r-max", "inf"),
+        ("--n-samples", "0"),
+        ("--n-samples", "-1"),
+        ("--n-points", "0"),
+        ("--n-points", "-1"),
         ("--t-end", "0"),
         ("--t-end", "nan"),
         ("--snapshot-every", "0"),

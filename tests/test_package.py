@@ -205,3 +205,21 @@ def test_pair_passes_read_their_constants_from_the_kernel_plan():
     # the builder is where they went
     calls = {ast.unparse(node.func) for node in ast.walk(functions["_build_plan"]) if isinstance(node, ast.Call)}
     assert {"np.repeat", "_row_blocks"} <= calls
+
+
+def test_run_drives_one_rk4_step_function():
+    # run owns the stops, the record grid and the velocity evaluations, _rk4_advance the step-size
+    # controller: only the stepper takes RK4 steps, and only the driver evaluates velocities and
+    # records; both call step and forces by their module names, which tests and the benchmark's
+    # tracer replace on the module
+    tree = ast.parse((Path(swarm_eq.__file__).parent / "particles.py").read_text())
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    calls = {
+        name: [ast.unparse(node.func) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)]
+        for name in ("run", "_rk4_advance")
+    }
+    assert "step" not in calls["run"] and "_rk4_advance" in calls["run"]
+    assert not {"forces", "_record", "particle_energy"} & set(calls["_rk4_advance"])
+    assert "step" in calls["_rk4_advance"]
+    # the initial state's velocities, and each accepted state's
+    assert calls["run"].count("forces") == 2

@@ -11,6 +11,7 @@ from swarm_eq import particles
 from swarm_eq.equilibria import EquilibriumKind, build_equilibrium
 from swarm_eq.errors import (
     EquilibriumMissing,
+    InvariantViolated,
     OutOfRange,
     ParticleCollision,
     StepUnderflow,
@@ -674,6 +675,22 @@ def test_run_reports_the_centre_of_mass_drift():
     R = math.sqrt(p.a_s / p.b_s)
     assert diag.max_com_drift == np.max(np.hypot(*(com - com[0]).T)) / R
     assert diag.max_com_drift <= 1e-10
+
+
+def test_energy_rise_is_reported_on_the_guards_scale():
+    # one normalization of the energy rise, |E0| + a_s (M1 + M2)^2 = 1 + 9: a rise of 5e-6
+    # is 5e-6 of |E0| but 5e-7 of the guard's scale, so it passes MAX_ENERGY_RISE = 1e-6 and
+    # is reported as 5e-7; a rise of 2e-5 is 2e-6 of the guard's scale and trips it
+    p = params_from_phase(3.0, 3.5, 2.0)
+    st = init_random_disk(p, 20, 10, 1.0, seed=1)
+    energy, v = particle_energy(st), forces(st)
+    diag = particles.RunDiagnostics(energy=[-1.0, energy - 5e-6], com_total=[st.com()] * 2)
+    particles._record(diag, st, v)
+    assert diag.max_energy_rise == pytest.approx(5e-7, rel=1e-6)
+    diag = particles.RunDiagnostics(energy=[-1.0, energy - 2e-5], com_total=[st.com()] * 2)
+    with pytest.raises(InvariantViolated, match="energy rose"):
+        particles._record(diag, st, v)
+    assert diag.max_energy_rise == pytest.approx(2e-6, rel=1e-6)
 
 
 def _jacobian_rate(state, h=1e-7):
