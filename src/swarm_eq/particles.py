@@ -473,11 +473,12 @@ def _rk4_advance(state: ParticleState, v, target: float, dt: float, diag: RunDia
     """
     disp_limit = DISPLACEMENT_FACTOR * math.sqrt(state.params.a_s / state.params.b_s)
     while True:
+        # a step that would stop within rounding of the target is stretched to land
+        # on it, and that step sets t to the target itself
         last = dt >= target - state.t - 1e-12 * max(1.0, target)
         dt_try = target - state.t if last else dt
         new_state = step(state, dt_try, k1=v, diag=diag)
         if last:
-            # the step that lands on the target sets t to the target itself
             new_state = replace(new_state, t=target)
         disp = float(np.max(np.hypot(*(new_state.X - state.X).T)))
         stiffness = diag.step_stiffness
