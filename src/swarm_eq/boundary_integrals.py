@@ -15,8 +15,13 @@ contour integrals) or at the probe's angle (repulsion) where the integrand
 has a log singularity or a sharp peak.  The contour and repulsion oracles
 ask the rule for ``quadrature.ORACLE_TOL`` absolute or 1e-11 relative.
 
-Geometric results are returned as (x, y) vectors; the circle-harmonic
-contour integrals, which are genuinely complex-valued, return complex.
+The first-order repulsion and attraction closed forms are written once, on
+Python complex scalars (x = x_1 + i x_2), in ``_repulsion`` and
+``_attraction``.  ``repulsion_integral`` and ``attraction_integral`` wrap
+them and return geometric results as (x, y) vectors;
+``linear_stability.build_Q_from_integrals`` calls the complex core directly.
+The circle-harmonic contour integrals, which are genuinely complex-valued,
+return complex.
 """
 
 from __future__ import annotations
@@ -77,17 +82,36 @@ def _as_vec(z: complex) -> np.ndarray:
     return np.array([z.real, z.imag])
 
 
+def _attraction(x: complex, disk: PerturbedDisk) -> complex:
+    """``attraction_integral`` at the point x = x_1 + i x_2, as a complex number."""
+    out = math.pi * disk.R**2 * x
+    if disk.m == 1:
+        out -= math.pi * disk.R**3 * disk.eps_N
+    return out
+
+
+def _repulsion(probe: PerturbedDisk, domain: PerturbedDisk, phase: complex, cos_m: float, sin_m: float) -> complex:
+    """``repulsion_integral`` as a complex number, given e^{i theta0}, cos(m theta0) and sin(m theta0)."""
+    rj, rl = probe.R, domain.R
+    ejn, ejt = probe.eps_N, probe.eps_T
+    eln = domain.eps_N
+    if abs(rl - rj) <= ALPHA_GUARD * max(rl, rj):
+        return math.pi * rj * phase * (1.0 + (ejn + ejt) * 1j * sin_m)
+    # domain inside the probe's circle: beta = rl/rj, power m + 1 and the normal term negated
+    inside = rl < rj
+    beta, power, sign = (rl / rj, probe.m + 1, -1.0) if inside else (rj / rl, probe.m - 1, 1.0)
+    normal = sign * (beta * ejn - beta**power * eln) * cos_m
+    return math.pi * rl * phase * (beta + normal + (beta * ejt + beta**power * eln) * 1j * sin_m)
+
+
 def attraction_integral(x, disk: PerturbedDisk) -> np.ndarray:
-    """First-order integral of (x - y) over the perturbed disk.
+    """First-order integral of (x - y) over the perturbed disk, at the point x = (x_1, x_2).
 
     The area perturbation is second order, so the result is x*pi*R^2 except
     for the mode-1 first-moment shift.
     """
-    x = np.asarray(x, dtype=float)
-    out = math.pi * disk.R**2 * x
-    if disk.m == 1:
-        out = out - np.array([math.pi * disk.R**3 * disk.eps_N, 0.0])
-    return out
+    x1, x2 = np.asarray(x, dtype=float).tolist()
+    return _as_vec(_attraction(complex(x1, x2), disk))
 
 
 def repulsion_integral(probe: PerturbedDisk, theta0: float, domain: PerturbedDisk) -> np.ndarray:
@@ -101,22 +125,7 @@ def repulsion_integral(probe: PerturbedDisk, theta0: float, domain: PerturbedDis
     if probe.m != domain.m:
         raise ValueError("probe and domain must use the same Fourier mode")
     m = probe.m
-    rj, rl = probe.R, domain.R
-    ejn, ejt = probe.eps_N, probe.eps_T
-    eln = domain.eps_N
-    phase = cmath.exp(1j * theta0)
-    cos_m = math.cos(m * theta0)
-    sin_m = math.sin(m * theta0)
-
-    if abs(rl - rj) <= ALPHA_GUARD * max(rl, rj):
-        val = math.pi * rj * phase * (1.0 + (ejn + ejt) * 1j * sin_m)
-        return _as_vec(val)
-    # domain inside the probe's circle: beta = rl/rj, power m + 1 and the normal term negated
-    inside = rl < rj
-    beta, power, sign = (rl / rj, m + 1, -1.0) if inside else (rj / rl, m - 1, 1.0)
-    normal = sign * (beta * ejn - beta**power * eln) * cos_m
-    val = math.pi * rl * phase * (beta + normal + (beta * ejt + beta**power * eln) * 1j * sin_m)
-    return _as_vec(val)
+    return _as_vec(_repulsion(probe, domain, cmath.exp(1j * theta0), math.cos(m * theta0), math.sin(m * theta0)))
 
 
 def log_contour_integral(alpha: float, mu: int, theta0: float) -> complex:

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .equilibria import EquilibriumKind, build_equilibrium
 from .errors import SwarmEqError
-from .linear_stability import DEFAULT_M_MAX, stability_report
+from .linear_stability import DEFAULT_M_MAX, checked_m_max, stability_report
 from .model import (
     BOUNDARY,
     InteractionParams,
@@ -330,9 +330,11 @@ def cmd_weakcross(ns, stages):
                 ratio, ns.overlay_M, ns.overlay_eta, ns.overlay_N, ns.overlay_t_end,
                 seed=ns.seed + k,
             )
-            # the last record is the final state's
-            overlay_rows.append((ratio, ns.overlay_M, diag.d_over_R[-1]))
-            overlay_runs.append(_run_counters(diag))
+            # the last record is the final state's; the offset is relative to the leading-order d/R
+            d_sim, d_theory = diag.d_over_R[-1], d_of_ab_ratio(ratio).d_over_R
+            overlay_rows.append((ratio, ns.overlay_M, d_sim))
+            offset = (d_sim - d_theory) / d_theory if d_theory > 0.0 else None
+            overlay_runs.append({**_run_counters(diag), "d_theory": d_theory, "d_offset": offset})
         stages.done("overlay")
     writes = []
     if ns.out_csv:
@@ -446,6 +448,9 @@ def _flag_type(convert, inside, domain):
 _POSITIVE = _flag_type(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _AT_LEAST_ONE = _flag_type(float, lambda x: 1.0 <= x < math.inf, "finite and >= 1")
 _COUNT = _flag_type(int, lambda n: n >= 1, ">= 1")
+_SEED = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
+# the rule of reports and sweeps: checked_m_max raises ValueError below 2 and returns the value otherwise
+_M_MAX = _flag_type(int, checked_m_max, "an integer >= 2")
 
 
 def _ratio_list(text):
@@ -496,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--out-csv", dest="out_csv", default=None)
             s.add_argument("--out-svg", dest="out_svg", default=None)
         if name == "stability":
-            s.add_argument("--m-max", dest="m_max", type=int, default=DEFAULT_M_MAX)
+            s.add_argument("--m-max", dest="m_max", type=_M_MAX, default=DEFAULT_M_MAX)
             s.add_argument("--out-csv", dest="out_csv", default=None)
         s.set_defaults(func=fn)
 
@@ -506,12 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=[k.value for k in EquilibriumKind], default="target-light")
     s.add_argument("--N1", type=int, default=100)
     s.add_argument("--N2", type=int, default=100)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--radius", type=float, default=1.0)
     s.add_argument("--t-end", dest="t_end", type=_POSITIVE, default=50.0)
     s.add_argument("--snapshot-every", dest="snapshot_every", type=_flag_type(float, lambda x: x > 0.0, "> 0"),
                    default=10.0)
-    s.add_argument("--record-interval", dest="record_interval", type=float, default=None)
+    s.add_argument("--record-interval", dest="record_interval", type=_POSITIVE, default=None)
     s.add_argument("--out", default="run")
     s.set_defaults(func=cmd_simulate)
 
@@ -535,14 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=0.05)
     s.add_argument("--overlay-N", dest="overlay_N", type=int, default=200)
     s.add_argument("--overlay-t-end", dest="overlay_t_end", type=_POSITIVE, default=3000.0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.set_defaults(func=cmd_weakcross)
 
     s = sub.add_parser("phase-diagram", help="sweep an (A, B) grid")
     s.add_argument("-M", type=_AT_LEAST_ONE, default=2.0)
     s.add_argument("--grid", type=_COUNT, default=100)
     s.add_argument("--extent", type=_POSITIVE, default=5.0)
-    s.add_argument("--m-max", dest="m_max", type=int, default=DEFAULT_M_MAX)
+    s.add_argument("--m-max", dest="m_max", type=_M_MAX, default=DEFAULT_M_MAX)
     s.add_argument("--out-csv", dest="out_csv", default=None)
     s.add_argument("--out-svg", dest="out_svg", default=None)
     s.set_defaults(func=cmd_phase_diagram)

@@ -7,8 +7,10 @@ the zero-velocity conditions; densities are the admissible piecewise-constant
 values.  Existence is decided directly from density positivity and the radius
 ordering, which reproduces the phase-plane region unions exactly.
 
-``lambda_coeffs`` holds the only copy of the uniform-disk potential terms of
-the profiles Lambda_i; ``velocity_residual`` reads v_i = -Lambda_i'(r) from it.
+``_disk_coeffs`` holds the only copy of the uniform-disk potential terms of
+the profiles Lambda_i, and ``_disk_terms`` the only walk over the shells'
+disks: ``lambda_coeffs`` and ``variational.lambda_profile`` sum its terms,
+and ``velocity_residual`` reads v_i = -Lambda_i'(r) from ``lambda_coeffs``.
 """
 
 from __future__ import annotations
@@ -210,20 +212,40 @@ def _kernel_pairs(p: InteractionParams, species: int):
     return (p.ac_eff, p.bc_eff), (p.a_s, p.b_s)
 
 
-def _disk_coeffs(weight, a, b, R, inside):
-    """(c0, c2, cl) contribution of one uniform disk to Lambda at weight*density."""
-    if R == 0.0 or weight == 0.0:
-        return (0.0, 0.0, 0.0)
+def _disk_coeffs(weight, a, b, R):
+    """(c0, c2, cl) contributions of one uniform disk to Lambda at weight*density, inside (r < R) and outside."""
     piR2 = math.pi * R * R
     c0 = weight * b * piR2 * R * R / 4.0
     c2 = weight * b * piR2 / 2.0
-    if inside:
-        c0 += weight * (-a) * (piR2 * math.log(R) - piR2 / 2.0)
-        c2 += weight * (-a) * math.pi / 2.0
-        cl = 0.0
-    else:
-        cl = weight * (-a) * piR2
-    return (c0, c2, cl)
+    inside = (c0 + weight * (-a) * (piR2 * math.log(R) - piR2 / 2.0), c2 + weight * (-a) * math.pi / 2.0, 0.0)
+    return inside, (c0, c2, weight * (-a) * piR2)
+
+
+def _disk_terms(cfg: EquilibriumConfig, species: int) -> list:
+    """The uniform disks whose differences make up the shells, for Lambda_species, in summation order.
+
+    Each is (R, inside, outside) with the disk's (c0, c2, cl) for r < R and
+    for r >= R; disks of zero radius or density contribute nothing and are left out.
+    """
+    k1, k2 = _kernel_pairs(cfg.params, species)
+    terms = []
+    for s in cfg.shells:
+        for R, sign in ((s.r_out, 1.0), (s.r_in, -1.0)):
+            for rho, (a, b) in ((s.rho1, k1), (s.rho2, k2)):
+                if R != 0.0 and rho != 0.0:
+                    terms.append((R, *_disk_coeffs(sign * rho, a, b, R)))
+    return terms
+
+
+def _summed_coeffs(terms, r: float) -> tuple[float, float, float]:
+    """(c0, c2, cl) at radius r: the sum of ``_disk_terms``' inside or outside triples, in their order."""
+    c0 = c2 = cl = 0.0
+    for R, inside, outside in terms:
+        d0, d2, dl = inside if r < R else outside
+        c0 += d0
+        c2 += d2
+        cl += dl
+    return c0, c2, cl
 
 
 def lambda_coeffs(cfg: EquilibriumConfig, species: int, r: float) -> tuple[float, float, float]:
@@ -231,16 +253,7 @@ def lambda_coeffs(cfg: EquilibriumConfig, species: int, r: float) -> tuple[float
 
     Each shell is a difference of uniform disks, taken in their inside form where r < R.
     """
-    k1, k2 = _kernel_pairs(cfg.params, species)
-    c0 = c2 = cl = 0.0
-    for s in cfg.shells:
-        for R, sign in ((s.r_out, 1.0), (s.r_in, -1.0)):
-            for rho, (a, b) in ((s.rho1, k1), (s.rho2, k2)):
-                d0, d2, dl = _disk_coeffs(sign * rho, a, b, R, r < R)
-                c0 += d0
-                c2 += d2
-                cl += dl
-    return c0, c2, cl
+    return _summed_coeffs(_disk_terms(cfg, species), r)
 
 
 def velocity_residual(cfg: EquilibriumConfig, sample_radii) -> list[float]:

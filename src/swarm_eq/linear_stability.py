@@ -8,16 +8,24 @@ nontrivial ones are the roots of a quadratic (m = 1) or cubic (m >= 2) whose
 closed forms are implemented alongside the matrix and cross-checked against
 the eigensolver on every evaluation.  Each is written for the light-inside
 target; the heavy-inside one reads it at the masses ``EquilibriumKind.masses`` gives.
+
+``mode_spectrum`` builds the stack of all requested modes, runs one
+eigensolve and classifies every mode in one pass over arrays;
+``stability_report`` reads its verdicts and growth rates from that pass.
+``build_Q_from_integrals`` reassembles a matrix independently, from the
+complex boundary-integral core in ``boundary_integrals`` (``_repulsion``,
+``_attraction``), with each perturbed boundary point evaluated once.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_integrals import EPS_MAX, PerturbedDisk, attraction_integral, repulsion_integral
+from .boundary_integrals import EPS_MAX, PerturbedDisk, _attraction, _repulsion
 from .equilibria import EquilibriumKind, _kernel_pairs, build_equilibrium, existence_region_mask
 from .errors import EquilibriumMissing, SpectrumMismatch
 from .model import (
@@ -59,6 +67,8 @@ class ModeSpectrum:
     verdict: str
     #: coefficient cross-check residual as a fraction of CROSSCHECK_RTOL (above 1 raises)
     crosscheck_margin: float
+    #: largest real part of the nontrivial eigenvalues
+    growth: float
 
 
 @dataclass(frozen=True)
@@ -90,21 +100,22 @@ def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
     pi = math.pi
     modes = m.tolist()
 
-    def pw(ratio, shift):
-        # float ** int per mode: numpy's array ** can differ from it in the last bit
-        return np.array([ratio ** (k + shift) for k in modes])
-
+    # six power lists, float ** int per mode: numpy's array ** can differ from it in the last bit
+    ratios = (r1 / r0, r2 / r0, r2 / r1)
+    up10, up20, up21, down10, down20, down21 = np.array(
+        [x ** (k + shift) for shift in (2, -2) for x in ratios for k in modes]
+    ).reshape(6, len(modes))
     s1 = a_s * pi * rho1
     s2 = a_s * pi * rho2
     c1 = a_c * pi * rho1
     c2 = a_c * pi * rho2
     Q = np.zeros((len(modes), 6, 6))
-    Q[:, 0, 0], Q[:, 0, 2], Q[:, 0, 4] = -s1, -s1 * pw(r1 / r0, 2), c2 * pw(r2 / r0, 2)
-    Q[:, 1, 0], Q[:, 1, 2], Q[:, 1, 4] = s1, -s1 * pw(r1 / r0, 2), c2 * pw(r2 / r0, 2)
-    Q[:, 2, 0], Q[:, 2, 2], Q[:, 2, 4] = -s1 * pw(r1 / r0, -2), -s1, c2 * pw(r2 / r1, 2)
-    Q[:, 3, 0], Q[:, 3, 2], Q[:, 3, 4] = s1 * pw(r1 / r0, -2), -s1, c2 * pw(r2 / r1, 2)
-    Q[:, 4, 0], Q[:, 4, 2], Q[:, 4, 4] = -c1 * pw(r2 / r0, -2), c1 * pw(r2 / r1, -2), -s2
-    Q[:, 5, 0], Q[:, 5, 2], Q[:, 5, 4] = c1 * pw(r2 / r0, -2), -c1 * pw(r2 / r1, -2), s2
+    Q[:, 0, 0], Q[:, 0, 2], Q[:, 0, 4] = -s1, -s1 * up10, c2 * up20
+    Q[:, 1, 0], Q[:, 1, 2], Q[:, 1, 4] = s1, -s1 * up10, c2 * up20
+    Q[:, 2, 0], Q[:, 2, 2], Q[:, 2, 4] = -s1 * down10, -s1, c2 * up21
+    Q[:, 3, 0], Q[:, 3, 2], Q[:, 3, 4] = s1 * down10, -s1, c2 * up21
+    Q[:, 4, 0], Q[:, 4, 2], Q[:, 4, 4] = -c1 * down20, c1 * down21, -s2
+    Q[:, 5, 0], Q[:, 5, 2], Q[:, 5, 4] = c1 * down20, -c1 * down21, s2
     if 1 in modes:
         # mode 1 also moves each perturbed disk's first moment by pi R_l^3 eps_N (see
         # ``attraction_integral``): +b rho pi R_l^3 / R_j on boundary j's normal row, minus on its
@@ -267,7 +278,8 @@ def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m):
     coeffs = np.zeros((len(modes), 3))
     if np.any(one):
         coeffs[one, :2] = reduced_coefficients(kind, q.A, q.B, q.M, 1)
-    coeffs[~one] = np.column_stack(np.broadcast_arrays(*reduced_coefficients(kind, q.A, q.B, q.M, modes[~one])))
+    rest = ~one
+    coeffs[rest, 0], coeffs[rest, 1], coeffs[rest, 2] = reduced_coefficients(kind, q.A, q.B, q.M, modes[rest])
     r0, r1, r2 = (np.where(nontrivial, ranked, 0.0)[:, :3] / rate_unit(kind, p, modes)[:, None]).T
     vieta = np.column_stack([-(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -(r0 * r1 * r2)])
     residual = np.max(np.abs(vieta - coeffs), axis=1) / (1.0 + np.sum(np.abs(coeffs), axis=1))
@@ -283,9 +295,13 @@ def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m):
     stable = np.all((ranked.real < -band[:, None]) | ~nontrivial, axis=1)
     unstable = np.any((ranked.real > band[:, None]) & nontrivial, axis=1)
     verdicts = np.where(stable, "stable", np.where(unstable, "unstable", "marginal"))
+    growth = np.max(np.where(nontrivial, ranked.real, -np.inf), axis=1)
     spectra = tuple(
-        ModeSpectrum(kind, int(mode), Qk, eig, rank[:n], str(verdict), float(res / CROSSCHECK_RTOL))
-        for mode, Qk, eig, rank, n, verdict, res in zip(modes, stack, eigs, ranked, n_nontrivial, verdicts, residual)
+        ModeSpectrum(kind, mode, Qk, eig, rank[:n], verdict, margin, rate)
+        for mode, Qk, eig, rank, n, verdict, margin, rate in zip(
+            modes.tolist(), stack, eigs, ranked, n_nontrivial.tolist(), verdicts.tolist(),
+            (residual / CROSSCHECK_RTOL).tolist(), growth.tolist(),
+        )
     )
     return spectra if np.ndim(m) else spectra[0]
 
@@ -365,7 +381,7 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
         )
     verdicts = {s.verdict for s in modes}
     overall = "unstable" if "unstable" in verdicts else "stable" if verdicts == {"stable"} else "marginal"
-    growth = [max(s.nontrivial.real) if s.verdict == "unstable" else -math.inf for s in modes]
+    growth = [s.growth if s.verdict == "unstable" else -math.inf for s in modes]
     dominant = int(np.argmax(growth)) + 1 if overall == "unstable" else None
 
     if overall != "marginal":
@@ -403,39 +419,40 @@ def build_Q_from_integrals(
     s_ann, s_core = 3 - kind.core_species, kind.core_species
     species = (s_ann, s_ann, s_core)
     rho_ann, rho_core = cfg.shells[1].density(s_ann), cfg.shells[0].density(s_core)
+    # (a, b) acting on the annulus species, then on the core species, for each boundary's species
+    kernels = [(pairs[s_ann - 1], pairs[s_core - 1]) for pairs in (_kernel_pairs(p, s) for s in species)]
+    phase, cos_m, sin_m = cmath.exp(1j * theta0), math.cos(m * theta0), math.sin(m * theta0)
+    # per boundary: the disk at rest, then with its normal, then its tangential amplitude at EPS_MAX,
+    # each with its boundary point at theta0
+    disks = [
+        [PerturbedDisk(R, m), PerturbedDisk(R, m, EPS_MAX, 0.0), PerturbedDisk(R, m, 0.0, EPS_MAX)] for R in radii
+    ]
+    points = [[complex(d.boundary_point(theta0)) for d in row] for row in disks]
+    unit = [R * complex(math.cos(theta0), math.sin(theta0)) for R in radii]
 
-    def velocity(j, disks):
-        x = np.array(
-            [disks[j].boundary_point(theta0).real, disks[j].boundary_point(theta0).imag]
-        )
-        kernels = _kernel_pairs(p, species[j])  # (a, b) acting on species 1, then on species 2
-        a, b = kernels[s_ann - 1]
-        v = rho_ann * (
-            a * (repulsion_integral(disks[j], theta0, disks[0]) - repulsion_integral(disks[j], theta0, disks[1]))
-            - b * (attraction_integral(x, disks[0]) - attraction_integral(x, disks[1]))
-        )
-        a, b = kernels[s_core - 1]
-        v = v + rho_core * (
-            a * repulsion_integral(disks[j], theta0, disks[2]) - b * attraction_integral(x, disks[2])
-        )
-        return v[0] + 1j * v[1]
-
-    def responses(eps):
-        """(eps_N', eps_T') for each boundary j at perturbation state eps (3x2)."""
-        disks = tuple(
-            PerturbedDisk(R=radii[l], m=m, eps_N=eps[l][0], eps_T=eps[l][1]) for l in range(3)
-        )
+    def responses(col):
+        """(eps_N', eps_T') for each boundary with amplitude ``col`` at EPS_MAX, or none when col is None."""
+        pick = [0, 0, 0]
+        if col is not None:
+            pick[col // 2] = col % 2 + 1
+        ds = [disks[l][k] for l, k in enumerate(pick)]
         out = []
-        cos_m, sin_m = math.cos(m * theta0), math.sin(m * theta0)
         for j in range(3):
-            w = velocity(j, disks) / (radii[j] * complex(math.cos(theta0), math.sin(theta0)))
+            x, probe = points[j][pick[j]], ds[j]
+            (a_ann, b_ann), (a_core, b_core) = kernels[j]
+            v = rho_ann * (
+                a_ann * (_repulsion(probe, ds[0], phase, cos_m, sin_m) - _repulsion(probe, ds[1], phase, cos_m, sin_m))
+                - b_ann * (_attraction(x, ds[0]) - _attraction(x, ds[1]))
+            )
+            v = v + rho_core * (
+                a_core * _repulsion(probe, ds[2], phase, cos_m, sin_m) - b_core * _attraction(x, ds[2])
+            )
+            w = v / unit[j]
             out.extend([w.real / cos_m, w.imag / sin_m])
         return np.array(out)
 
-    base = responses(((0.0, 0.0),) * 3)
+    base = responses(None)
     Q = np.zeros((6, 6))
     for col in range(6):
-        eps = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        eps[col // 2][col % 2] = EPS_MAX
-        Q[:, col] = (responses(tuple(tuple(e) for e in eps)) - base) / EPS_MAX
+        Q[:, col] = (responses(col) - base) / EPS_MAX
     return Q

@@ -6,8 +6,8 @@ interval between equilibrium radii, of the form
     Lambda(r) = c0 + c2 * r^2 + cl * ln r,
 
 assembled from per-disk contributions (each shell is a difference of disks)
-by ``equilibria.lambda_coeffs``.  That representation makes plateaus,
-monotonicity changes, and minima exact.
+that ``equilibria._disk_terms`` computes once per profile.  That
+representation makes plateaus, monotonicity changes, and minima exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibria import EquilibriumConfig, _kernel_pairs, lambda_coeffs
+from .equilibria import EquilibriumConfig, _disk_terms, _kernel_pairs, _summed_coeffs
 from .errors import (
     ConstraintViolated,
     DegenerateMassRatio,
@@ -133,19 +133,21 @@ def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
     radii = _breakpoint_radii(cfg)
     bounds = [0.0] + radii + [math.inf]
     support = cfg.support_intervals(species)
+    terms = _disk_terms(cfg, species)
 
     pieces = []
+    finite = True
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         rep = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo
-        c0, c2, cl = lambda_coeffs(cfg, species, rep)
+        c0, c2, cl = _summed_coeffs(terms, rep)
         on_support = any(s_lo <= rep <= s_hi for s_lo, s_hi in support)
         pieces.append(LambdaPiece(lo, hi, c0, c2, cl, on_support))
+        finite = finite and math.isfinite(c0) and math.isfinite(c2) and math.isfinite(cl)
 
     support_pieces = [q for q in pieces if q.on_support]
     if not support_pieces:
         raise UnsupportedKind(f"species {species} has empty support")
     ref = support_pieces[0]
-    finite = all(math.isfinite(c) for q in pieces for c in (q.c0, q.c2, q.cl))
     plateau = ref.value(0.5 * (ref.r_lo + ref.r_hi)) if finite else math.nan
     if not math.isfinite(plateau):
         raise NonFiniteResult(f"the Lambda profile of species {species} is not finite at {cfg.params}")
@@ -268,7 +270,7 @@ def _scan_species(cfg, species, tol):
             if not math.isfinite(piece.r_hi) and piece.c2 > 0.0:
                 exterior_min = piece.value(r_star)
         vals = [piece.value(r) if r > 0.0 else piece.c0 for r in candidates]
-        idx = int(np.argmin(vals))
+        idx = vals.index(min(vals))
         if vals[idx] < worst_val:
             worst_val = vals[idx]
             worst_r = candidates[idx]

@@ -201,7 +201,7 @@ def cross_condition_residual(d_over_R: float, ratio_AB: float) -> float:
     gamma = math.acos(min(1.0, 0.5 * d))
 
     def minus_potential_cos(theta, inside):
-        c0, c2, cl = _disk_coeffs(1.0, a_c, 1.0, 1.0, inside)
+        c0, c2, cl = _disk_coeffs(1.0, a_c, 1.0, 1.0)[0 if inside else 1]
         rho_sq = (1.0 - d) ** 2 + 4.0 * d * np.sin(0.5 * theta) ** 2
         potential = c0 + c2 * rho_sq + (0.0 if inside else 0.5 * cl * np.log(rho_sq))
         return -potential * np.cos(theta)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from swarm_eq.boundary_integrals import (
+    ALPHA_GUARD,
     PerturbedDisk,
+    _attraction,
+    _repulsion,
     attraction_integral,
     log_contour_integral,
     oracle_attraction,
@@ -250,6 +253,31 @@ def test_same_circle_quadrature_example():
     closed = repulsion_integral(disk, math.pi / 4, disk)
     oracle = oracle_repulsion(disk, math.pi / 4, disk)
     assert float(np.max(np.abs(closed - oracle))) < 5.0 * eps**2 * math.pi
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("r_domain", [0.6, 1.3, 1.3 * (1.0 + 0.5 * ALPHA_GUARD), 2.1])
+def test_the_complex_repulsion_core_is_the_vector_api(m, r_domain):
+    # every branch: domain inside the probe's circle, the same circle (exactly and within the guard), outside it
+    probe = PerturbedDisk(1.3, m, 0.02, -0.015)
+    domain = PerturbedDisk(r_domain, m, 0.03, 0.01)
+    for t0 in (0.0, 0.37, 2.9):
+        z = _repulsion(probe, domain, cmath.exp(1j * t0), math.cos(m * t0), math.sin(m * t0))
+        assert [z.real, z.imag] == repulsion_integral(probe, t0, domain).tolist()
+    # the same-circle branch reads the probe's amplitudes only; the others read the domain's normal one
+    other = PerturbedDisk(r_domain, m, -0.04, 0.02)
+    same_circle = abs(r_domain - 1.3) <= ALPHA_GUARD * 1.3
+    assert (_repulsion(probe, other, 1j, 0.5, 0.5) == _repulsion(probe, domain, 1j, 0.5, 0.5)) == same_circle
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_the_complex_attraction_core_is_the_vector_api(m):
+    disk = PerturbedDisk(1.2, m, 0.03, -0.02)
+    for x in ([1.4, 0.6], [-0.3, 2.2], [0.0, 0.0]):
+        z = _attraction(complex(*x), disk)
+        assert [z.real, z.imag] == attraction_integral(np.array(x), disk).tolist()
+    # the first-moment shift belongs to mode 1 alone
+    assert _attraction(0j, disk) == (-math.pi * 1.2**3 * 0.03 if m == 1 else 0.0)
 
 
 def test_perturbed_disk_validation():

@@ -20,6 +20,7 @@ from swarm_eq.model import curve_c1, curve_c2, region_code_grid
 from swarm_eq.output import SvgPlot, fmt_value, write_csv
 from swarm_eq.particles import ParticleState, init_random_disk, run
 from swarm_eq.sweeps import cell_centered_axis, target_verdict_grid
+from swarm_eq.weak_cross import d_of_ab_ratio
 
 
 def run_cli(capsys, *argv):
@@ -405,10 +406,14 @@ _CHECKED_BASE = {
     "simulate": ["simulate", "-A", "3", "-B", "3.5", "-M", "2", "--N1", "12", "--N2", "12", "--t-end", "0.2",
                  "--out", "sim"],
     "phase-diagram": ["phase-diagram", "--grid", "4", "--m-max", "4", "--out-csv", "pd.csv", "--out-svg", "pd.svg"],
+    "stability": ["stability", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--m-max", "4",
+                  "--out-csv", "st.csv"],
 }
-_CHECKED_COMMAND = {"--r-max": "lambda", "--n-samples": "lambda", "--t-end": "simulate",
-                    "--snapshot-every": "simulate", "-M": "phase-diagram", "--extent": "phase-diagram",
-                    "--grid": "phase-diagram"}
+#: The commands each checked flag is tried on; weakcross when a flag is not listed.
+_CHECKED_COMMAND = {"--r-max": ("lambda",), "--n-samples": ("lambda",), "--t-end": ("simulate",),
+                    "--snapshot-every": ("simulate",), "-M": ("phase-diagram",), "--extent": ("phase-diagram",),
+                    "--grid": ("phase-diagram",), "--record-interval": ("simulate",),
+                    "--seed": ("simulate", "weakcross"), "--m-max": ("stability", "phase-diagram")}
 
 
 @pytest.mark.parametrize(
@@ -441,16 +446,23 @@ _CHECKED_COMMAND = {"--r-max": "lambda", "--n-samples": "lambda", "--t-end": "si
         ("--extent", "inf"),
         ("--grid", "0"),
         ("--grid", "1.5"),
+        ("--record-interval", "0"),
+        ("--record-interval", "nan"),
+        ("--seed", "-1"),
+        ("--seed", "1.5"),
+        ("--m-max", "1"),
+        ("--m-max", "2.5"),
     ],
 )
 def test_weakcross_overlay_flags_are_checked_by_name(tmp_path, capsys, monkeypatch, flag, value):
     # every flag with a domain of its own, weakcross's overlay flags and those of the other commands
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, *_CHECKED_BASE[_CHECKED_COMMAND.get(flag, "weakcross")], flag, value)
-    assert code == 2 and out == ""
-    record = json.loads(err.strip().splitlines()[-1])
-    assert record["error"] == "ValueError" and flag in record["message"]
-    assert not list(tmp_path.iterdir())
+    for command in _CHECKED_COMMAND.get(flag, ("weakcross",)):
+        code, out, err = run_cli(capsys, *_CHECKED_BASE[command], flag, value)
+        assert code == 2 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError" and flag in record["message"]
+        assert not list(tmp_path.iterdir())
 
 
 def test_overlay_flags_are_checked_without_overlay_ratios(capsys):
@@ -750,9 +762,27 @@ def test_weakcross_overlay_reports_run_counters(tmp_path, capsys):
     # one record per overlay ratio, with simulate's counters
     assert len(runs) == 2
     for counters in runs:
-        assert sorted(counters) == sorted(cli._RUN_COUNTERS)
+        assert sorted(counters) == sorted((*cli._RUN_COUNTERS, "d_theory", "d_offset"))
         assert counters["force_evals"] == 4 * counters["accepted_steps"] + 3 * counters["rejected_steps"] + 1
         assert 0.0 <= counters["max_energy_rise"] <= 1e-6
+
+
+def test_weakcross_overlay_runs_report_the_offset_from_theory(tmp_path, capsys):
+    # stderr gains d_of_ab_ratio and the final d/R's relative offset from it; stdout and the CSV keep the run's d/R
+    ov = tmp_path / "ov.csv"
+    code, out, err = run_cli(
+        capsys, "weakcross", "--n-points", "3", "--overlay-ratios", "0.8,2.5",
+        "--overlay-t-end", "2", "--overlay-N", "24", "--overlay-csv", str(ov),
+    )
+    assert code == 0
+    runs = json.loads(err.strip().splitlines()[-1])["overlay_runs"]
+    rows = [line.split(",") for line in ov.read_text().splitlines()[1:]]
+    assert [float(row[2]) for row in rows] == [d for _, _, d in last_json(out)["overlay"]]
+    # at A/B <= 1 the leading order mixes the species fully: no relative offset
+    assert runs[0]["d_theory"] == 0.0 and runs[0]["d_offset"] is None
+    d_theory = d_of_ab_ratio(2.5).d_over_R
+    assert runs[1]["d_theory"] == d_theory > 0.0
+    assert runs[1]["d_offset"] == (float(rows[1][2]) - d_theory) / d_theory
 
 
 def _number(lo, hi):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import swarm_eq.linear_stability as linear_stability
 from conftest import draw_phase_in_regions, params_from_phase
+from swarm_eq.boundary_integrals import EPS_MAX, PerturbedDisk, attraction_integral, repulsion_integral
 from swarm_eq.equilibria import EquilibriumKind, build_equilibrium
 from swarm_eq.errors import EquilibriumMissing, SpectrumMismatch
 from swarm_eq.linear_stability import (
@@ -225,6 +226,54 @@ def test_q_reconstruction_from_integrals(rng):
             for theta0 in (0.233 / m, 0.61 / m, 1.07 / m):
                 Qa = build_Q_from_integrals(kind, p, m, theta0=theta0)
                 assert float(np.max(np.abs(Q - Qa))) < 1e-8 * scale
+
+
+def _q_from_vector_integrals(kind, p, m, theta0):
+    """Q assembled from the (x, y) vector integrals, evaluating a boundary point at every use."""
+    cfg = build_equilibrium(kind, p)
+    radii = cfg.radii[::-1]
+    s_ann, s_core = 3 - kind.core_species, kind.core_species
+    rho_ann, rho_core = cfg.shells[1].density(s_ann), cfg.shells[0].density(s_core)
+
+    def kernel(acted_on, source):
+        return (p.a_s, p.b_s) if acted_on == source else (p.ac_eff, p.bc_eff)
+
+    def responses(eps):
+        disks = [PerturbedDisk(radii[l], m, *eps[l]) for l in range(3)]
+        out = []
+        for j, species in enumerate((s_ann, s_ann, s_core)):
+            x = np.array([disks[j].boundary_point(theta0).real, disks[j].boundary_point(theta0).imag])
+            a, b = kernel(species, s_ann)
+            v = rho_ann * (
+                a * (repulsion_integral(disks[j], theta0, disks[0]) - repulsion_integral(disks[j], theta0, disks[1]))
+                - b * (attraction_integral(x, disks[0]) - attraction_integral(x, disks[1]))
+            )
+            a, b = kernel(species, s_core)
+            v = v + rho_core * (
+                a * repulsion_integral(disks[j], theta0, disks[2]) - b * attraction_integral(x, disks[2])
+            )
+            w = (v[0] + 1j * v[1]) / (radii[j] * complex(math.cos(theta0), math.sin(theta0)))
+            out += [w.real / math.cos(m * theta0), w.imag / math.sin(m * theta0)]
+        return np.array(out)
+
+    base = responses([(0.0, 0.0)] * 3)
+    Q = np.zeros((6, 6))
+    for col in range(6):
+        eps = [[0.0, 0.0] for _ in range(3)]
+        eps[col // 2][col % 2] = EPS_MAX
+        Q[:, col] = (responses(eps) - base) / EPS_MAX
+    return Q
+
+
+@pytest.mark.parametrize("kind, point", [(LIGHT, (3.0, 3.5)), (HEAVY, (3.0, 2.0))])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_q_from_integrals_is_the_vector_assembly(kind, point, m):
+    # the complex core, each boundary point evaluated once, against the assembly on (x, y) vectors
+    p = params_from_phase(*point)
+    for theta0 in (0.233 / m, 0.61 / m, 1.07 / m):
+        reference = _q_from_vector_integrals(kind, p, m, theta0)
+        Q = build_Q_from_integrals(kind, p, m, theta0=theta0)
+        assert float(np.max(np.abs(Q - reference))) <= 1e-14 * float(np.max(np.abs(reference)))
 
 
 def test_cubic_scale_units(rng):

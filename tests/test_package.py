@@ -223,3 +223,53 @@ def test_run_drives_one_rk4_step_function():
     assert "step" in calls["_rk4_advance"]
     # the initial state's velocities, and each accepted state's
     assert calls["run"].count("forces") == 2
+
+
+def _functions(path):
+    """(name, node) of each top-level function and each method of a top-level class in a module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _calls(node):
+    return [ast.unparse(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)]
+
+
+def test_each_closed_form_lives_in_one_place():
+    package = Path(swarm_eq.__file__).parent
+    functions = {
+        f"{path.stem}.{name}": fn for path in sorted(package.glob("*.py")) for name, fn in _functions(path)
+    }
+    # the first-order repulsion and attraction integrals are written once, on complex scalars, in
+    # boundary_integrals._repulsion and _attraction: the (x, y) vector API and build_Q_from_integrals
+    # call them, and no other function outside PerturbedDisk reads a perturbation amplitude
+    assert "_repulsion" in _calls(functions["boundary_integrals.repulsion_integral"])
+    assert "_attraction" in _calls(functions["boundary_integrals.attraction_integral"])
+    assembly = set(_calls(functions["linear_stability.build_Q_from_integrals"]))
+    assert {"_repulsion", "_attraction"} <= assembly
+    assert not {"repulsion_integral", "attraction_integral"} & assembly
+    cores = {"boundary_integrals._repulsion", "boundary_integrals._attraction"}
+    readers = {
+        name
+        for name, fn in functions.items()
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Attribute) and sub.attr in ("eps_N", "eps_T")
+    }
+    assert {name for name in readers if not name.startswith("boundary_integrals.PerturbedDisk.")} == cores
+    # the uniform-disk terms of the Lambda profiles are written once (equilibria._disk_coeffs) and the
+    # shells are walked for them once (_disk_terms): lambda_coeffs and lambda_profile sum the helper's
+    # terms, neither walks the shells itself, and a profile builds its terms once, not once per piece;
+    # the cross-force oracle reads one unit disk's potential from _disk_coeffs too
+    assert {name for name, fn in functions.items() if "_disk_coeffs" in _calls(fn)} == {
+        "equilibria._disk_terms", "weak_cross.cross_condition_residual"
+    }
+    profile = functions["variational.lambda_profile"]
+    for fn in (functions["equilibria.lambda_coeffs"], profile):
+        assert "_disk_terms" in _calls(fn)
+        assert not any(isinstance(sub, ast.Attribute) and sub.attr == "shells" for sub in ast.walk(fn))
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    in_loops = {call for sub in ast.walk(profile) if isinstance(sub, loops) for call in _calls(sub)}
+    assert "_disk_terms" not in in_loops and "lambda_coeffs" not in _calls(profile)
