@@ -131,15 +131,15 @@ class _Stages:
 def _write_all(writes):
     """Call ``write(path, *args)`` for each ``(write, path, *args)`` in turn: all of a command's files or none.
 
-    If one call raises OSError, the files already written are removed and the
-    error propagates (exit 2).
+    If one call raises OSError or MemoryError, the files already written are
+    removed and the error propagates (exit 2).
     """
     written = []
     try:
         for write, path, *args in writes:
             write(path, *args)
             written.append(path)
-    except OSError:
+    except (OSError, MemoryError):
         for path in written:
             Path(path).unlink(missing_ok=True)
         raise
@@ -606,8 +606,10 @@ def main(argv=None) -> int:
             _write_all(writes)
         sys.stdout.write(text)
         stages.done("write")
-    except (SwarmEqError, ArithmeticError, ValueError, OSError) as exc:
-        sys.stderr.write(json_canonical({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+    except (SwarmEqError, ArithmeticError, ValueError, OSError, MemoryError) as exc:
+        # a request too large for memory is a configuration error; numpy raises a private subclass
+        error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        sys.stderr.write(json_canonical({"error": error, "message": str(exc)}) + "\n")
         return 3 if isinstance(exc, (SwarmEqError, ArithmeticError)) else 2
     meta = {
         "config_hash": config_hash(config),

@@ -16,7 +16,7 @@ and ``velocity_residual`` reads v_i = -Lambda_i'(r) from ``lambda_coeffs``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -113,6 +113,10 @@ class EquilibriumConfig:
     exists: bool
     failed_check: str
     boundary_degenerate: bool = False
+    #: ``variational.lambda_profile``'s results by species, kept on this object: a config asked for its
+    #: profiles and then for its minimizer verdict builds each profile once.  Equal configs built
+    #: separately do not share it.
+    _lambda_profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def reason(self) -> str:

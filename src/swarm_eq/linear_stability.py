@@ -48,6 +48,9 @@ CROSSCHECK_RTOL = 1e-8
 
 DEFAULT_M_MAX = 32
 
+#: Verdict of a mode whose growth rate is above (1), inside (0) or below (-1) the marginal band.
+_VERDICTS = {1: "unstable", 0: "marginal", -1: "stable"}
+
 _NESTING_NOTE = (
     "stable-mode regions are nested from mode 2 on (mode n >= 2 stable implies every mode > n stable "
     "at the same point; each report checks it, and mode 1 is exempt), so modes beyond m_max cannot "
@@ -55,9 +58,13 @@ _NESTING_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ModeSpectrum:
-    """Spectrum of the mode-m boundary-perturbation matrix."""
+    """Spectrum of the mode-m boundary-perturbation matrix.
+
+    A plain slotted record, not a frozen one: a report builds one per mode,
+    and a frozen dataclass pays an ``object.__setattr__`` call per field.
+    """
 
     kind: EquilibriumKind
     m: int
@@ -132,7 +139,7 @@ def _target_kind(kind) -> EquilibriumKind:
     """``kind`` as an EquilibriumKind; raises EquilibriumMissing unless it is a target."""
     kind = EquilibriumKind(kind)
     if not kind.is_target:
-        raise EquilibriumMissing(f"boundary perturbation analysis covers targets only, not {kind}")
+        raise EquilibriumMissing(f"boundary perturbation analysis covers targets only, not {kind.value}")
     return kind
 
 
@@ -292,14 +299,14 @@ def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m):
             f"relative residual {residual[k]:.2e}"
         )
 
-    stable = np.all((ranked.real < -band[:, None]) | ~nontrivial, axis=1)
-    unstable = np.any((ranked.real > band[:, None]) & nontrivial, axis=1)
-    verdicts = np.where(stable, "stable", np.where(unstable, "unstable", "marginal"))
+    # all nontrivial rates are below -band exactly when the largest is, and one is above band exactly
+    # when the largest is: the growth rate's place against the band decides the verdict
     growth = np.max(np.where(nontrivial, ranked.real, -np.inf), axis=1)
+    verdict_codes = ((growth > band).astype(int) - (growth < -band)).tolist()
     spectra = tuple(
-        ModeSpectrum(kind, mode, Qk, eig, rank[:n], verdict, margin, rate)
-        for mode, Qk, eig, rank, n, verdict, margin, rate in zip(
-            modes.tolist(), stack, eigs, ranked, n_nontrivial.tolist(), verdicts.tolist(),
+        ModeSpectrum(kind, mode, Qk, eig, rank[:n], _VERDICTS[code], margin, rate)
+        for mode, Qk, eig, rank, n, code, margin, rate in zip(
+            modes.tolist(), stack, eigs, ranked, n_nontrivial.tolist(), verdict_codes,
             (residual / CROSSCHECK_RTOL).tolist(), growth.tolist(),
         )
     )

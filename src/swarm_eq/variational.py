@@ -124,12 +124,17 @@ def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
     """Closed-form piecewise Lambda profile for one species of an equilibrium.
 
     Raises NonFiniteResult when a coefficient or the plateau is not finite,
-    as when the coefficients overflow at huge attraction ratios.
+    as when the coefficients overflow at huge attraction ratios.  Each
+    profile is built once per config object and kept on it, so the same
+    object returns the same profile.
     """
     if species not in (1, 2):
         raise UnsupportedKind(f"species must be 1 or 2, got {species}")
     if not cfg.exists:
         raise UnsupportedKind("profile undefined: configuration does not exist")
+    stored = cfg._lambda_profiles.get(species)
+    if stored is not None:
+        return stored
     radii = _breakpoint_radii(cfg)
     bounds = [0.0] + radii + [math.inf]
     support = cfg.support_intervals(species)
@@ -151,7 +156,8 @@ def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
     plateau = ref.value(0.5 * (ref.r_lo + ref.r_hi)) if finite else math.nan
     if not math.isfinite(plateau):
         raise NonFiniteResult(f"the Lambda profile of species {species} is not finite at {cfg.params}")
-    return LambdaProfile(species, tuple(radii), tuple(pieces), plateau)
+    profile = cfg._lambda_profiles[species] = LambdaProfile(species, tuple(radii), tuple(pieces), plateau)
+    return profile
 
 
 def lambda_quadrature_oracle(cfg: EquilibriumConfig, species: int, r: float) -> float:

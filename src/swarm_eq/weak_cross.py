@@ -12,10 +12,15 @@ disks, written once in closed form (a power series at small d/R); the tests
 hold it to an adaptive-quadrature oracle and to mpmath.  The force balance it
 encodes is held to ``cross_condition_residual``, the net cross force between
 the two disks as one boundary integral on the periodic trapezoid rule.
+
+The branch is inverted by Brent's method (Brent 1973, ch. 4) in plain Python,
+started from the bracket that the startup monotonicity scan's samples give,
+so solving it loads no scipy module.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +38,16 @@ RESIDUAL_TOL = 1e-10
 
 #: Points used by the startup monotonicity scan of the implicit branch.
 MONOTONE_SCAN_POINTS = 201
+
+#: Brent's method stops once the root's bracket is narrower than ROOT_XTOL + ROOT_RTOL |d/R|
+#: (scipy's brentq at xtol = 1e-14 and its default rtol), or fails after ROOT_MAXITER steps.
+ROOT_XTOL = 1e-14
+ROOT_RTOL = 8.9e-16
+ROOT_MAXITER = 100
+
+#: Lower end of the bracket below the scan's first sample: ab_ratio_of_d rounds to 1 + ulp(1) there,
+#: so every ratio above 1 is bracketed.
+D_FLOOR = 1e-300
 
 #: The lens edge integral uses its power series below this d/R, where the closed form's
 #: relative error grows as 1/r, and the closed form above; both are within 5e-16 at 0.1.
@@ -95,7 +110,7 @@ def ab_ratio_of_d(d_over_R: float) -> float:
 
 @lru_cache(maxsize=1)
 def _monotone_scan():
-    """Verify (once) that ab_ratio_of_d increases on (0, 2); return the samples."""
+    """Verify (once) that ab_ratio_of_d increases on (0, 2); return the samples (d/R, A/B) as two tuples."""
     ds = np.linspace(1e-6, 2.0, MONOTONE_SCAN_POINTS)
     vals = np.array([ab_ratio_of_d(d) for d in ds])
     diffs = np.diff(vals)
@@ -104,7 +119,49 @@ def _monotone_scan():
         raise BracketingFailure(
             f"separation relation not monotone on d/R in [{ds[i]:.6f}, {ds[i+1]:.6f}]"
         )
-    return ds, vals
+    return tuple(ds.tolist()), tuple(vals.tolist())
+
+
+def _brent_root(f, a, b, fa, fb):
+    """Root of f in [a, b] by Brent's method, given fa = f(a) <= 0 <= fb = f(b).
+
+    Each step is a secant or inverse quadratic interpolation step when that
+    lands well inside the bracket, and a bisection step otherwise, as in
+    scipy's brentq; the result is the bracket end with the smaller |f| once
+    the bracket is narrower than ROOT_XTOL + ROOT_RTOL |x|.
+    """
+    if fa == 0.0:
+        return a
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise BracketingFailure(f"no convergence in {ROOT_MAXITER} steps on d/R in [{a}, {b}]")
 
 
 def d_of_ab_ratio(ratio_AB: float) -> SeparationSolution:
@@ -112,8 +169,9 @@ def d_of_ab_ratio(ratio_AB: float) -> SeparationSolution:
 
     d = 0 exactly for ratios at or below the mixing threshold 1 (the regime
     tag distinguishes below-threshold from at-threshold); the overlap range
-    (1, 4) is solved by bracketed root finding on the implicit relation, with
-    monotonicity verified by a startup scan; sqrt(A/B) beyond 4.
+    (1, 4) is solved by Brent's method on the implicit relation, from the
+    bracket of two neighbouring samples of the startup scan that verifies its
+    monotonicity; sqrt(A/B) beyond 4.
     """
     ratio = float(ratio_AB)
     if not 0.0 < ratio < math.inf:
@@ -125,10 +183,10 @@ def d_of_ab_ratio(ratio_AB: float) -> SeparationSolution:
     if ratio >= 4.0:
         d = math.sqrt(ratio)
         return SeparationSolution(ratio, d, "separated" if d > 2.0 else "intermediate", 0.0)
-    from scipy.optimize import brentq
-
-    _monotone_scan()
-    d = brentq(lambda x: ab_ratio_of_d(x) - ratio, 1e-9, 2.0, xtol=1e-14, rtol=8.9e-16)
+    ds, vals = _monotone_scan()
+    i = bisect.bisect_left(vals, ratio)  # vals[i - 1] < ratio <= vals[i]; vals[-1] is 4
+    lo, a_lo = (ds[i - 1], vals[i - 1]) if i else (D_FLOOR, ab_ratio_of_d(D_FLOOR))
+    d = _brent_root(lambda x: ab_ratio_of_d(x) - ratio, lo, ds[i], a_lo - ratio, vals[i] - ratio)
     residual = abs(ab_ratio_of_d(d) - ratio)
     if residual > RESIDUAL_TOL:
         raise BracketingFailure(f"root residual {residual:.3e} exceeds {RESIDUAL_TOL}")

@@ -107,6 +107,25 @@ def test_weakcross_non_finite_ratio_is_out_of_range(capsys, argv):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "OutOfRange"
 
 
+def test_a_request_too_large_for_memory_is_a_config_error(tmp_path, capsys):
+    # a 10^7 x 10^7 grid asks for 728 TiB, beyond any address space, so no memory is touched
+    code, out, err = run_cli(
+        capsys, "phase-diagram", "-M", "2", "--grid", "10000000",
+        "--out-csv", str(tmp_path / "pd.csv"), "--out-svg", str(tmp_path / "pd.svg"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "MemoryError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_of_an_overlap_kind_names_the_kind(capsys):
+    code, out, err = run_cli(capsys, "stability", "--kind", "overlap-light", "-A", "2", "-B", "1", "-M", "2")
+    assert code == 3 and out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "EquilibriumMissing"
+    assert record["message"].endswith("covers targets only, not overlap-light")
+
+
 def test_equilibrium_undefined_radius_is_null(capsys):
     # the coexistence radius of this overlap state is undefined, and the state does not exist
     code, out, _ = run_cli(

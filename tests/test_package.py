@@ -18,12 +18,29 @@ def test_public_surface_resolves_and_star_imports():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported where a quadrature oracle or root finder runs, not at import time
+    # importing the package and its CLI loads no scipy module
     code = "import sys, swarm_eq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(swarm_eq.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
+
+
+def test_weakcross_loads_no_scipy():
+    # the overlap branch's root finder is the package's own: solving it imports no scipy module
+    code = """
+import contextlib, io, sys
+from swarm_eq.cli import main
+from swarm_eq.weak_cross import d_of_ab_ratio
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["weakcross", "--ratio", "2.5", "--n-points", "3"]) == 0
+assert d_of_ab_ratio(2.5).regime == "intermediate"
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(swarm_eq.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_module_imports_scipy_integrate():

@@ -13,6 +13,7 @@ from swarm_eq.errors import (
     QuadratureNonConvergence,
     SwarmEqError,
 )
+from swarm_eq import variational
 from swarm_eq.model import InteractionParams, PhasePoint, RegionId, classify_region
 from swarm_eq.variational import (
     PerturbationGrid,
@@ -330,6 +331,25 @@ def test_minimizer_overlap_kinds(rng):
         assert minimizer_verdict(build_equilibrium(OVH, params_from_phase(A, B))).is_class_B_minimizer
     for A, B in draw_phase_in_regions(rng, ("D4",), n=10):
         assert not minimizer_verdict(build_equilibrium(OVH, params_from_phase(A, B))).is_class_B_minimizer
+
+
+@pytest.mark.parametrize("kind", [LIGHT, OVL])
+def test_profiles_are_kept_on_the_config_object(monkeypatch, kind):
+    # lambda_profile keeps each profile on the config it was built from, so the verdict reads the
+    # two its caller has just taken; an equal config from a second build_equilibrium builds its own
+    calls = []
+    disk_terms = variational._disk_terms
+    monkeypatch.setattr(variational, "_disk_terms", lambda cfg, s: calls.append(s) or disk_terms(cfg, s))
+    p = params_from_phase(3.0, 3.5) if kind is LIGHT else params_from_phase(0.5, 1.0)
+    cfg = build_equilibrium(kind, p)
+    profiles = [lambda_profile(cfg, s) for s in (1, 2)]
+    assert calls == [1, 2]
+    verdict = minimizer_verdict(cfg)
+    assert calls == [1, 2] and [lambda_profile(cfg, s) for s in (1, 2)] == profiles
+    twin = build_equilibrium(kind, p)
+    assert twin == cfg and twin is not cfg
+    assert minimizer_verdict(twin) == verdict
+    assert calls == [1, 2, 1, 2]
 
 
 def test_spec_minimizer_examples():

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from swarm_eq.errors import OutOfRange
+from swarm_eq import weak_cross
+from swarm_eq.errors import BracketingFailure, OutOfRange
 from swarm_eq.model import InteractionParams, equilibrium_densities
 from swarm_eq.weak_cross import (
     SERIES_BELOW,
     _edge_log_integral,
+    _monotone_scan,
     ab_ratio_of_d,
     cross_condition_residual,
     curve_sample,
@@ -61,6 +64,39 @@ def test_separation_solves_next_to_the_seam():
     for d in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-8, 1.0 + 1e-8):
         sol = d_of_ab_ratio(ab_ratio_of_d(d))
         assert sol.d_over_R == pytest.approx(d, abs=1e-12)
+
+
+def test_root_finder_matches_brentq():
+    # Brent's method from the scan's bracket against scipy's brentq over the whole branch, at
+    # brentq's tolerances: a dense sweep, ratios within 1e-12 of the mixing threshold (below
+    # ab_ratio_of_d(1e-9), where a bracket starting at d/R = 1e-9 holds no root), the seam
+    # d/R = 1 and the last ratios below tangency at 4
+    seam = ab_ratio_of_d(1.0)
+    ratios = [
+        *np.linspace(1.0, 4.0, 2002)[1:-1].tolist(),
+        *(1.0 + k * 1e-13 for k in range(1, 11)),
+        *(1.0 + k * math.ulp(1.0) for k in range(1, 21)),
+        *(seam + k * 1e-15 for k in range(-20, 21)),
+        *(4.0 - k * math.ulp(4.0) for k in range(1, 21)),
+        *(4.0 - k * 1e-9 for k in range(1, 11)),
+    ]
+    for ratio in ratios:
+        exact = brentq(lambda x: ab_ratio_of_d(x) - ratio, 1e-300, 2.0, xtol=1e-14, rtol=8.9e-16)
+        assert abs(d_of_ab_ratio(ratio).d_over_R - exact) <= 1e-14, ratio
+
+
+@pytest.fixture
+def fresh_scan():
+    _monotone_scan.cache_clear()
+    yield
+    _monotone_scan.cache_clear()
+
+
+def test_non_monotone_relation_is_a_bracketing_failure(monkeypatch, fresh_scan):
+    exact = weak_cross.ab_ratio_of_d
+    monkeypatch.setattr(weak_cross, "ab_ratio_of_d", lambda d: exact(d) + 0.1 * math.sin(40.0 * d))
+    with pytest.raises(BracketingFailure, match="not monotone"):
+        d_of_ab_ratio(2.5)
 
 
 def test_mixing_threshold_limit():
