@@ -37,7 +37,6 @@ from .linear_stability import DEFAULT_M_MAX, checked_m_max, stability_report
 from .model import (
     BOUNDARY,
     InteractionParams,
-    PhasePoint,
     RegionId,
     classify_region,
     curve_c1,
@@ -150,9 +149,7 @@ def _write_all(writes):
 
 
 def cmd_region(ns, stages):
-    if ns.A is None or ns.B is None or ns.M is None:
-        raise ValueError("region requires -A, -B and -M")
-    q = PhasePoint(A=ns.A, B=ns.B, M=ns.M)
+    q = to_phase_point(resolve_params(ns))
     return {"A": q.A, "B": q.B, "M": q.M, "region": classify_region(q).value}, [], {}
 
 
@@ -559,7 +556,9 @@ def _apply_config_file(argv):
     """Use config-file entries as defaults for the chosen subcommand.
 
     An entry whose flag also appears on the command line is dropped, so the
-    explicit flag wins and the file's value is not parsed at all.
+    explicit flag wins and the file's value is not parsed at all.  Any other
+    entry must hold a number or a string, the flag's one value; a boolean,
+    null, list or object is refused.
     """
     if "--config" not in argv:
         return argv
@@ -578,10 +577,9 @@ def _apply_config_file(argv):
         flag = "--" + key.replace("_", "-") if len(key) > 1 else "-" + key
         if flag in given:
             continue
-        if isinstance(value, bool):
-            if value:
-                extra.append(flag)
-            continue
+        # every flag takes one value, which a command line spells as a number or a string
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError(f"argument {flag}: a config entry must be a number or a string, got {json.dumps(value)}")
         extra.extend([flag, str(value)])
     return [rest[0]] + extra + rest[1:]
 

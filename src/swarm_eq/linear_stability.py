@@ -12,6 +12,8 @@ target; the heavy-inside one reads it at the masses ``EquilibriumKind.masses`` g
 ``mode_spectrum`` builds the stack of all requested modes, runs one
 eigensolve and classifies every mode in one pass over arrays;
 ``stability_report`` reads its verdicts and growth rates from that pass.
+``VERDICT_CODES`` and ``band_verdict`` are the package's one verdict table
+and marginal-band rule, which the whole-grid sweeps use too.
 ``build_Q_from_integrals`` reassembles a matrix independently, from the
 complex boundary-integral core in ``boundary_integrals`` (``_repulsion``,
 ``_attraction``), with each perturbed boundary point evaluated once.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,14 +51,18 @@ CROSSCHECK_RTOL = 1e-8
 
 DEFAULT_M_MAX = 32
 
-#: Verdict of a mode whose growth rate is above (1), inside (0) or below (-1) the marginal band.
-_VERDICTS = {1: "unstable", 0: "marginal", -1: "stable"}
+#: The one table of stability verdicts, in the phase-diagram CSV's codes.  Worst first, so the
+#: worst of several verdicts has the lowest code.
+VERDICT_CODES = {"unstable": -1, "marginal": 0, "stable": 1}
 
-_NESTING_NOTE = (
-    "stable-mode regions are nested from mode 2 on (mode n >= 2 stable implies every mode > n stable "
-    "at the same point; each report checks it, and mode 1 is exempt), so modes beyond m_max cannot "
-    "flip an all-stable verdict"
-)
+
+def band_verdict(growth, band):
+    """Verdict code of each growth rate: unstable above ``band``, stable below ``-band``, else marginal.
+
+    ``growth`` and ``band`` broadcast; an infinite rate is decided by its sign.
+    """
+    inside = np.where(growth < -band, VERDICT_CODES["stable"], VERDICT_CODES["marginal"])
+    return np.where(growth > band, VERDICT_CODES["unstable"], inside)
 
 
 @dataclass(slots=True)
@@ -87,7 +94,11 @@ class StabilityReport:
     modes: tuple[ModeSpectrum, ...]
     overall: str
     dominant_unstable_mode: int | None
-    guarantee: str = _NESTING_NOTE
+    guarantee: ClassVar[str] = (
+        "stable-mode regions are nested from mode 2 on (mode n >= 2 stable implies every mode > n stable "
+        "at the same point; each report checks it, and mode 1 is exempt), so modes beyond m_max cannot "
+        "flip an all-stable verdict"
+    )
 
     def verdict_of(self, m: int) -> str:
         if m not in range(1, self.m_max + 1):
@@ -302,11 +313,11 @@ def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m):
     # all nontrivial rates are below -band exactly when the largest is, and one is above band exactly
     # when the largest is: the growth rate's place against the band decides the verdict
     growth = np.max(np.where(nontrivial, ranked.real, -np.inf), axis=1)
-    verdict_codes = ((growth > band).astype(int) - (growth < -band)).tolist()
+    names = {code: name for name, code in VERDICT_CODES.items()}
     spectra = tuple(
-        ModeSpectrum(kind, mode, Qk, eig, rank[:n], _VERDICTS[code], margin, rate)
+        ModeSpectrum(kind, mode, Qk, eig, rank[:n], names[code], margin, rate)
         for mode, Qk, eig, rank, n, code, margin, rate in zip(
-            modes.tolist(), stack, eigs, ranked, n_nontrivial.tolist(), verdict_codes,
+            modes.tolist(), stack, eigs, ranked, n_nontrivial.tolist(), band_verdict(growth, band).tolist(),
             (residual / CROSSCHECK_RTOL).tolist(), growth.tolist(),
         )
     )
@@ -386,8 +397,7 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
         raise SpectrumMismatch(
             f"stable modes are not nested: mode {lowest_stable} is stable and mode {unstable_above[0]} unstable"
         )
-    verdicts = {s.verdict for s in modes}
-    overall = "unstable" if "unstable" in verdicts else "stable" if verdicts == {"stable"} else "marginal"
+    overall = min((s.verdict for s in modes), key=VERDICT_CODES.__getitem__)
     growth = [s.growth if s.verdict == "unstable" else -math.inf for s in modes]
     dominant = int(np.argmax(growth)) + 1 if overall == "unstable" else None
 

@@ -200,9 +200,9 @@ def classify_region(q: PhasePoint, tau_region: float = TAU_REGION) -> RegionId:
     return REGION_TAGS[int(region_tag_grid(q.A, q.B, q.M, tau_region))]
 
 
-def region_code_grid(A, B, M: float, tau_region: float = TAU_REGION) -> np.ndarray:
+def region_code_grid(A, B, M: float) -> np.ndarray:
     """Region codes of each (A, B): k in D_k and ``BOUNDARY`` for all four boundary tags."""
-    return _TAG_CODES[region_tag_grid(A, B, M, tau_region)]
+    return _TAG_CODES[region_tag_grid(A, B, M)]
 
 
 def attraction_weights(b_s, b_c, M1, M2):

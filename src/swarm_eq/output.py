@@ -48,12 +48,14 @@ def config_hash(config: dict) -> str:
 class SvgPlot:
     """Tiny data-space SVG canvas (polylines, circles, grid cells, labelled axes), no dependencies."""
 
-    def __init__(self, x_range, y_range, width=640, height=480, margin=56):
+    #: canvas size and the margin around the plotting area, in pixels
+    width = 640
+    height = 480
+    margin = 56
+
+    def __init__(self, x_range, y_range):
         self.x0, self.x1 = map(float, x_range)
         self.y0, self.y1 = map(float, y_range)
-        self.width = width
-        self.height = height
-        self.margin = margin
         self.elements: list[str] = []
 
     def _px(self, x, y):
@@ -71,10 +73,10 @@ class SvgPlot:
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def circle(self, x, y, radius_px=2.0, color="#d62728"):
+    def circle(self, x, y, radius_px=2.0):
         px, py = self._px(x, y)
         self.elements.append(
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius_px}" fill="{color}"/>'
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius_px}" fill="#d62728"/>'
         )
 
     def cells(self, xs, ys, dx, dy, colors):
@@ -94,7 +96,7 @@ class SvgPlot:
             for (y, h), color in zip(rows, column_colors)
         )
 
-    def axes(self, xlabel="", ylabel=""):
+    def axes(self, xlabel, ylabel):
         x0, y0 = self._px(self.x0, self.y0)
         x1, y1 = self._px(self.x1, self.y1)
         self.elements.append(
@@ -103,15 +105,13 @@ class SvgPlot:
         self.elements.append(
             f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" stroke="#000" stroke-width="1"/>'
         )
-        if xlabel:
-            self.elements.append(
-                f'<text x="{(x0 + x1) / 2:.2f}" y="{y0 + 36:.2f}" font-size="13" text-anchor="middle">{xlabel}</text>'
-            )
-        if ylabel:
-            self.elements.append(
-                f'<text x="{x0 - 36:.2f}" y="{(y0 + y1) / 2:.2f}" font-size="13" '
-                f'text-anchor="middle" transform="rotate(-90 {x0 - 36:.2f} {(y0 + y1) / 2:.2f})">{ylabel}</text>'
-            )
+        self.elements.append(
+            f'<text x="{(x0 + x1) / 2:.2f}" y="{y0 + 36:.2f}" font-size="13" text-anchor="middle">{xlabel}</text>'
+        )
+        self.elements.append(
+            f'<text x="{x0 - 36:.2f}" y="{(y0 + y1) / 2:.2f}" font-size="13" '
+            f'text-anchor="middle" transform="rotate(-90 {x0 - 36:.2f} {(y0 + y1) / 2:.2f})">{ylabel}</text>'
+        )
 
     def to_string(self) -> str:
         body = "\n".join(self.elements)

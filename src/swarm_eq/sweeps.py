@@ -6,7 +6,8 @@ sweeps call the same array-valued functions as the per-point APIs
 ``linear_stability.UmRegion.contains``), so a grid and a single point cannot
 disagree.  Stability verdicts come from the nontrivial rates, i.e. the
 closed-form quadratic (mode 1) and the reduced cubic (modes >= 2), whose
-coefficients both routes take from ``linear_stability.reduced_coefficients``.
+coefficients both routes take from ``linear_stability.reduced_coefficients``,
+and both decide a rate against the marginal band by ``linear_stability.band_verdict``.
 A cubic mode is decided by the Routh-Hurwitz conditions on its coefficients
 wherever they certify the answer, and by a stacked companion-matrix
 eigensolve only inside the certified band (see ``cubic_mode_verdict``); the
@@ -23,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import EquilibriumKind, existence_region_mask
-from .linear_stability import DEFAULT_M_MAX, MARGINAL_BAND, UmRegion, _target_kind, checked_m_max, reduced_coefficients
+from .linear_stability import (
+    DEFAULT_M_MAX, MARGINAL_BAND, VERDICT_CODES, UmRegion, _target_kind, band_verdict, checked_m_max,
+    reduced_coefficients,
+)
 from .model import region_code_grid
 
-_VERDICT_STABLE = 1
-_VERDICT_UNSTABLE = -1
-_VERDICT_MARGINAL = 0
+#: Code of a grid point where the state does not exist, the phase-diagram CSV's one code beyond the verdicts.
 _VERDICT_MISSING = -2
 
 
@@ -58,21 +60,14 @@ def _cubic_max_real(c2, c1, c0):
     return roots.real.max(axis=1)
 
 
-def _band_verdict(w):
-    """1, 0 or -1 as the largest scaled real part w lies below, inside or above the marginal band."""
-    return np.where(
-        w > MARGINAL_BAND, _VERDICT_UNSTABLE, np.where(w < -MARGINAL_BAND, _VERDICT_STABLE, _VERDICT_MARGINAL)
-    )
-
-
 def cubic_mode_verdict(c2, c1, c0, *, counts: SweepCounts | None = None) -> np.ndarray:
-    """Verdict per point for the rates mu^3 + c2 mu^2 + c1 mu + c0 = 0, c2 > 0.
+    """Verdict code per point for the rates mu^3 + c2 mu^2 + c1 mu + c0 = 0, c2 > 0.
 
-    Returns 1 (stable: every root has Re < -band*s), -1 (unstable: some root
-    has Re > band*s) or 0 (marginal: neither), with band the
-    ``MARGINAL_BAND`` and s = 1 + |c2| + |c1| + |c0| the natural scale of
-    the cubic.  By Routh-Hurwitz, with c2 > 0 every root has Re < 0 iff
-    c0 > 0 and H = c2*c1 - c0 > 0.  The sign test can
+    Stable (every root has Re < -band*s), unstable (some root has
+    Re > band*s) or marginal (neither) by ``linear_stability.band_verdict``,
+    with band the ``MARGINAL_BAND`` and s = 1 + |c2| + |c1| + |c0| the
+    natural scale of the cubic.  By Routh-Hurwitz, with c2 > 0 every root
+    has Re < 0 iff c0 > 0 and H = c2*c1 - c0 > 0.  The sign test can
     only go wrong for a root with |Re| <= band*s, and such a root leaves a
     trace in the coefficients: by the Cauchy bound every root has |r| <= s,
     so a real root r with |r| <= band*s gives |c0| = |r1 r2 r3| <= band*s^3,
@@ -87,12 +82,11 @@ def cubic_mode_verdict(c2, c1, c0, *, counts: SweepCounts | None = None) -> np.n
     c2, c1, c0 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c2, c1, c0)))
     s = 1.0 + np.abs(c2) + np.abs(c1) + np.abs(c0)
     H = c2 * c1 - c0
-    verdict = np.where((c0 > 0.0) & (H > 0.0), _VERDICT_STABLE, _VERDICT_UNSTABLE).astype(np.int8)
+    verdict = np.where((c0 > 0.0) & (H > 0.0), VERDICT_CODES["stable"], VERDICT_CODES["unstable"]).astype(np.int8)
     tol = 16.0 * MARGINAL_BAND * s**3
     unsure = ~((np.abs(c0) > tol) & (np.abs(H) > tol))
     if np.any(unsure):
-        w = _cubic_max_real(c2[unsure], c1[unsure], c0[unsure]) / s[unsure]
-        verdict[unsure] = _band_verdict(w)
+        verdict[unsure] = band_verdict(_cubic_max_real(c2[unsure], c1[unsure], c0[unsure]) / s[unsure], MARGINAL_BAND)
     if counts is not None:
         counts.cubic_evals += verdict.size
         counts.eigensolves += int(np.count_nonzero(unsure))
@@ -104,9 +98,10 @@ def target_verdict_grid(
 ) -> np.ndarray:
     """Overall stability verdict per grid point for a target state.
 
-    Returns 1 (stable), -1 (unstable), 0 (marginal: some rate inside the band
-    and none above it), -2 (state does not exist there).  Rates are in units
-    of the natural matrix scale, so ``MARGINAL_BAND`` is relative.  The overall
+    Returns the codes of ``linear_stability.VERDICT_CODES`` (marginal: some
+    rate inside the band and none above it), and -2 where the state does not
+    exist.  Rates are in units of the natural matrix scale, so
+    ``MARGINAL_BAND`` is relative.  The overall
     verdict is the worst per-mode verdict (unstable < marginal < stable), so a
     point leaves the mode loop at its first unstable mode: later modes cannot
     change it, while a marginal point stays in, as a later mode can still
@@ -131,14 +126,15 @@ def target_verdict_grid(
     # mode 1: reduced quadratic, in units of b_s times the core species' mass; both roots are real
     lin, const = reduced_coefficients(kind, Ae, Be, M, 1)
     max_re = 0.5 * (-lin + np.sqrt(lin * lin - 4.0 * const))
-    v = _band_verdict(max_re / np.maximum(1.0, np.abs(lin)))
-    undecided = np.flatnonzero(v != _VERDICT_UNSTABLE)
+    v = band_verdict(max_re / np.maximum(1.0, np.abs(lin)), MARGINAL_BAND)
+    unstable = VERDICT_CODES["unstable"]
+    undecided = np.flatnonzero(v != unstable)
     for m in range(2, m_max + 1):
         if undecided.size == 0:
             break
         coeffs = reduced_coefficients(kind, Ae[undecided], Be[undecided], M, m)
         v[undecided] = np.minimum(v[undecided], cubic_mode_verdict(*coeffs, counts=counts))
-        undecided = undecided[v[undecided] != _VERDICT_UNSTABLE]
+        undecided = undecided[v[undecided] != unstable]
     verdict[exists] = v
     return verdict.reshape(shape)
 
@@ -147,7 +143,7 @@ def heavy_mode2_unstable_grid(A, B, M: float) -> np.ndarray:
     """Mask where boundary mode 2 of the heavy-inside target is unstable."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     coeffs = reduced_coefficients(EquilibriumKind.TARGET_HEAVY_IN, A, B, M, 2)
-    return cubic_mode_verdict(*coeffs) == _VERDICT_UNSTABLE
+    return cubic_mode_verdict(*coeffs) == VERDICT_CODES["unstable"]
 
 
 def um_member_grid(m: int, M: float, A, B) -> np.ndarray:

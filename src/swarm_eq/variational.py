@@ -253,10 +253,11 @@ def target_lambda_pair(p: InteractionParams) -> tuple[float, float]:
 
 
 def _scan_species(cfg, species, tol):
-    """Scan one Lambda profile off-support for drops below the plateau.
+    """(plateau, violation radius or None, exterior minimum or None) of one Lambda profile.
 
-    Minima are located exactly from the piece coefficients (stationary points
-    of c0 + c2 r^2 + cl ln r), so the exterior piece is covered in full even
+    Scans the profile off-support for drops below the plateau.  Minima are
+    located exactly from the piece coefficients (stationary points of
+    c0 + c2 r^2 + cl ln r), so the exterior piece is covered in full even
     though its interval is unbounded.
     """
     profile = lambda_profile(cfg, species)
@@ -281,7 +282,7 @@ def _scan_species(cfg, species, tol):
             worst_val = vals[idx]
             worst_r = candidates[idx]
     violates = worst_val < lam - tol * max(1.0, abs(lam))
-    return profile, lam, violates, worst_r if violates else None, exterior_min
+    return lam, worst_r if violates else None, exterior_min
 
 
 def minimizer_verdict(cfg: EquilibriumConfig) -> MinimizerVerdict:
@@ -295,36 +296,21 @@ def minimizer_verdict(cfg: EquilibriumConfig) -> MinimizerVerdict:
     """
     if not cfg.exists:
         raise UnsupportedKind("verdict undefined: configuration does not exist")
-    tol = 1e-10
-    critical = cfg.kind.core_species
-
-    results = {}
-    for species in (1, 2):
-        results[species] = _scan_species(cfg, species, tol)
-
-    failures = [s for s in (1, 2) if results[s][2]]
-    is_min = not failures
-    failure_species = failures[0] if failures else None
-    failure_radius = results[failure_species][3] if failures else None
-
-    swarm = False
-    if failures:
-        swarm = True
-        for s in failures:
-            _, _, _, r_v, _ = results[s]
-            gap = min(
-                abs(r_v - lo) if r_v < lo else (abs(r_v - hi) if r_v > hi else 0.0)
-                for lo, hi in cfg.support_intervals(s)
-            )
-            if gap <= 0.01 * cfg.outermost_radius:
-                swarm = False
-
+    scans = {species: _scan_species(cfg, species, 1e-10) for species in (1, 2)}
+    violations = {species: r for species, (_, r, _) in scans.items() if r is not None}
+    failure_species = min(violations, default=None)
+    plateau, _, exterior_min = scans[cfg.kind.core_species]
+    swarm = bool(violations) and all(
+        min(lo - r if r < lo else r - hi if r > hi else 0.0 for lo, hi in cfg.support_intervals(species))
+        > 0.01 * cfg.outermost_radius
+        for species, r in violations.items()
+    )
     return MinimizerVerdict(
-        is_class_B_minimizer=is_min,
+        is_class_B_minimizer=not violations,
         failure_species=failure_species,
-        failure_radius=failure_radius,
-        lambda_support=results[critical][1],
-        lambda_min_exterior=results[critical][4],
+        failure_radius=violations.get(failure_species),
+        lambda_support=plateau,
+        lambda_min_exterior=exterior_min,
         swarm_minimizer=swarm,
     )
 

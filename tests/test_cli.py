@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,27 @@ def test_equilibrium_undefined_radius_is_null(capsys):
     payload = strict_json(out.strip())
     assert payload["exists"] is False
     assert payload["radii"][0] is None and payload["radii"][1] == pytest.approx(0.8156, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["-A", "2", "-B", "1", "-M", "2", "--eta", "0.5"],
+        ["--a-s", "1", "--a-c", "2", "--b-s", "1", "--b-c", "1", "--M1", "2", "--M2", "1"],
+    ],
+    ids=["eta", "full-set"],
+)
+def test_region_reads_the_phase_point_of_every_parameter_form(capsys, params):
+    # region takes the parameters every command takes and classifies the phase point after --eta,
+    # the point whose region equilibrium reports
+    code, out, _ = run_cli(capsys, "region", *params)
+    assert code == 0
+    record = last_json(out)
+    code, out, _ = run_cli(capsys, "equilibrium", "--kind", "target-light", *params)
+    assert code == 0
+    assert record["region"] == last_json(out)["region"]
+    eta = 0.5 if "--eta" in params else 1.0
+    assert (record["A"], record["B"], record["M"]) == (2.0 * eta, 1.0 * eta, 2.0)
 
 
 @pytest.mark.parametrize("flag", ["-A", "-B", "-M"])
@@ -702,6 +724,22 @@ def test_config_file_without_command_is_a_config_error(tmp_path, capsys, values)
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
     assert "command" in record["message"]
+
+
+@pytest.mark.parametrize("entry", [{"N1": False}, {"seed": True}, {"out": True}, {"out": None}])
+def test_a_config_boolean_or_null_is_refused(tmp_path, monkeypatch, capsys, entry):
+    # no flag takes a boolean or null: the entry is refused and named before anything runs, so nothing is
+    # written (a null --out would otherwise name the files "None_*")
+    monkeypatch.chdir(tmp_path)
+    values = {"A": 3, "B": 3.5, "M": 2, "N1": 12, "N2": 12, "t_end": 0.2, "snapshot_every": 0.2, "out": "sim"}
+    Path("cfg.json").write_text(json.dumps({"command": "simulate", **values, **entry}))
+    code, out, err = run_cli(capsys, "--config", "cfg.json")
+    assert code == 2 and out == ""
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    (key,) = entry
+    assert f"--{key}" in record["message"]
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_config_flag_without_path_is_a_config_error(capsys):

@@ -312,11 +312,21 @@ def test_cross_check_catches_perturbed_closed_form(monkeypatch):
 
 
 
+def test_band_verdict_writes_the_phase_diagram_codes():
+    # -1 unstable, 0 marginal, 1 stable, worst first; an infinite rate is decided by its sign
+    assert linear_stability.VERDICT_CODES == {"unstable": -1, "marginal": 0, "stable": 1}
+    growth = np.array([2.0, 1.0, 0.5, 0.0, -1.0, -2.0, np.inf, -np.inf])
+    assert linear_stability.band_verdict(growth, 1.0).tolist() == [-1, 0, 0, 0, 0, 1, -1, 1]
+    assert linear_stability.band_verdict(growth[:3], np.array([3.0, 0.5, 0.1])).tolist() == [0, -1, -1]
+
+
 def test_nesting_holds_from_mode_2_and_mode_1_is_exempt(monkeypatch):
     # heavy inside at this point: mode 1 stable, mode 2 unstable, every mode from 3 on stable
     rep = stability_report(HEAVY, params_from_phase(2.976, 3.342, 1.425), 32)
     assert [s.verdict[0] for s in rep.modes[:4]] == ["s", "u", "s", "s"]
     assert "mode 1 is exempt" in rep.guarantee
+    # the note is the class's, not a field a caller could set
+    assert "guarantee" not in {field.name for field in dataclasses.fields(rep)}
     exact = linear_stability.mode_spectrum
 
     def relabel(verdicts):

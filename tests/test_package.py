@@ -290,3 +290,71 @@ def test_each_closed_form_lives_in_one_place():
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     in_loops = {call for sub in ast.walk(profile) if isinstance(sub, loops) for call in _calls(sub)}
     assert "_disk_terms" not in in_loops and "lambda_coeffs" not in _calls(profile)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant: every defaulted parameter of a package function
+    # or method is passed, by keyword or by position, by some call in src/, tests/ or bench/.  A call
+    # matches by the callee's last name (a class's name for __init__); a call that unpacks *args or
+    # **kwargs may pass anything
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for path in (path for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call, index, name):
+        keywords = {k.arg for k in call.keywords}
+        unpacks = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+        return unpacks or name in keywords or (index is not None and len(call.args) > index)
+
+    unpassed = []
+    for path in sorted((root / "src" / "swarm_eq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {item: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = methods.get(fn)
+            callee = cls if fn.name == "__init__" else fn.name
+            bound = cls is not None and "staticmethod" not in [ast.unparse(d) for d in fn.decorator_list]
+            a = fn.args
+            positional = (a.posonlyargs + a.args)[int(bound):]
+            defaulted = [(i, p.arg) for i, p in enumerate(positional)][len(positional) - len(a.defaults):]
+            defaulted += [(None, k.arg) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            unpassed += [
+                f"{path.stem}.{cls + '.' if cls else ''}{fn.name}({name})"
+                for index, name in defaulted
+                if not any(passes(call, index, name) for call in calls.get(callee, []))
+            ]
+    assert unpassed == []
+
+
+def test_the_verdict_vocabulary_has_one_home():
+    # linear_stability holds the one table of verdict codes and the one marginal-band rule, band_verdict:
+    # the per-mode spectra and both sweep verdicts call it, and no other module names a verdict code or
+    # verdict string at module level; sweeps keeps only the CSV's code of a missing state, -2
+    package = Path(swarm_eq.__file__).parent
+    functions = {
+        f"{path.stem}.{name}": fn for path in sorted(package.glob("*.py")) for name, fn in _functions(path)
+    }
+    for name in ("linear_stability.mode_spectrum", "sweeps.cubic_mode_verdict", "sweeps.target_verdict_grid"):
+        assert "band_verdict" in _calls(functions[name]), name
+    verdicts = {"stable", "unstable", "marginal"}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "linear_stability":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+                continue
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            strings = {n.value for n in ast.walk(stmt.value) if isinstance(n, ast.Constant)}
+            missing_code = path.stem == "sweeps" and names == {"_VERDICT_MISSING"} and ast.literal_eval(stmt.value) == -2
+            if (any("verdict" in name.lower() for name in names) and not missing_code) or strings & verdicts:
+                offenders.append(f"{path.stem}:{stmt.lineno}: {', '.join(sorted(names))}")
+    assert offenders == []
