@@ -2,9 +2,11 @@
 
 The perturbed boundary of mode m is  p(theta) = R e^{i theta} (1 +
 eps_N cos(m theta) + i eps_T sin(m theta)), written once in
-``PerturbedDisk.boundary_point`` and ``boundary_derivative`` over floats or
-numpy arrays of angles.  The closed forms here are exact to first order in
-the eps amplitudes; each is paired with an oracle that integrates the
+``PerturbedDisk`` over floats or numpy arrays of angles: ``boundary`` gives
+p and p' from one evaluation of e^{i theta}, cos(m theta) and sin(m theta)
+per node set, which is what the oracles integrate, and ``boundary_point``
+gives p alone.  The closed forms here are exact to first order in the eps
+amplitudes; each is paired with an oracle that integrates the
 defining expression numerically over the true perturbed domain (exact
 boundary element, no truncation), so agreement degrades only at O(eps^2).
 
@@ -61,21 +63,27 @@ class PerturbedDisk:
                 f"amplitudes must satisfy |eps| <= {EPS_MAX} (first-order regime)"
             )
 
+    def _point(self, theta):
+        """R e^{i theta}, cos(m theta), sin(m theta) and the ripple factor of p(theta), each evaluated once."""
+        m = self.m
+        phase, cos_m, sin_m = self.R * np.exp(1j * theta), np.cos(m * theta), np.sin(m * theta)
+        return phase, cos_m, sin_m, 1.0 + self.eps_N * cos_m + 1j * self.eps_T * sin_m
+
     def boundary_point(self, theta):
         """p(theta) at a float or an array of angles."""
+        phase, _, _, radial = self._point(theta)
+        return phase * radial
+
+    def boundary(self, theta):
+        """(p(theta), p'(theta)) at a float or an array of angles, sharing one evaluation of the angles."""
         m = self.m
-        return (
-            self.R
-            * np.exp(1j * theta)
-            * (1.0 + self.eps_N * np.cos(m * theta) + 1j * self.eps_T * np.sin(m * theta))
-        )
+        phase, cos_m, sin_m, radial = self._point(theta)
+        ripple = -m * self.eps_N * sin_m + 1j * m * self.eps_T * cos_m
+        return phase * radial, phase * (1j * radial + ripple)
 
     def boundary_derivative(self, theta):
         """p'(theta) at a float or an array of angles."""
-        m = self.m
-        radial = 1.0 + self.eps_N * np.cos(m * theta) + 1j * self.eps_T * np.sin(m * theta)
-        ripple = -m * self.eps_N * np.sin(m * theta) + 1j * m * self.eps_T * np.cos(m * theta)
-        return self.R * np.exp(1j * theta) * (1j * radial + ripple)
+        return self.boundary(theta)[1]
 
 
 def _as_vec(z: complex) -> np.ndarray:
@@ -195,7 +203,7 @@ def perturbed_area(disk: PerturbedDisk) -> float:
     """Exact area of the perturbed domain by a contour quadrature."""
 
     def f(theta):
-        p, dp = disk.boundary_point(theta), disk.boundary_derivative(theta)
+        p, dp = disk.boundary(theta)
         return 0.5 * (p.real * dp.imag - p.imag * dp.real)
 
     return periodic_trapezoid(f)
@@ -209,7 +217,7 @@ def perturbed_moment(disk: PerturbedDisk) -> np.ndarray:
     """
 
     def f(theta):
-        p, dp = disk.boundary_point(theta), disk.boundary_derivative(theta)
+        p, dp = disk.boundary(theta)
         return 0.5 * (p.real**2 * dp.imag - 1j * p.imag**2 * dp.real)
 
     val = periodic_trapezoid(f)
@@ -234,7 +242,7 @@ def oracle_repulsion(probe: PerturbedDisk, theta0: float, domain: PerturbedDisk)
     x = probe.boundary_point(theta0)
 
     def f(theta):
-        ndS = -1j * domain.boundary_derivative(theta)
-        return -np.log(np.abs(x - domain.boundary_point(theta))) * ndS
+        y, y_prime = domain.boundary(theta)
+        return -np.log(np.abs(x - y)) * (-1j * y_prime)
 
     return _as_vec(periodic_trapezoid(f, ORACLE_TOL, cluster_at=theta0))

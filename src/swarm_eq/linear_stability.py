@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -54,6 +55,7 @@ DEFAULT_M_MAX = 32
 #: The one table of stability verdicts, in the phase-diagram CSV's codes.  Worst first, so the
 #: worst of several verdicts has the lowest code.
 VERDICT_CODES = {"unstable": -1, "marginal": 0, "stable": 1}
+_VERDICT_NAMES = {code: name for name, code in VERDICT_CODES.items()}
 
 
 def band_verdict(growth, band):
@@ -111,6 +113,36 @@ class StabilityReport:
         return max(s.crosscheck_margin for s in self.modes)
 
 
+#: The rate matrix's nonzero entries, which all lie in its normal-amplitude columns 0, 2 and 4, row
+#: by row: a signed term s1 = pi a_s rho1, s2 = pi a_s rho2, c1 = pi a_c rho1 or c2 = pi a_c rho2,
+#: times "upIJ" = (rI/rJ)^(k+2) or "downIJ" = (rI/rJ)^(k-2) at mode k.
+_Q_ENTRIES = (
+    ("-s1", "-s1 up10", "c2 up20"),
+    ("s1", "-s1 up10", "c2 up20"),
+    ("-s1 down10", "-s1", "c2 up21"),
+    ("s1 down10", "-s1", "c2 up21"),
+    ("-c1 down20", "c1 down21", "-s2"),
+    ("c1 down20", "-c1 down21", "s2"),
+)
+
+
+def _entry_code(entry):
+    """(sign, term, ratio, shift) of one ``_Q_ENTRIES`` entry: the term and the ratio as positions in
+    (s1, s2, c1, c2) and (r1/r0, r2/r0, r2/r1, 1), the power k + shift; an entry without a power
+    takes the ratio 1."""
+    sign = -1.0 if entry.startswith("-") else 1.0
+    term, _, power = entry.lstrip("-").partition(" ")
+    term = ("s1", "s2", "c1", "c2").index(term)
+    if not power:
+        return sign, term, 3, 0
+    return sign, term, ("10", "20", "21").index(power[-2:]), {"up": 2, "down": -2}[power[:-2]]
+
+
+_Q_SIGN, _Q_TERM, _Q_RATIO, _Q_SHIFT = map(np.array, zip(*(_entry_code(e) for row in _Q_ENTRIES for e in row)))
+#: The sign of the mode-1 moment shift on each boundary's normal row, then on its tangential row.
+_NORMAL_PLUS_TANGENTIAL_MINUS = np.array([[1.0], [-1.0]])
+
+
 def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
     """Rate matrices of the modes in the 1-D int array m, stacked as (len(m), 6, 6)."""
     r2sq, r1sq, r0sq, rho1, rho2 = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
@@ -118,22 +150,12 @@ def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
     pi = math.pi
     modes = m.tolist()
 
-    # six power lists, float ** int per mode: numpy's array ** can differ from it in the last bit
-    ratios = (r1 / r0, r2 / r0, r2 / r1)
-    up10, up20, up21, down10, down20, down21 = np.array(
-        [x ** (k + shift) for shift in (2, -2) for x in ratios for k in modes]
-    ).reshape(6, len(modes))
-    s1 = a_s * pi * rho1
-    s2 = a_s * pi * rho2
-    c1 = a_c * pi * rho1
-    c2 = a_c * pi * rho2
-    Q = np.zeros((len(modes), 6, 6))
-    Q[:, 0, 0], Q[:, 0, 2], Q[:, 0, 4] = -s1, -s1 * up10, c2 * up20
-    Q[:, 1, 0], Q[:, 1, 2], Q[:, 1, 4] = s1, -s1 * up10, c2 * up20
-    Q[:, 2, 0], Q[:, 2, 2], Q[:, 2, 4] = -s1 * down10, -s1, c2 * up21
-    Q[:, 3, 0], Q[:, 3, 2], Q[:, 3, 4] = s1 * down10, -s1, c2 * up21
-    Q[:, 4, 0], Q[:, 4, 2], Q[:, 4, 4] = -c1 * down20, c1 * down21, -s2
-    Q[:, 5, 0], Q[:, 5, 2], Q[:, 5, 4] = c1 * down20, -c1 * down21, s2
+    # the power table, one row per ratio, each power over min(m) - 2 .. max(m) + 2 once (the 36 of modes
+    # 1..32), as float ** int: numpy's array ** can differ from it in the last bit; the last row is 1
+    low, high = min(modes) - 2, max(modes) + 3
+    powers = np.array([x**e for x in (r1 / r0, r2 / r0, r2 / r1) for e in range(low, high)] + [1.0] * (high - low))
+    terms = np.array([a_s * pi * rho1, a_s * pi * rho2, a_c * pi * rho1, a_c * pi * rho2])  # s1, s2, c1, c2
+    entries = powers[m[:, None] + ((high - low) * _Q_RATIO + (_Q_SHIFT - low))] * (_Q_SIGN * terms[_Q_TERM])
     if 1 in modes:
         # mode 1 also moves each perturbed disk's first moment by pi R_l^3 eps_N (see
         # ``attraction_integral``): +b rho pi R_l^3 / R_j on boundary j's normal row, minus on its
@@ -141,8 +163,11 @@ def _q_light_raw(a_s, a_c, b_s, b_c, M1, M2, m):
         R = np.array([r0, r1, r2])
         b = np.array([[b_s, b_s, b_c], [b_s, b_s, b_c], [b_c, b_c, b_s]])
         shift = b * (pi * np.array([rho1, -rho1, rho2]) * R**3) / R[:, None]
-        Q[m == 1, 0::2, 0::2] += shift
-        Q[m == 1, 1::2, 0::2] -= shift
+        shift = (shift[:, None] * _NORMAL_PLUS_TANGENTIAL_MINUS).ravel()  # in the entries' order
+        for k in [k for k, mode in enumerate(modes) if mode == 1]:
+            entries[k] += shift
+    Q = np.zeros((len(modes), 6, 6))
+    Q[:, :, 0::2] = entries.reshape(len(modes), 6, 3)
     return Q
 
 
@@ -166,7 +191,7 @@ def _require_target(kind: EquilibriumKind, p: InteractionParams):
 def _modes(m) -> np.ndarray:
     """m as a 1-D array of modes; ValueError unless m is one integer >= 1 or a 1-D sequence of them."""
     modes = np.asarray(m)
-    if modes.ndim > 1 or not np.issubdtype(modes.dtype, np.integer) or np.any(modes < 1):
+    if modes.ndim > 1 or not np.issubdtype(modes.dtype, np.integer) or (modes < 1).any():
         raise ValueError(f"modes must be integers >= 1, got {m!r}")
     return np.atleast_1d(modes)
 
@@ -247,8 +272,13 @@ def rate_unit(kind: EquilibriumKind, p: InteractionParams, m):
     Mode 1: b_s times the core species' mass (b_s M2 light inside, b_s M1
     heavy inside); modes >= 2: ``cubic_scale``.
     """
-    unit = np.where(np.equal(m, 1), p.b_s * EquilibriumKind(kind).masses(p)[1], cubic_scale(kind, p))
+    unit = np.where(np.equal(m, 1), *_rate_units(EquilibriumKind(kind), p))
     return unit if np.ndim(m) else float(unit)
+
+
+def _rate_units(kind: EquilibriumKind, p: InteractionParams) -> tuple[float, float]:
+    """``rate_unit`` of mode 1 and of the modes >= 2."""
+    return p.b_s * kind.masses(p)[1], cubic_scale(kind, p)
 
 
 def closed_form_rates(kind: EquilibriumKind, p: InteractionParams, m: int) -> np.ndarray:
@@ -283,44 +313,61 @@ def mode_spectrum(kind: EquilibriumKind, p: InteractionParams, m):
     kind, modes = EquilibriumKind(kind), np.atleast_1d(m)
     stack = build_Q(kind, p, modes)  # one equilibrium and one eigensolve for all the modes
     eigs = np.linalg.eigvals(stack)
-    one = modes == 1
-    n_nontrivial = np.where(one, 2, 3)
-    ranked = np.take_along_axis(eigs, np.argsort(-np.abs(eigs), axis=1), axis=1)
-    nontrivial = np.arange(6) < n_nontrivial[:, None]
-    band = MARGINAL_BAND * np.linalg.norm(stack, axis=(1, 2))
-    trivial_fails = np.max(np.where(nontrivial, 0.0, np.abs(ranked)), axis=1) > band
+    ranked = eigs[np.arange(len(modes))[:, None], np.argsort(-np.abs(eigs), axis=1)]
+    mode_list = modes.tolist()
+    # every column below is read for 3 nontrivial eigenvalues, then patched on the rows of mode 1,
+    # which has 2: item assignments, where a mask or np.where costs more than the arithmetic
+    ones = [k for k, mode in enumerate(mode_list) if mode == 1]
+    band = MARGINAL_BAND * np.sqrt(np.add.reduce(stack * stack, axis=(1, 2)))  # ||Q||_F, as np.linalg.norm
+    # the structurally zero eigenvalues are the rest of the ranking, so the largest of them comes next
+    trivial = np.abs(ranked[:, 2:4])
+    for k in ones:
+        trivial[k, 1] = trivial[k, 0]
+    trivial_fails = trivial[:, 1] > band
 
     # per mode, the closed-form (c2, c1, c0), or (c1, c0, 0) for mode 1, against the expansion of
-    # prod (mu - r) over its nontrivial roots r in reduced units, padded with r = 0 for mode 1
+    # prod (mu - r) over its nontrivial roots r in reduced units, padded with r = 0 for mode 1; the
+    # mode-1 rows take the cubic at mode 2 and are then overwritten
     q = to_phase_point(p)
-    coeffs = np.zeros((len(modes), 3))
-    if np.any(one):
-        coeffs[one, :2] = reduced_coefficients(kind, q.A, q.B, q.M, 1)
-    rest = ~one
-    coeffs[rest, 0], coeffs[rest, 1], coeffs[rest, 2] = reduced_coefficients(kind, q.A, q.B, q.M, modes[rest])
-    r0, r1, r2 = (np.where(nontrivial, ranked, 0.0)[:, :3] / rate_unit(kind, p, modes)[:, None]).T
-    vieta = np.column_stack([-(r0 + r1 + r2), r0 * r1 + r0 * r2 + r1 * r2, -(r0 * r1 * r2)])
-    residual = np.max(np.abs(vieta - coeffs), axis=1) / (1.0 + np.sum(np.abs(coeffs), axis=1))
-    fails = trivial_fails | (residual > CROSSCHECK_RTOL)
-    if np.any(fails):
-        k = int(np.argmax(fails))
+    c2, c1, c0 = reduced_coefficients(kind, q.A, q.B, q.M, np.maximum(modes, 2))
+    unit_1, unit = _rate_units(kind, p)
+    units = np.full(len(mode_list), unit)
+    if ones:
+        lin, const = reduced_coefficients(kind, q.A, q.B, q.M, 1)
+        c2 = np.full(len(mode_list), c2)
+        for k in ones:
+            c2[k], c1[k], c0[k], units[k] = lin, const, 0.0, unit_1
+    r0, r1, r2 = ranked[:, 0] / units, ranked[:, 1] / units, ranked[:, 2] / units
+    for k in ones:
+        r2[k] = 0.0
+    r01 = r0 * r1
+    # |-e1 - c2| and |-e3 - c0| taken as |e1 + c2| and |e3 + c0|: the same numbers, as rounding is symmetric
+    residual = np.maximum(
+        np.maximum(abs(r0 + r1 + r2 + c2), abs(r01 + r0 * r2 + r1 * r2 - c1)), abs(r01 * r2 + c0)
+    ) / (1.0 + (abs(c2) + abs(c1) + abs(c0)))
+    fails = (trivial_fails | (residual > CROSSCHECK_RTOL)).nonzero()[0]
+    if len(fails):
+        k = int(fails[0])
         raise SpectrumMismatch(
-            f"expected {6 - n_nontrivial[k]} structurally zero eigenvalues at mode {modes[k]}" if trivial_fails[k]
-            else f"eigensolver and closed-form coefficients disagree at mode {modes[k]}: "
+            f"expected {4 if k in ones else 3} structurally zero eigenvalues at mode {mode_list[k]}"
+            if trivial_fails[k]
+            else f"eigensolver and closed-form coefficients disagree at mode {mode_list[k]}: "
             f"relative residual {residual[k]:.2e}"
         )
 
     # all nontrivial rates are below -band exactly when the largest is, and one is above band exactly
     # when the largest is: the growth rate's place against the band decides the verdict
-    growth = np.max(np.where(nontrivial, ranked.real, -np.inf), axis=1)
-    names = {code: name for name, code in VERDICT_CODES.items()}
-    spectra = tuple(
-        ModeSpectrum(kind, mode, Qk, eig, rank[:n], names[code], margin, rate)
-        for mode, Qk, eig, rank, n, code, margin, rate in zip(
-            modes.tolist(), stack, eigs, ranked, n_nontrivial.tolist(), band_verdict(growth, band).tolist(),
-            (residual / CROSSCHECK_RTOL).tolist(), growth.tolist(),
-        )
-    )
+    real = ranked.real
+    top2 = np.maximum(real[:, 0], real[:, 1])
+    growth = np.maximum(top2, real[:, 2])
+    nontrivial = list(ranked[:, :3])
+    for k in ones:
+        growth[k], nontrivial[k] = top2[k], ranked[k, :2]
+    spectra = tuple(map(
+        ModeSpectrum, repeat(kind), mode_list, stack, eigs, nontrivial,
+        map(_VERDICT_NAMES.__getitem__, band_verdict(growth, band).tolist()),
+        (residual / CROSSCHECK_RTOL).tolist(), growth.tolist(),
+    ))
     return spectra if np.ndim(m) else spectra[0]
 
 
@@ -390,16 +437,20 @@ def stability_report(kind: EquilibriumKind, p: InteractionParams, m_max: int = D
     D5; heavy inside: never stable).
     """
     kind, m_max = EquilibriumKind(kind), checked_m_max(m_max)
-    modes = mode_spectrum(kind, p, range(1, m_max + 1))
-    lowest_stable = min((s.m for s in modes[1:] if s.verdict == "stable"), default=math.inf)
-    unstable_above = [s.m for s in modes if s.m > lowest_stable and s.verdict == "unstable"]
-    if unstable_above:
-        raise SpectrumMismatch(
-            f"stable modes are not nested: mode {lowest_stable} is stable and mode {unstable_above[0]} unstable"
-        )
-    overall = min((s.verdict for s in modes), key=VERDICT_CODES.__getitem__)
-    growth = [s.growth if s.verdict == "unstable" else -math.inf for s in modes]
-    dominant = int(np.argmax(growth)) + 1 if overall == "unstable" else None
+    modes = mode_spectrum(kind, p, np.arange(1, m_max + 1))
+    verdicts = [s.verdict for s in modes]
+    if "stable" in verdicts[1:]:
+        lowest_stable = verdicts.index("stable", 1)
+        if "unstable" in verdicts[lowest_stable:]:
+            raise SpectrumMismatch(
+                f"stable modes are not nested: mode {lowest_stable + 1} is stable and mode "
+                f"{verdicts.index('unstable', lowest_stable) + 1} unstable"
+            )
+    overall = min(verdicts, key=VERDICT_CODES.__getitem__)
+    dominant = None
+    if overall == "unstable":
+        growth = [s.growth if v == "unstable" else -math.inf for s, v in zip(modes, verdicts)]
+        dominant = growth.index(max(growth)) + 1
 
     if overall != "marginal":
         region = classify_region(to_phase_point(p))

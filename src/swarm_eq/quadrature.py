@@ -15,7 +15,8 @@ weight vanishes to fourth order (``weak_cross.cross_condition_residual``).
 
 ``disk_kernel_integral`` takes a disk integral in polar coordinates around
 the evaluation point: the radial part along each ray is an elementary
-antiderivative of the kernel, and the angular part is ``periodic_trapezoid``.
+antiderivative of the kernel, and the angular part is ``periodic_trapezoid``,
+one run for the sum over an array of disks.
 The contour, repulsion and cross-force oracles of ``boundary_integrals`` and
 ``weak_cross`` call the rule directly at one tolerance, ``ORACLE_TOL``; the
 disk kernel and the area and moment integrals use the rule's default.
@@ -92,37 +93,39 @@ def periodic_trapezoid(f, tol=1e-12, cluster_at=None):
 
 
 def disk_kernel_integral(x, center, R, a_log, b_quad):
-    """Integral of -a_log*ln|x-y| + (b_quad/2)|x-y|^2 over the disk |y-center| < R.
+    """Sum over disks of the integral of -a_log*ln|x-y| + (b_quad/2)|x-y|^2 over the disk |y-center| < R.
 
-    Polar coordinates around x.  The radial part along each ray is exact:
+    ``R``, ``a_log`` and ``b_quad`` are floats for one disk or broadcastable
+    1-D arrays, one entry per disk, all disks sharing ``center``; a weight on
+    a disk (a signed density) is a factor of its two coefficients.  Polar
+    coordinates around x, with the angle psi measured from the direction of
+    the centre.  The radial part along each ray is exact:
     r*(-a ln r + b r^2/2) has the antiderivative
     G(r) = -a (r^2/2 ln r - r^2/4) + b r^4/8 with G(0) = 0, so a ray that
-    crosses the disk on [t_lo, t_hi] contributes G(t_hi) - G(t_lo); it is
-    evaluated on whole arrays of rays.  The angular integral is
-    ``periodic_trapezoid`` to 1e-12 absolute or 1e-11 relative: over
-    [0, 2 pi) for interior points, and for exterior points over the window
-    phi_c +- half that the disk subtends, with phi = phi_c + half*sin(u) over
-    a full period of u (which sweeps the window twice, hence the weight
-    half*|cos u|/2).  That substitution removes the square-root behavior of
-    the chord at the window's edges.
+    crosses a disk on [t_lo, t_hi] contributes G(t_hi) - G(t_lo); it is
+    evaluated on whole arrays of rays and disks.  Each disk maps psi onto
+    one period of the rule variable t: psi = t for a disk that holds x, and
+    for a disk that does not, psi = half*sin(t) over the window +-half that
+    it subtends (t sweeps the window twice, hence the weight half*|cos t|/2),
+    which removes the square-root behavior of the chord at the window's
+    edges.  The disks' sum is integrated in one ``periodic_trapezoid`` run,
+    to 1e-12 absolute or 1e-11 relative.
     """
-    dx, dy = float(center[0]) - float(x[0]), float(center[1]) - float(x[1])
-    c = dx * dx + dy * dy - R * R
+    dist = math.hypot(float(center[0]) - float(x[0]), float(center[1]) - float(x[1]))
+    R, a_log, b_quad = (np.atleast_1d(v).astype(float) for v in np.broadcast_arrays(R, a_log, b_quad))
+    # the window half-angle of each disk that does not hold x (dist >= R > 0 there), 0 for the others
+    half = [0.0 if dist < radius else math.asin(min(1.0, radius / dist)) for radius in R.tolist()]
+    # one row per disk, one column per node
+    inside, half, c = (dist < R)[:, None], np.array(half)[:, None], (dist * dist - R * R)[:, None]
+    a_log, b_quad = -a_log[:, None], 0.125 * b_quad[:, None]
 
-    def G(r):
-        r2 = r * r
-        return -a_log * r2 * (0.5 * np.log(np.where(r > 0.0, r, 1.0)) - 0.25) + 0.125 * b_quad * r2 * r2
-
-    def radial(phi):
-        b = dx * np.cos(phi) + dy * np.sin(phi)
+    def integrand(t):
+        b = dist * np.cos(np.where(inside, t, half * np.sin(t)))
         root = np.sqrt(np.maximum(b * b - c, 0.0))
-        t_hi = np.maximum(b + root, 0.0)
-        return G(t_hi) - G(np.clip(b - root, 0.0, t_hi))
+        ends = np.maximum(b + np.stack((root, -root)), 0.0)  # t_hi, t_lo along each ray, 0 where it misses
+        ends2 = ends * ends
+        G = ends2 * (a_log * (0.5 * np.log(np.where(ends > 0.0, ends, 1.0)) - 0.25) + b_quad * ends2)
+        rays = G[0] - G[1]
+        return np.sum(np.where(inside, rays, rays * ((0.5 * half) * np.abs(np.cos(t)))), axis=0)
 
-    dist = math.hypot(dx, dy)
-    if dist < R:
-        return periodic_trapezoid(radial)
-    # integrand supported on the angular window subtended by the disk
-    phi_c = math.atan2(dy, dx)
-    half = math.asin(min(1.0, R / dist))
-    return periodic_trapezoid(lambda u: radial(phi_c + half * np.sin(u)) * (0.5 * half) * np.abs(np.cos(u)))
+    return periodic_trapezoid(integrand)

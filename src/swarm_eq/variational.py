@@ -163,25 +163,26 @@ def lambda_profile(cfg: EquilibriumConfig, species: int) -> LambdaProfile:
 def lambda_quadrature_oracle(cfg: EquilibriumConfig, species: int, r: float) -> float:
     """Lambda_species(r) by 2-D polar quadrature of the defining convolutions (``disk_kernel_integral``).
 
-    Independent of the closed-form profile; refuses radii within
+    All the shells' disks go into one rule run.  Independent of the
+    closed-form profile; refuses radii within
     ``BREAKPOINT_GUARD`` of a breakpoint where the integrand family changes.
     """
     if any(abs(r - b) < BREAKPOINT_GUARD for b in _breakpoint_radii(cfg)):
         raise QuadratureNonConvergence(
             f"radius {r} within {BREAKPOINT_GUARD} of a breakpoint"
         )
-    p = cfg.params
-    k1, k2 = _kernel_pairs(p, species)
-    x = (r, 0.0)
-    total = 0.0
-    for s in cfg.shells:
-        for rho, (a, b) in ((s.rho1, k1), (s.rho2, k2)):
-            if rho == 0.0:
-                continue
-            total += rho * disk_kernel_integral(x, (0.0, 0.0), s.r_out, a, b)
-            if s.r_in > 0.0:
-                total -= rho * disk_kernel_integral(x, (0.0, 0.0), s.r_in, a, b)
-    return total
+    k1, k2 = _kernel_pairs(cfg.params, species)
+    # each shell is the disk r_out minus the disk r_in, for each species present at its density: one
+    # disk per (radius, signed density), with the density as a factor of that species' kernel
+    disks = [
+        (R, sign * rho * a, sign * rho * b)
+        for s in cfg.shells
+        for rho, (a, b) in ((s.rho1, k1), (s.rho2, k2))
+        if rho != 0.0
+        for R, sign in ((s.r_out, 1.0), (s.r_in, -1.0))
+        if R > 0.0
+    ]
+    return disk_kernel_integral((r, 0.0), (0.0, 0.0), *zip(*disks))
 
 
 def _threshold_f(A: float, M: float) -> float:

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from conftest import params_from_phase
+import swarm_eq
 from swarm_eq import cli, particles
 from swarm_eq.cli import main
 from swarm_eq.equilibria import EquilibriumKind, existence_region_mask
@@ -759,6 +762,36 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["region"] == "D3"
+
+
+#: Commands whose files must not depend on the BLAS thread count: a short simulation at a size where
+#: the pair pass's GEMM can be split across threads, both stability reports and a small phase diagram.
+_THREAD_INVARIANT_COMMANDS = (
+    ["simulate", "--init", "equilibrium", "--kind", "target-light", "-A", "3", "-B", "2", "-M", "2",
+     "--N1", "400", "--N2", "200", "--seed", "1", "--t-end", "2", "--out", "run"],
+    ["stability", "--kind", "target-light", "-A", "3", "-B", "3.5", "-M", "2", "--out-csv", "light.csv"],
+    ["stability", "--kind", "target-heavy", "-A", "3", "-B", "0.75", "-M", "2", "--out-csv", "heavy.csv"],
+    ["phase-diagram", "-M", "2", "--grid", "24", "--out-csv", "pd.csv", "--out-svg", "pd.svg"],
+)
+
+
+def _output_hashes(directory, blas_threads):
+    """sha256 of every file the commands write, run in one fresh interpreter at the given thread count."""
+    code = "import sys\nfrom swarm_eq.cli import main\nfor argv in %r:\n    assert main(argv) == 0\n" % (
+        [list(argv) for argv in _THREAD_INVARIANT_COMMANDS],
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(swarm_eq.__file__).parents[1]), "OPENBLAS_NUM_THREADS": blas_threads}
+    subprocess.run([sys.executable, "-c", code], cwd=directory, env=env, capture_output=True, check=True)
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(directory.iterdir())}
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    one, two = tmp_path / "one", tmp_path / "two"
+    one.mkdir()
+    two.mkdir()
+    hashes = _output_hashes(one, "1")
+    assert len(hashes) == 6  # two simulate CSVs, two stability CSVs, the phase-diagram CSV and SVG
+    assert _output_hashes(two, "2") == hashes
 
 
 def _simulate_with_forces(capsys, monkeypatch, tmp_path, patched):

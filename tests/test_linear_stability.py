@@ -507,6 +507,47 @@ def test_mode1_matrix_is_the_general_one_plus_the_first_moment_shift():
     assert min(checked.values()) >= 100
 
 
+def _matrices_written_out(a_s, a_c, b_s, b_c, M1, M2, modes):
+    """Each mode's matrix with its nonzero entries written one by one, powers as float ** int, and
+    mode 1's first-moment shift added as its own array expression (species 1 in the annulus)."""
+    r2sq, r1sq, r0sq, rho1, rho2 = target_geometry(a_s, a_c, b_s, b_c, M1, M2)
+    r2, r1, r0 = math.sqrt(r2sq), math.sqrt(r1sq), math.sqrt(r0sq)
+    pi = math.pi
+    s1, s2, c1, c2 = a_s * pi * rho1, a_s * pi * rho2, a_c * pi * rho1, a_c * pi * rho2
+    out = np.zeros((len(modes), 6, 6))
+    for Q, k in zip(out, modes):
+        up10, up20, up21 = (r1 / r0) ** (k + 2), (r2 / r0) ** (k + 2), (r2 / r1) ** (k + 2)
+        down10, down20, down21 = (r1 / r0) ** (k - 2), (r2 / r0) ** (k - 2), (r2 / r1) ** (k - 2)
+        Q[0, 0], Q[0, 2], Q[0, 4] = -s1, -s1 * up10, c2 * up20
+        Q[1, 0], Q[1, 2], Q[1, 4] = s1, -s1 * up10, c2 * up20
+        Q[2, 0], Q[2, 2], Q[2, 4] = -s1 * down10, -s1, c2 * up21
+        Q[3, 0], Q[3, 2], Q[3, 4] = s1 * down10, -s1, c2 * up21
+        Q[4, 0], Q[4, 2], Q[4, 4] = -c1 * down20, c1 * down21, -s2
+        Q[5, 0], Q[5, 2], Q[5, 4] = c1 * down20, -c1 * down21, s2
+        if k == 1:
+            R = np.array([r0, r1, r2])
+            b = np.array([[b_s, b_s, b_c], [b_s, b_s, b_c], [b_c, b_c, b_s]])
+            shift = b * (pi * np.array([rho1, -rho1, rho2]) * R**3) / R[:, None]
+            Q[0::2, 0::2] += shift
+            Q[1::2, 0::2] -= shift
+    return out
+
+
+def test_build_Q_is_the_written_out_entry_table_bit_for_bit():
+    checked = {LIGHT: 0, HEAVY: 0}
+    for p in _seeded_params(1503, 300):
+        for kind in (LIGHT, HEAVY):
+            try:
+                stack = build_Q(kind, p, np.arange(1, 33))
+            except EquilibriumMissing:
+                continue
+            expected = _matrices_written_out(p.a_s, p.ac_eff, p.b_s, p.bc_eff, *kind.masses(p), range(1, 33))
+            assert stack.tobytes() == expected.tobytes()
+            assert build_Q(kind, p, np.arange(2, 33)).tobytes() == expected[1:].tobytes()
+            checked[kind] += 1
+    assert min(checked.values()) >= 100
+
+
 def test_heavy_mode1_rates_are_the_light_quadratic_at_inverse_mass_ratio():
     for p in _seeded_params(1502, 300):
         q = to_phase_point(p)

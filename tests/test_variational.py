@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import draw_phase_in_regions, params_from_phase
-from swarm_eq.equilibria import EXISTENCE_REGIONS, EquilibriumKind, build_equilibrium
+from swarm_eq.equilibria import EXISTENCE_REGIONS, EquilibriumKind, _disk_terms, build_equilibrium
 from swarm_eq.errors import (
     ConstraintViolated,
     DegenerateMassRatio,
@@ -13,7 +13,7 @@ from swarm_eq.errors import (
     QuadratureNonConvergence,
     SwarmEqError,
 )
-from swarm_eq import variational
+from swarm_eq import quadrature, variational
 from swarm_eq.model import InteractionParams, PhasePoint, RegionId, classify_region
 from swarm_eq.variational import (
     PerturbationGrid,
@@ -215,6 +215,42 @@ def test_oracle_center_equals_plateau_and_far_field():
     assert lambda_quadrature_oracle(cfg, 2, r_far) == pytest.approx(
         prof2.value(r_far), rel=1e-9
     )
+
+
+def _disk_term_scale(cfg, species, r):
+    """Sum of the magnitudes of the disk terms whose signed sum is Lambda_species(r)."""
+    scale = 0.0
+    for R, inside, outside in _disk_terms(cfg, species):
+        c0, c2, cl = inside if r < R else outside
+        scale += abs(c0) + abs(c2) * r * r + (abs(cl * math.log(r)) if cl else 0.0)
+    return scale
+
+
+@pytest.mark.parametrize("kind", [LIGHT, HEAVY, OVL, OVH])
+def test_oracle_is_one_rule_run_that_matches_the_profile(kind, rng, monkeypatch):
+    runs = []
+    rule = quadrature.periodic_trapezoid
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "periodic_trapezoid", counted)
+    for A, B in draw_phase_in_regions(rng, EXISTENCE_REGIONS[kind], n=4):
+        cfg = build_equilibrium(kind, params_from_phase(A, B))
+        edges = sorted({s.r_in for s in cfg.shells} | {s.r_out for s in cfg.shells})
+        # the centre, inside every shell and gap, and outside the outermost edge
+        radii = [0.0] + [lo + f * (hi - lo) for lo, hi in zip(edges, edges[1:]) for f in (0.3, 0.7)]
+        radii += [1.3 * edges[-1], 4.0 * edges[-1]]
+        for species in (1, 2):
+            prof = lambda_profile(cfg, species)
+            for r in radii:
+                calls = len(runs)
+                value = lambda_quadrature_oracle(cfg, species, r)
+                assert len(runs) == calls + 1
+                # far out, Lambda is a small difference of disk terms of order one: the bound is relative
+                # to those terms, since a bound relative to Lambda itself would measure their rounding
+                assert abs(value - prof.value(r)) <= 1e-12 * _disk_term_scale(cfg, species, r)
 
 
 def test_interior_zero_location_iff_d3(rng):
